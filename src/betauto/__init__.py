@@ -29,9 +29,7 @@ from .numfield import (
     BetaContext,
     FieldElem,
     context_from_config,
-    fe_abs_at,
     fe_add,
-    fe_mul_base,
     fe_neg,
     fe_sub,
     mahler_measure,
@@ -60,4 +58,4 @@ from .structure import (
     growth,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -66,16 +66,12 @@ def _load_context(args) -> BetaContext:
         raise InputError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"config is not valid JSON: {e}") from e
+    if args.precision is not None and isinstance(doc, dict):
+        doc = {**doc, "precision": args.precision}
     try:
-        ctx = context_from_config(doc)
+        return context_from_config(doc)
     except NumFieldError as e:
         raise InputError(str(e)) from e
-    if args.precision is not None:
-        try:
-            ctx = context_from_config({**doc, "precision": args.precision})
-        except NumFieldError as e:
-            raise InputError(str(e)) from e
-    return ctx
 
 
 def _build_rel(ctx: BetaContext, args) -> RelAutomaton:

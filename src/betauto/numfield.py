@@ -1,10 +1,12 @@
-"""Exact arithmetic in Z[beta] / Q(beta), and in Z[X] for a formal base.
+"""Exact arithmetic in Z[beta], and in Z[X] for a formal base.
 
 A ``BetaContext`` fixes the base beta (by its integer minimal polynomial, or
 as a formal indeterminate), a finite digit set, and certified numeric
-enclosures of the conjugates of beta.  All element arithmetic is exact
-(rational coefficient vectors modulo the minimal polynomial); the numeric
-enclosures are only used for pruning bounds and modulus classification.
+enclosures of the conjugates of beta.  All element arithmetic is exact: the
+working minimal polynomial is monic, so elements are integer vectors in
+Z[beta] (modulo the minimal polynomial), or integer polynomials in Z[X].  The
+numeric enclosures are only used for pruning bounds and modulus
+classification.
 """
 
 from __future__ import annotations
@@ -132,23 +134,26 @@ def poly_str(c: Sequence, var: str = "x") -> str:
 _SLOP = 1e-13
 
 
-def _disk_linear(coeffs: Sequence[float], powers: list[tuple[complex, float]]) -> tuple[complex, float]:
-    """Enclosure of sum coeffs[i] * powers[i] for real coefficients."""
-    cen = 0j
-    rad = 0.0
-    mag = 0.0
-    for c, (pc, pr) in zip(coeffs, powers):
-        cen += c * pc
-        ac = abs(c)
-        rad += ac * pr
-        mag += ac * abs(pc)
-    rad += _SLOP * (mag + 1.0)
-    return cen, rad
-
-
 def disk_abs(cen: complex, rad: float) -> tuple[float, float]:
     m = abs(cen)
     return max(m - rad, 0.0), m + rad
+
+
+def disk_modulus(coeffs: Sequence[int], rows: Sequence[tuple[complex, float, float]]) -> tuple[float, float]:
+    """Enclosure of |sum_k coeffs[k] * gamma^k| for integer coefficients, from
+    rows (centre, radius, |centre|) of the disks enclosing gamma^0, gamma^1, ...
+    (see ``BetaContext.power_rows``)."""
+    cen = 0j
+    rad = mag = norm = 0.0
+    for c, (pc, pr, apc) in zip(coeffs, rows):
+        if c:
+            cen += c * pc
+            ac = c if c > 0 else -c
+            rad += ac * pr
+            mag += ac * apc
+            norm += ac
+    # 1e-15 per unit of the coefficients' 1-norm covers their rounding to float
+    return disk_abs(cen, rad + _SLOP * (mag + 1.0) + norm * 1e-15)
 
 
 @dataclass(frozen=True)
@@ -205,8 +210,9 @@ def is_self_reciprocal(coeffs: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class FieldElem:
-    """Exact element: rational vector on 1, beta, ..., beta^(d-1), or an
-    integer polynomial in the formal variable X (transcendental mode)."""
+    """Exact element: integer vector on 1, beta, ..., beta^(d-1) in Z[beta]
+    (the working minimal polynomial is monic), or an integer polynomial in
+    the formal variable X (transcendental mode)."""
 
     mode: str
     coeffs: tuple
@@ -258,7 +264,9 @@ class BetaContext:
     precision: int = 30  # mpmath dps for the enclosures
     embeddings: list = field(default_factory=list)
     _max_precision: int = 2000
-    _powers: list = field(default_factory=list)  # per embedding: disk powers of gamma
+    #: per embedding: rows (centre, radius, |centre|) of the disks enclosing
+    #: gamma^0 .. gamma^(d-1), the input of ``disk_modulus``
+    power_rows: list = field(default_factory=list)
 
     # -- exact arithmetic ---------------------------------------------------
 
@@ -268,16 +276,16 @@ class BetaContext:
 
     def zero(self) -> FieldElem:
         if self.mode == ALGEBRAIC:
-            return FieldElem(ALGEBRAIC, (Fraction(0),) * self.degree)
+            return FieldElem(ALGEBRAIC, (0,) * self.degree)
         return FieldElem(TRANSCENDENTAL, ())
 
     def from_int_poly(self, coeffs: Sequence[int]) -> FieldElem:
         """Element from an integer coefficient list in the working basis."""
         if self.mode == TRANSCENDENTAL:
             return FieldElem(TRANSCENDENTAL, poly_trim([int(c) for c in coeffs]))
-        return FieldElem(ALGEBRAIC, self._reduce([Fraction(c) for c in coeffs]))
+        return FieldElem(ALGEBRAIC, self._reduce([int(c) for c in coeffs]))
 
-    def _reduce(self, c: list[Fraction]) -> tuple:
+    def _reduce(self, c: list[int]) -> tuple:
         """Reduce modulo the (monic) working minimal polynomial."""
         d = self.degree
         c = list(c)
@@ -287,7 +295,7 @@ class BetaContext:
                 for j in range(d):
                     c[i - d + j] -= f * self.minpoly[j]
             c.pop()
-        c += [Fraction(0)] * (d - len(c))
+        c += [0] * (d - len(c))
         return tuple(c)
 
     def mul_base(self, x: FieldElem) -> FieldElem:
@@ -296,13 +304,7 @@ class BetaContext:
             if not x.coeffs:
                 return x
             return FieldElem(TRANSCENDENTAL, (0,) + x.coeffs)
-        return FieldElem(ALGEBRAIC, self._reduce([Fraction(0)] + list(x.coeffs)))
-
-    def pow_base(self, n: int) -> FieldElem:
-        x = self.one()
-        for _ in range(n):
-            x = self.mul_base(x)
-        return x
+        return FieldElem(ALGEBRAIC, self._reduce([0] + list(x.coeffs)))
 
     def one(self) -> FieldElem:
         if self.mode == ALGEBRAIC:
@@ -327,48 +329,41 @@ class BetaContext:
                 blocked = True
             else:
                 # undecided: refine and retry
-                self.precision *= 2
-                if self.precision > self._max_precision:
+                if self.precision * 2 > self._max_precision:
                     raise NumFieldError("cannot classify conjugate moduli at max precision")
+                self.precision *= 2
                 self._rebuild_embeddings()
                 return
             embeddings.append(Embedding(cen, rad, cls))
         self.embeddings = embeddings
         self.blocked = blocked
-        self._powers = [None] * len(embeddings)
+        self.power_rows = [self._power_rows(e) for e in embeddings]
 
     def refine(self) -> None:
         """Double the enclosure precision; classes are stable by construction."""
+        if self.precision * 2 > self._max_precision:
+            raise NumFieldError("precision refinement cap reached")
         old = [e.cls for e in self.embeddings]
         self.precision *= 2
-        if self.precision > self._max_precision:
-            raise NumFieldError("precision refinement cap reached")
         self._rebuild_embeddings()
         if [e.cls for e in self.embeddings] != old:
             raise NumFieldError("embedding classification unstable under refinement")
 
-    def _embedding_powers(self, i: int, upto: int) -> list[tuple[complex, float]]:
-        if self._powers[i] is None:
-            self._powers[i] = [(1.0 + 0j, 0.0)]
-        pw = self._powers[i]
-        e = self.embeddings[i]
-        while len(pw) <= upto:
-            pc, pr = pw[-1]
+    def _power_rows(self, e: Embedding) -> list[tuple[complex, float, float]]:
+        pc, pr = 1.0 + 0j, 0.0
+        rows = []
+        for _ in range(self.degree):
+            rows.append((pc, pr, abs(pc)))
             cen = pc * e.center
             rad = abs(pc) * e.radius + pr * abs(e.center) + pr * e.radius
-            rad += _SLOP * (abs(cen) + 1.0)
-            pw.append((cen, rad))
-        return pw
+            pc, pr = cen, rad + _SLOP * (abs(cen) + 1.0)
+        return rows
 
     def abs_at(self, x: FieldElem, i: int) -> tuple[float, float]:
         """Certified enclosure of |sigma_i(x)|."""
         if self.mode != ALGEBRAIC:
             raise ModeMismatch("no numeric embeddings in transcendental mode")
-        powers = self._embedding_powers(i, len(x.coeffs) - 1) if x.coeffs else []
-        cen, rad = _disk_linear([float(c) for c in x.coeffs], powers)
-        # account for float() rounding of exact rational coefficients
-        extra = sum(abs(float(c)) for c in x.coeffs) * 1e-15
-        return disk_abs(cen, rad + extra)
+        return disk_modulus(x.coeffs, self.power_rows[i])
 
     def expanding_indices(self) -> list[int]:
         return [i for i, e in enumerate(self.embeddings) if e.cls == EXPANDING]
@@ -396,14 +391,6 @@ class BetaContext:
         if glo <= 1.0:
             raise NumFieldError("prune bound requested at a non-expanding embedding")
         return num_lo / (ghi - 1.0), num_hi / (glo - 1.0)
-
-
-def fe_mul_base(ctx: BetaContext, x: FieldElem) -> FieldElem:
-    return ctx.mul_base(x)
-
-
-def fe_abs_at(ctx: BetaContext, x: FieldElem, embedding_index: int) -> tuple[float, float]:
-    return ctx.abs_at(x, embedding_index)
 
 
 def mahler_measure(ctx: BetaContext) -> tuple[float, float]:
@@ -524,19 +511,31 @@ def make_context(
     return ctx
 
 
+def _int_list(value, what: str) -> list:
+    # bool is an int subclass and float would be truncated: accept neither
+    if not isinstance(value, list) or not all(type(c) is int for c in value):
+        raise NumFieldError(f"{what} must be integers, got {value!r}")
+    return value
+
+
 def context_from_config(doc: dict) -> BetaContext:
     """Ingest the JSON context schema:
     {"beta": {"minpoly": [ints]} | "transcendental", "digits": [[ints], ...],
      "precision": int?}"""
+    if not isinstance(doc, dict):
+        raise NumFieldError("config must be a JSON object")
     beta = doc.get("beta")
     if beta == TRANSCENDENTAL:
         base = TRANSCENDENTAL
     elif isinstance(beta, dict) and "minpoly" in beta:
-        base = beta["minpoly"]
+        base = _int_list(beta["minpoly"], "beta.minpoly")
     else:
         raise NumFieldError("config needs beta.minpoly or beta == 'transcendental'")
     digits = doc.get("digits")
     if not isinstance(digits, list):
         raise NumFieldError("config needs a digits list")
-    digits = [d if isinstance(d, list) else [d] for d in digits]
-    return make_context(base, digits, precision=int(doc.get("precision", 30)))
+    digits = [_int_list(d if isinstance(d, list) else [d], "digit coefficients") for d in digits]
+    precision = doc.get("precision", 30)
+    if type(precision) is not int or precision < 1:
+        raise NumFieldError("precision must be an integer >= 1")
+    return make_context(base, digits, precision=precision)

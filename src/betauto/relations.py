@@ -5,14 +5,16 @@ set.  Two equal-length digit words u, v represent the same map iff
 sum_i (t_{u_i} - t_{v_i}) * beta^(n-i) = 0; the automaton built here
 recognizes exactly the set of such pairs, read synchronously from the left.
 
-States are exact field elements (the accumulated difference); the start and
-the unique final state are 0.  Reachability is explored breadth-first, with
-certified pruning of states that can provably never return to 0.
+States are the accumulated differences, exact integer vectors in Z[beta] or
+Z[X]; the start and the unique final state are 0.  Reachability is explored
+breadth-first, with certified pruning of states that can provably never
+return to 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from . import numfield as nf
 from .automata import Automaton, PairLetter, trim
@@ -22,10 +24,12 @@ from .numfield import (
     BetaContext,
     FieldElem,
     NumFieldError,
+    disk_modulus,
     fe_add,
     fe_sub,
     mahler_measure,
     poly_deg,
+    poly_trim,
 )
 
 
@@ -79,33 +83,25 @@ def _transcendental_prune_data(ctx: BetaContext) -> tuple[int, list[int]]:
 
 
 class _Pruner:
-    """Decides whether a candidate state can provably never return to 0."""
+    """Decides whether a nonzero state of an algebraic context (an integer
+    vector) can provably never return to 0: at some expanding conjugate its
+    modulus exceeds the return bound ``BetaContext.prune_bound``."""
 
     def __init__(self, ctx: BetaContext):
         self.ctx = ctx
         self.refinements = 0
         self.undecided_keeps = 0
-        if ctx.mode == TRANSCENDENTAL:
-            self.deg_cap, self.coeff_caps = _transcendental_prune_data(ctx)
-        else:
-            self._bounds = None
+        self._load_bounds()
 
-    def _prune_bounds(self) -> dict:
-        if self._bounds is None:
-            self._bounds = {i: self.ctx.prune_bound(i) for i in self.ctx.expanding_indices()}
-        return self._bounds
+    def _load_bounds(self) -> None:
+        self.bounds = [(self.ctx.power_rows[i],) + self.ctx.prune_bound(i)
+                       for i in self.ctx.expanding_indices()]
 
-    def prune(self, x: FieldElem) -> bool:
-        if x.is_zero():
-            return False
-        if self.ctx.mode == TRANSCENDENTAL:
-            if x.degree() >= self.deg_cap:
-                return True
-            return any(abs(c) > s for c, s in zip(x.coeffs, self.coeff_caps))
+    def prune(self, x: tuple) -> bool:
         while True:
             undecided = False
-            for i, (blo, bhi) in self._prune_bounds().items():
-                lo, hi = self.ctx.abs_at(x, i)
+            for rows, blo, bhi in self.bounds:
+                lo, hi = disk_modulus(x, rows)
                 if lo > bhi:
                     return True
                 if hi > blo:
@@ -120,7 +116,23 @@ class _Pruner:
                 self.undecided_keeps += 1
                 return False
             self.refinements += 1
-            self._bounds = None
+            self._load_bounds()
+
+
+class _DegreePruner:
+    """Transcendental counterpart of ``_Pruner``: prunes a nonzero state
+    (an integer coefficient vector) that breaks the degree or coefficient
+    caps of ``_transcendental_prune_data``."""
+
+    refinements = 0
+    undecided_keeps = 0
+
+    def __init__(self, ctx: BetaContext):
+        self.deg_cap, self.coeff_caps = _transcendental_prune_data(ctx)
+
+    def prune(self, x: tuple) -> bool:
+        # a nonzero coefficient at X^deg_cap or above: degree >= deg_cap
+        return any(x[self.deg_cap:]) or any(abs(c) > s for c, s in zip(x, self.coeff_caps))
 
 
 def build_relation_automaton(
@@ -138,53 +150,87 @@ def build_relation_automaton(
             "base has a certified conjugate on the unit circle; "
             "exploration may not terminate (use force to run under caps)")
 
-    letters = [
-        (gi, hi, PairLetter(ctx.digit_names[gi], ctx.digit_names[hi]))
-        for gi in range(len(ctx.digits))
-        for hi in range(len(ctx.digits))
-    ]
-    pruner = _Pruner(ctx)
+    # States are integer vectors of a fixed width.  Multiplying by the base
+    # is the companion shift of a monic polynomial with lower coefficients
+    # ``low``: the working minimal polynomial, or X^width for a formal base
+    # (no kept state has degree deg_cap = width - 1, so nothing overflows).
+    if ctx.mode == ALGEBRAIC:
+        pruner = _Pruner(ctx)
+        width, low = ctx.degree, ctx.minpoly[:-1]
+    else:
+        pruner = _DegreePruner(ctx)
+        width = pruner.deg_cap + 1
+        low = (0,) * width
+    prune = pruner.prune
 
-    zero = ctx.zero()
-    elems = [zero]
-    index = {zero.coeffs: 0}
-    depth = [0]
-    transitions = []
+    # letters in order, each with the index of its digit-difference vector;
+    # letters sharing a difference share one successor computation per state
+    diff_index = {}
+    letters = []
+    for gi, g in enumerate(ctx.digits):
+        for hi, h in enumerate(ctx.digits):
+            d = fe_sub(g, h).coeffs
+            d += (0,) * (width - len(d))
+            letters.append((PairLetter(ctx.digit_names[gi], ctx.digit_names[hi]),
+                            diff_index.setdefault(d, len(diff_index))))
+    diffs = list(diff_index)
+    letter_diffs = [k for _, k in letters]
+
+    zero = (0,) * width
+    states = [zero]
+    index = {zero: 0}
+    # per explored state, per difference: the successor's index; -1 (or None,
+    # when reset by a refinement and needed by no later letter) if pruned
+    succs = []
     pruned = 0
     head = 0
-    while head < len(elems):
-        q = elems[head]
-        if depth[head] > max_depth:
+    dq, layer_end = 0, 1  # BFS depth of states[head], end of that layer
+    while head < len(states):
+        if head == layer_end:
+            dq, layer_end = dq + 1, len(states)
+        if dq > max_depth:
             raise CapExceeded(
                 f"depth cap {max_depth} exceeded",
-                {"states": len(elems), "depth": depth[head], "pruned": pruned})
-        shifted = ctx.mul_base(q)
-        for gi, hi, letter in letters:
-            nxt = fe_add(shifted, fe_sub(ctx.digits[gi], ctx.digits[hi]))
-            j = index.get(nxt.coeffs)
+                {"states": len(states), "depth": dq, "pruned": pruned})
+        q = states[head]
+        top = q[-1]
+        shifted = (0,) + q[:-1]
+        if top:
+            shifted = tuple(map(sub, shifted, [top * m for m in low]))
+        succ = [None] * len(diffs)
+        for k in letter_diffs:
+            j = succ[k]
             if j is None:
-                if pruner.prune(nxt):
-                    pruned += 1
-                    continue
-                j = len(elems)
-                if j >= max_states:
-                    raise CapExceeded(
-                        f"state cap {max_states} exceeded",
-                        {"states": j, "depth": depth[head], "pruned": pruned})
-                index[nxt.coeffs] = j
-                elems.append(nxt)
-                depth.append(depth[head] + 1)
-            transitions.append((head, letter, j))
+                nxt = tuple(map(add, shifted, diffs[k]))
+                j = index.get(nxt)
+                if j is None:
+                    refinements = pruner.refinements
+                    if prune(nxt):
+                        j = -1
+                    else:
+                        j = len(states)
+                        if j >= max_states:
+                            raise CapExceeded(
+                                f"state cap {max_states} exceeded",
+                                {"states": j, "depth": dq, "pruned": pruned})
+                        index[nxt] = j
+                        states.append(nxt)
+                    if pruner.refinements != refinements:
+                        # bounds changed: decide earlier pruned successors again
+                        succ = [None if s == -1 else s for s in succ]
+                succ[k] = j
+            if j < 0:
+                pruned += 1
+        succs.append(succ)
         head += 1
-
-    raw = Automaton(
-        tuple(l for _, _, l in letters), len(elems), transitions, [0], [0],
-        [str(e) for e in elems])
+    transitions = [(p, letter, j) for p, succ in enumerate(succs)
+                   for letter, k in letters
+                   if (j := succ[k]) is not None and j >= 0]
 
     # co-accessibility pass: drop states with no path back to 0
-    bwd = {p: set() for p in range(raw.n_states)}
-    for (p, _, q) in raw.transitions:
-        bwd[q].add(p)
+    bwd = [[] for _ in states]
+    for (p, _, q) in transitions:
+        bwd[q].append(p)
     keep = {0}
     stack = [0]
     while stack:
@@ -194,22 +240,24 @@ def build_relation_automaton(
                 stack.append(p)
     order = sorted(keep)
     remap = {s: i for i, s in enumerate(order)}
+    trim_state = tuple if ctx.mode == ALGEBRAIC else poly_trim
+    elems = [FieldElem(ctx.mode, trim_state(states[s])) for s in order]
     aut = Automaton(
-        raw.alphabet, len(order),
-        [(remap[p], x, remap[q]) for (p, x, q) in raw.transitions
+        tuple(l for l, _ in letters), len(order),
+        [(remap[p], x, remap[q]) for (p, x, q) in transitions
          if p in remap and q in remap],
-        [0], [0], [raw.labels[s] for s in order])
+        [0], [0], [str(e) for e in elems])
 
     stats = {
-        "states_explored": len(elems),
+        "states_explored": len(states),
         "states": aut.n_states,
         "pruned": pruned,
-        "dropped_coaccessibility": len(elems) - len(order),
+        "dropped_coaccessibility": len(states) - len(order),
         "precision_refinements": pruner.refinements,
         "undecided_keeps": pruner.undecided_keeps,
-        "max_depth_reached": max(depth) if depth else 0,
+        "max_depth_reached": dq,
     }
-    return RelAutomaton(aut, ctx, [elems[s] for s in order], stats)
+    return RelAutomaton(aut, ctx, elems, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +277,8 @@ def quick_free_sufficient(ctx: BetaContext) -> bool:
     digit difference already exceeds the return bound, so no nonzero state is
     co-accessible and the semigroup is free.  ``False`` means unknown."""
     if ctx.mode == TRANSCENDENTAL:
-        pruner = _Pruner(ctx)
-        return all(d.is_zero() or pruner.prune(d) for d in ctx.digit_diffs())
+        pruner = _DegreePruner(ctx)
+        return all(d.is_zero() or pruner.prune(d.coeffs) for d in ctx.digit_diffs())
     for i in ctx.expanding_indices():
         blo, bhi = ctx.prune_bound(i)
         ok = True

@@ -218,6 +218,29 @@ def test_invalid_config(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"beta": {"minpoly": [-3, 1]}, "digits": [0, 1.5]},
+    {"beta": {"minpoly": [-3, 1]}, "digits": [0, True]},
+    {"beta": {"minpoly": [-3, 1]}, "digits": [0, "x"]},
+    {"beta": {"minpoly": [-3.0, 1]}, "digits": [0, 1]},
+    {"beta": {"minpoly": [-3, 1]}, "digits": [0, 1], "precision": "abc"},
+    {"beta": {"minpoly": [-3, 1]}, "digits": [0, 1], "precision": 0},
+    {"beta": {"minpoly": [-3, 1]}, "digits": [0, 1], "precision": -5},
+    [{"beta": {"minpoly": [-3, 1]}, "digits": [0, 1]}],
+])
+def test_bad_config_values(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "free", "--config", bad, "--out", tmp_path)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_bad_precision_flag(tmp_path, capsys):
+    code, _, err = run(capsys, "free", "--config", cfg("intro"),
+                       "--out", tmp_path, "--precision", "0")
+    assert code == 1 and err.startswith("error: ")
+
+
 def test_bad_word_digit(tmp_path, capsys):
     code, _, err = run(capsys, "reduce", "--config", cfg("intro"),
                        "--out", tmp_path, "12")

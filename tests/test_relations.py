@@ -2,10 +2,11 @@ import random
 from itertools import product as iproduct
 
 import pytest
+from sympy import Poly, Symbol
 
 from betauto import automata as au
 from betauto.automata import PairLetter
-from betauto.numfield import fe_neg, make_context
+from betauto.numfield import NumFieldError, fe_neg, make_context
 from betauto.relations import (
     Blocked,
     CapExceeded,
@@ -176,7 +177,16 @@ def test_salem_forced_caps_out():
     ctx = load_context("salem")
     with pytest.raises(CapExceeded) as e:
         build_relation_automaton(ctx, max_states=3000, force=True)
-    assert e.value.stats["states"] == 3000
+    # pins the BFS order and the per-letter prune count
+    assert e.value.stats == {"states": 3000, "depth": 73, "pruned": 5455}
+
+
+def test_refinement_stays_within_precision_cap():
+    # the quartic Pisot build keeps undecided states after refining to the cap
+    ctx = load_context("pisot_x4-x3-x2+x-1")
+    rel = build_relation_automaton(ctx)
+    assert rel.stats["undecided_keeps"] > 0
+    assert ctx.precision <= ctx._max_precision
 
 
 def test_state_cap():
@@ -226,3 +236,37 @@ def test_random_pairs_against_oracle():
         v = [rng.choice(names) for _ in range(n)]
         assert au.accepts(rel.automaton, pair_word(u, v)) == \
             verify_relation(ctx, u, v)
+
+
+def test_random_contexts_against_exact_arithmetic():
+    # seeded irreducible monic bases of degree 2..4 with digits {0} plus one
+    # or two small integers; verify_relation checks with FieldElem arithmetic
+    rng = random.Random(5)
+    x = Symbol("x")
+    built = nontrivial = 0
+    for _ in range(20):
+        while True:
+            minpoly = [rng.randint(-3, 3) for _ in range(rng.randint(2, 4))] + [1]
+            if Poly(minpoly[::-1], x).is_irreducible:
+                break
+        digits = [0] + rng.sample([c for c in range(-3, 4) if c], rng.randint(1, 2))
+        try:
+            ctx = make_context(minpoly, digits)
+        except NumFieldError:
+            continue
+        if ctx.blocked:
+            continue
+        try:
+            rel = build_relation_automaton(ctx, max_states=5000)
+        except CapExceeded:
+            continue
+        built += 1
+        nontrivial += rel.n_states > 1
+        assert all(type(c) is int for e in rel.state_elems for c in e.coeffs)
+        names = ctx.digit_names
+        for n in range(4):
+            for u in iproduct(names, repeat=n):
+                for v in iproduct(names, repeat=n):
+                    assert au.accepts(rel.automaton, pair_word(u, v)) == \
+                        verify_relation(ctx, u, v), (minpoly, digits, u, v)
+    assert built >= 15 and nontrivial >= 5
