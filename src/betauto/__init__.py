@@ -17,6 +17,7 @@ from .automata import (
     is_codeterministic,
     lex_pair_automaton,
     minimize,
+    perron_enclosure,
     product,
     project,
     to_dot,
@@ -49,11 +50,9 @@ from .relations import (
     verify_relation,
 )
 from .structure import (
-    AutomaticStructure,
     GrowthReport,
     build_multiplier,
     build_reduced_automaton,
-    build_structure,
     count_elements_bruteforce,
     growth,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Iterable, NamedTuple
 
 from sympy import ZZ, Poly, Symbol
@@ -407,16 +406,6 @@ def accepts(a: Automaton, word: Iterable) -> bool:
     return bool(cur & a.finals)
 
 
-def enumerate_words(a: Automaton, max_len: int):
-    """All accepted words of length <= max_len (exponential; test oracle)."""
-    out = []
-    for n in range(max_len + 1):
-        for w in iproduct(a.alphabet, repeat=n):
-            if accepts(a, w):
-                out.append(w)
-    return out
-
-
 def adjacency(a: Automaton) -> list[list[int]]:
     m = [[0] * a.n_states for _ in range(a.n_states)]
     for (p, _, q) in a.transitions:
@@ -463,6 +452,17 @@ def _real_root_intervals(coeffs, eps: Fraction):
             for iv in p.intervals(eps=Rational(eps.numerator, eps.denominator))]
 
 
+def perron_enclosure(cp, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
+    """Certified rational enclosure of the largest real root of the integer
+    polynomial ``cp`` (constant term first), isolated to within ``tol``;
+    (0, 0) when it has no real root."""
+    eps = Fraction(tol) / 4  # exact: a positive float is a dyadic rational
+    ivs = _real_root_intervals(cp, eps)
+    if not ivs:
+        return (Fraction(0), Fraction(0))
+    return max(ivs, key=lambda iv: iv[1])
+
+
 def dominant_eigenvalue(a: Automaton, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Perron root of the trimmed
     automaton's adjacency matrix (largest real root of its characteristic
@@ -470,12 +470,7 @@ def dominant_eigenvalue(a: Automaton, tol: float = 1e-10) -> tuple[Fraction, Fra
     t = trim(a)
     if t.n_states == 0:
         return (Fraction(0), Fraction(0))
-    cp = char_poly(t)
-    eps = Fraction(tol) / 4  # exact: a positive float is a dyadic rational
-    ivs = _real_root_intervals(cp, eps)
-    if not ivs:
-        return (Fraction(0), Fraction(0))
-    return max(ivs, key=lambda iv: iv[1])
+    return perron_enclosure(char_poly(t), tol)
 
 
 def is_codeterministic(a: Automaton) -> bool:

@@ -9,21 +9,19 @@ semigroup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import (
     Automaton,
-    append_letter,
+    PairLetter,
     char_poly,
     complement,
     count_series,
-    determinize,
-    dominant_eigenvalue,
     intersect,
     lex_pair_automaton,
     minimize,
-    product,
+    perron_enclosure,
     project,
     trim,
 )
@@ -53,27 +51,64 @@ def build_reduced_automaton(rel: RelAutomaton, order: str = "lex") -> Automaton:
 
 def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     """Minimal automaton of the pairs (u, v) of reduced words with
-    v equivalent to u followed by the digit ``g``."""
+    v equivalent to u followed by the digit ``g``.
+
+    One breadth-first search over triples (u-state, v-state, relation state)
+    accepts the language of
+    ``intersect(product(append_letter(reduced, g), reduced), rel.automaton)``
+    without building the product.  The u-component runs ``reduced`` and, on
+    ``g`` from a final state, also enters the appended state ``+``, which has
+    no outgoing edges.  Letters are scanned in alphabet order and each state
+    label is a function of its triple, so the output does not depend on the
+    string-hash seed."""
     if g not in reduced.alphabet:
         raise ValueError(f"unknown digit {g!r}")
-    pairs = product(append_letter(reduced, g), reduced)
-    return minimize(intersect(pairs, rel.automaton))
-
-
-@dataclass
-class AutomaticStructure:
-    """Reduced-word automaton plus one multiplier per digit."""
-
-    rel: RelAutomaton
-    order: str
-    reduced: Automaton
-    multipliers: dict = field(default_factory=dict)  # digit name -> Automaton
-
-
-def build_structure(rel: RelAutomaton, order: str = "lex") -> AutomaticStructure:
-    reduced = build_reduced_automaton(rel, order)
-    mults = {g: build_multiplier(rel, reduced, g) for g in rel.context.digit_names}
-    return AutomaticStructure(rel, order, reduced, mults)
+    sigma = reduced.alphabet
+    alphabet = tuple(PairLetter(x, y) for x in sigma for y in sigma)
+    red = reduced.ddelta()
+    rd = rel.automaton.ddelta()
+    rel_labels = rel.automaton.labels
+    plus = reduced.n_states  # the appended state
+    starts = [(u, v, r) for u in sorted(reduced.initials)
+              for v in sorted(reduced.initials)
+              for r in sorted(rel.automaton.initials)]
+    order = {s: i for i, s in enumerate(starts)}
+    queue = list(starts)
+    transitions = []
+    head = 0
+    while head < len(queue):
+        u, v, r = queue[head]
+        src = head
+        head += 1
+        if u == plus:
+            continue
+        for x in sigma:
+            u2 = red.get((u, x))
+            us = () if u2 is None else (u2,)
+            if x == g and u in reduced.finals:
+                us += (plus,)
+            if not us:
+                continue
+            for y in sigma:
+                v2 = red.get((v, y))
+                if v2 is None:
+                    continue
+                letter = PairLetter(x, y)
+                r2 = rd.get((r, letter))
+                if r2 is None:
+                    continue
+                for u2 in us:
+                    t = (u2, v2, r2)
+                    j = order.get(t)
+                    if j is None:
+                        j = order[t] = len(queue)
+                        queue.append(t)
+                    transitions.append((src, letter, j))
+    finals = [i for i, (u, v, r) in enumerate(queue)
+              if u == plus and v in reduced.finals and r in rel.automaton.finals]
+    labels = [f"{'+' if u == plus else u},{v}|{rel_labels[r]}" for (u, v, r) in queue]
+    return minimize(Automaton(alphabet, len(queue), transitions,
+                              range(len(starts)), finals, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +165,7 @@ def growth(reduced: Automaton, N: int = 20, candidate_pi=None,
     t = trim(reduced)
     counts = count_series(reduced, N)
     cp = char_poly(t)
-    lo, hi = dominant_eigenvalue(t, tol=tol)
+    lo, hi = perron_enclosure(cp, tol)
     report = GrowthReport(counts, cp, lo, hi)
     if candidate_pi is not None:
         cand = poly_trim([int(c) for c in candidate_pi])
@@ -145,7 +180,7 @@ def growth(reduced: Automaton, N: int = 20, candidate_pi=None,
                 sign_change = True
                 break
             cur_tol /= 1000.0
-            llo, lhi = dominant_eigenvalue(t, tol=cur_tol)
+            llo, lhi = perron_enclosure(cp, cur_tol)
         report.candidate_pi = cand
         report.pi_check = {
             "candidate": [int(c) for c in cand],

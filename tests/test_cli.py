@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import betauto
 from betauto.cli import main
 
 from conftest import fixture_path
@@ -82,6 +87,28 @@ def test_structure_intro(tmp_path, capsys):
     for f in ["reduced.json", "reduced.dot", "mult_0.json", "mult_1.json",
               "mult_3.json", "mult_0.dot"]:
         assert (tmp_path / f).exists()
+
+
+@pytest.mark.parametrize("name", ["kenyon_3_8", "transc_1_over_X2+X+1"])
+def test_structure_independent_of_hash_seed(tmp_path, name):
+    src = str(Path(betauto.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "2"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-m", "betauto.cli", "structure", "--config", cfg(name),
+             "--out", str(out)], env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout,
+                        {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    (out0, files0), (out1, files1) = outputs
+    assert out0 == out1
+    assert sorted(files0) == sorted(files1)
+    assert any(f.startswith("mult_") for f in files0)
+    for f in files0:
+        assert files0[f] == files1[f], f
 
 
 def test_structure_revlex(tmp_path, capsys):

@@ -11,7 +11,6 @@ from betauto.relations import build_relation_automaton
 from betauto.structure import (
     build_multiplier,
     build_reduced_automaton,
-    build_structure,
     count_elements_bruteforce,
     growth,
 )
@@ -95,18 +94,19 @@ def test_bruteforce_cap():
 def test_multiplier_language():
     ctx = load_context("intro")
     rel = build_relation_automaton(ctx)
-    s = build_structure(rel)
-    table = ReducerTable(rel, s.reduced)
+    reduced = build_reduced_automaton(rel)
+    multipliers = {g: build_multiplier(rel, reduced, g) for g in ctx.digit_names}
+    table = ReducerTable(rel, reduced)
     # every (u.g, reduce(u.g)) pair with u reduced is accepted
-    for u in reduced_words(s.reduced, 3):
+    for u in reduced_words(reduced, 3):
         for g in ctx.digit_names:
             appended = list(u) + [g]
             v = table.reduce(appended)
             word = [PairLetter(a, b) for a, b in zip(appended, v)]
-            assert au.accepts(s.multipliers[g], word)
+            assert au.accepts(multipliers[g], word)
     # and everything accepted has the right shape
     for g in ctx.digit_names:
-        m = s.multipliers[g]
+        m = multipliers[g]
         for n in range(1, 4):
             for w in iproduct(m.alphabet, repeat=n):
                 if not au.accepts(m, w):
@@ -114,9 +114,28 @@ def test_multiplier_language():
                 x = [p.left for p in w]
                 v = [p.right for p in w]
                 assert x[-1] == g
-                assert au.accepts(s.reduced, x[:-1])
-                assert au.accepts(s.reduced, v)
+                assert au.accepts(reduced, x[:-1])
+                assert au.accepts(reduced, v)
                 assert table.equivalent(x, v)
+
+
+@pytest.mark.parametrize("name", ["intro", "kenyon_3_8", "kenyon_6_7",
+                                  "pisot_x3-x-1", "transc_1_over_X2+X+1",
+                                  "free_x4-3x3-3x2-3x+1"])
+def test_multiplier_matches_product_construction(name):
+    # the fused triple search against the product-then-intersect construction
+    ctx = load_context(name)
+    rel = build_relation_automaton(ctx, force=True)
+    red = build_reduced_automaton(rel)
+    for g in ctx.digit_names:
+        new = build_multiplier(rel, red, g)
+        old = au.minimize(au.intersect(au.product(au.append_letter(red, g), red),
+                                       rel.automaton))
+        assert new.n_states == old.n_states
+        assert new.initials == old.initials
+        assert new.finals == old.finals
+        assert new.transitions == old.transitions
+        assert new.alphabet == old.alphabet
 
 
 def test_multiplier_unknown_digit():
