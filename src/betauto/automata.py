@@ -13,8 +13,12 @@ import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from sympy import ZZ, Poly, Symbol
-from sympy.polys.matrices import DomainMatrix
+from sympy import QQ, ZZ, nextprime
+from sympy.polys.rootisolation import (
+    dup_inner_isolate_real_roots,
+    dup_inner_refine_real_root,
+)
+from sympy.polys.sqfreetools import dup_sqf_part
 
 from .numfield import poly_trim
 
@@ -418,49 +422,122 @@ def count_words(a: Automaton, n: int) -> int:
 
 def count_series(a: Automaton, n_max: int) -> list[int]:
     """Number of accepted words of each length 0..n_max (big integers).
-    Determinizes first so that paths and words coincide."""
+    Determinizes first so that paths and words coincide, then steps the
+    count vector along the transition list."""
     if not a.deterministic:
         a = determinize(a)
-    m = adjacency(a)
+    succ = [[] for _ in range(a.n_states)]
+    for (p, _, q) in a.transitions:
+        succ[p].append(q)
     v = [1 if s in a.initials else 0 for s in range(a.n_states)]
     out = [sum(v[s] for s in a.finals)]
     for _ in range(n_max):
-        v = [sum(v[p] * m[p][q] for p in range(a.n_states)) for q in range(a.n_states)]
+        v2 = [0] * a.n_states
+        for p, vp in enumerate(v):
+            if vp:
+                for q in succ[p]:
+                    v2[q] += vp
+        v = v2
         out.append(sum(v[s] for s in a.finals))
     return out
 
 
 def char_poly(a: Automaton) -> tuple[int, ...]:
     """Exact characteristic polynomial det(xI - M) of the adjacency count
-    matrix, constant term first."""
+    matrix, constant term first.
+
+    M is reduced to upper Hessenberg form by elementary similarity
+    transforms modulo one prime P, and the char-poly is read off with the
+    Hessenberg recurrence.  With rho the largest row sum, every coefficient
+    satisfies |c_k| <= C(n, k) rho^k <= (1 + rho)^n < P / 2, so the
+    symmetric residues are the exact integers.  Every pivot is a nonzero
+    residue, hence invertible modulo the prime."""
     n = a.n_states
     if n == 0:
         return (1,)
-    dm = DomainMatrix([[ZZ(v) for v in row] for row in adjacency(a)], (n, n), ZZ)
-    coeffs = dm.charpoly()  # leading first
-    return poly_trim([int(c) for c in reversed(coeffs)])
-
-
-def _real_root_intervals(coeffs, eps: Fraction):
-    """Isolating rational intervals for the real roots of the squarefree part."""
-    from sympy import Rational
-
-    x = Symbol("x")
-    p = Poly(list(reversed(poly_trim(coeffs))), x, domain="QQ")
-    p = p.quo(p.gcd(p.diff(x)))
-    return [(Fraction(iv[0][0].p, iv[0][0].q), Fraction(iv[0][1].p, iv[0][1].q))
-            for iv in p.intervals(eps=Rational(eps.numerator, eps.denominator))]
+    h = adjacency(a)
+    P = nextprime(2 * (1 + max(map(sum, h))) ** n)
+    for k in range(n - 2):
+        r = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if r is None:
+            continue  # column k is already in Hessenberg form
+        c = k + 1
+        if r != c:
+            h[r], h[c] = h[c], h[r]
+            for row in h:
+                row[r], row[c] = row[c], row[r]
+        pivot = h[c]
+        inv = pow(pivot[k], -1, P)
+        nz = [(j, pivot[j]) for j in range(k, n) if pivot[j]]
+        # rows i -= u_i * row c, then column c += sum of u_i * column i
+        mults = []
+        for i in range(c + 1, n):
+            row = h[i]
+            if row[k]:
+                u = row[k] * inv % P
+                for j, x in nz:
+                    row[j] = (row[j] - u * x) % P
+                mults.append((i, u))
+        if mults:
+            for row in h:
+                acc = 0
+                for i, u in mults:
+                    if row[i]:
+                        acc += u * row[i]
+                if acc:
+                    row[c] = (row[c] + acc) % P
+    # p_m = (x - h[m-1][m-1]) p_{m-1}
+    #       - sum_i h[m-i-1][m-1] * h[m-1][m-2] ... h[m-i][m-i-1] * p_{m-i-1}
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        d = h[m - 1][m - 1]
+        cur = [0] + prev
+        if d:
+            for j, x in enumerate(prev):
+                cur[j] -= d * x
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % P
+            if not t:
+                break
+            e = h[m - i - 1][m - 1]
+            if e:
+                f = t * e
+                for j, x in enumerate(polys[m - i - 1]):
+                    cur[j] -= f * x
+        polys.append([x % P for x in cur])
+    half = P // 2
+    return tuple(x - P if x > half else x for x in polys[n])
 
 
 def perron_enclosure(cp, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure of the largest real root of the integer
-    polynomial ``cp`` (constant term first), isolated to within ``tol``;
-    (0, 0) when it has no real root."""
-    eps = Fraction(tol) / 4  # exact: a positive float is a dyadic rational
-    ivs = _real_root_intervals(cp, eps)
-    if not ivs:
+    """Certified rational enclosure of the largest real root of ``cp``, the
+    characteristic polynomial (constant term first) of a nonnegative matrix,
+    isolated to within ``tol``; (0, 0) when that root is 0 or there is none.
+
+    By Perron-Frobenius the largest real root of such a polynomial is its
+    spectral radius, which is >= 0, so only the positive roots of the
+    squarefree part are isolated, and only the largest one is refined."""
+    f = dup_sqf_part([ZZ(c) for c in reversed(poly_trim(cp))], ZZ)
+    while f and not f[-1]:
+        f = f[:-1]  # the zero root
+    roots = [(g, m, _mobius_interval(m)) for g, m in dup_inner_isolate_real_roots(f, ZZ)]
+    if not roots:
         return (Fraction(0), Fraction(0))
-    return max(ivs, key=lambda iv: iv[1])
+    # an exact root beats an open interval that ends at it
+    g, m, _ = max(roots, key=lambda r: (r[2][1], r[2][0]))
+    eps = Fraction(tol) / 4  # exact: a positive float is a dyadic rational
+    _, m = dup_inner_refine_real_root(
+        g, m, ZZ, eps=QQ(eps.numerator, eps.denominator), mobius=True)
+    return _mobius_interval(m)
+
+
+def _mobius_interval(m) -> tuple[Fraction, Fraction]:
+    """Interval between the images of 0 and infinity of the Moebius map
+    x -> (a x + b) / (c x + d)."""
+    a, b, c, d = (int(x) for x in m)
+    return tuple(sorted((Fraction(a, c), Fraction(b, d))))
 
 
 def dominant_eigenvalue(a: Automaton, tol: float = 1e-10) -> tuple[Fraction, Fraction]:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+from sympy import Poly, Symbol, factor_list
 
 ALGEBRAIC = "algebraic"
 TRANSCENDENTAL = "transcendental"
@@ -429,6 +430,9 @@ def _normalize_minpoly(coeffs: Sequence[int]) -> tuple:
         c = tuple(-x for x in c)
     if poly_deg(poly_gcd(c, poly_deriv(c))) > 0:
         raise NotSquarefree(f"{poly_str(c)} is not squarefree")
+    factors = factor_list(Poly(list(reversed(c)), Symbol("x")))[1]
+    if len(factors) > 1 or factors[0][1] > 1:
+        raise NumFieldError(f"minimal polynomial {poly_str(c)} is reducible")
     return c
 
 

@@ -1,6 +1,9 @@
 import json
 import math
+import random
 from pathlib import Path
+
+from sympy import Poly, Symbol
 
 from betauto.numfield import context_from_config
 
@@ -48,6 +51,20 @@ def buildable_fixture_names():
     names += [f"transc_{n}" for n in TRANSC_NAMES]
     names.append("free_x4-3x3-3x2-3x+1")  # blocked but closes immediately
     return names
+
+
+def random_algebraic_configs(seed: int, count: int = 20):
+    """Seeded (minpoly, digits) pairs: irreducible monic bases of degree 2..4
+    with digits {0} plus one or two small nonzero integers."""
+    rng = random.Random(seed)
+    x = Symbol("x")
+    for _ in range(count):
+        while True:
+            minpoly = [rng.randint(-3, 3) for _ in range(rng.randint(2, 4))] + [1]
+            if Poly(minpoly[::-1], x).is_irreducible:
+                break
+        digits = [0] + rng.sample([c for c in range(-3, 4) if c], rng.randint(1, 2))
+        yield minpoly, digits
 
 
 # growth table: (p, q) -> (printed lambda, minimal polynomial, constant first)

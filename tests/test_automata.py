@@ -4,9 +4,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from sympy import ZZ, Poly, Rational, Symbol
+from sympy.polys.matrices import DomainMatrix
 
 from betauto import automata as au
 from betauto.automata import Automaton, PairLetter
+from betauto.relations import build_relation_automaton
+from betauto.structure import build_reduced_automaton
+
+from conftest import load_context
 
 
 SIGMA = ("a", "b")
@@ -161,6 +167,100 @@ def test_dominant_eigenvalue_empty():
 
 def test_char_poly_empty():
     assert au.char_poly(Automaton(SIGMA, 0, [], [], [])) == (1,)
+
+
+# --- growth kernels against sympy oracles --------------------------------------
+
+
+def _oracle_char_poly(a):
+    n = a.n_states
+    dm = DomainMatrix([[ZZ(v) for v in row] for row in au.adjacency(a)], (n, n), ZZ)
+    return tuple(int(c) for c in reversed(dm.charpoly()))
+
+
+def _oracle_enclosure(cp, tol):
+    # largest-upper-end interval of every real root of the squarefree part
+    x = Symbol("x")
+    p = Poly(list(reversed(cp)), x, domain="QQ")
+    p = p.quo(p.gcd(p.diff(x)))
+    eps = Fraction(tol) / 4
+    ivs = p.intervals(eps=Rational(eps.numerator, eps.denominator))
+    if not ivs:
+        return (0, 0)
+    (lo, hi), _ = max(ivs, key=lambda iv: iv[0][1])
+    return (Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q)))
+
+
+def _count_automaton(n, edges):
+    """Automaton whose adjacency matrix counts the (p, q) pairs in ``edges``:
+    a repeated pair becomes parallel edges on distinct letters."""
+    transitions, seen = [], {}
+    for (p, q) in edges:
+        k = seen[(p, q)] = seen.get((p, q), -1) + 1
+        transitions.append((p, k, q))
+    letters = range(max(seen.values(), default=0) + 1)
+    return Automaton(letters, n, transitions, [0], list(range(n)))
+
+
+def _count_automata():
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(40):  # parallel edges and all-zero rows
+        n = rng.randint(1, 12)
+        sinks = {s for s in range(n) if rng.random() < 0.2}
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        cases.append(_count_automaton(n, [e for e in edges if e[0] not in sinks]))
+    for _ in range(10):  # nilpotent: strictly upper triangular
+        n = rng.randint(2, 10)
+        edges = [(p, q) for p in range(n) for q in range(p + 1, n) if rng.random() < 0.5]
+        cases.append(_count_automaton(n, edges))
+    for _ in range(20):  # block triangular: columns < cut vanish below row cut
+        n = rng.randint(3, 12)
+        cut = rng.randint(1, n - 2)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+        cases.append(_count_automaton(n, [(p, q) for (p, q) in edges
+                                          if p < cut or q >= cut]))
+    for rho in (1, 3):  # rho * I: (x - rho)^n has the largest coefficients
+        cases.append(_count_automaton(12, [(s, s) for s in range(12)] * rho))
+    return cases
+
+
+def _fixture_reduced_automata():
+    out = []
+    for name in ["intro", "pisot_x3-x-1", "kenyon_3_8", "transc_1_over_X2+X+1"]:
+        rel = build_relation_automaton(load_context(name))
+        for order in ("lex", "revlex"):
+            out.append(au.trim(build_reduced_automaton(rel, order)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def spectral_cases():
+    return _count_automata() + _fixture_reduced_automata()
+
+
+def test_count_automata_cover_edge_cases():
+    cases = _count_automata()
+    mats = [au.adjacency(a) for a in cases]
+    assert any(x > 1 for m in mats for row in m for x in row)  # parallel edges
+    assert any(not any(row) for m in mats for row in m)  # all-zero rows
+    assert any(a.transitions and _oracle_char_poly(a) == (0,) * a.n_states + (1,)
+               for a in cases)  # a nonzero nilpotent matrix
+    # column cut - 1 is zero below the subdiagonal when the reduction reaches it
+    assert any(all(m[i][j] == 0 for i in range(c, len(m)) for j in range(c))
+               for m in mats for c in range(1, len(m) - 1))
+
+
+def test_char_poly_matches_berkowitz(spectral_cases):
+    for a in spectral_cases:
+        assert au.char_poly(a) == _oracle_char_poly(a), au.adjacency(a)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_perron_enclosure_matches_all_root_isolation(spectral_cases, tol):
+    for a in spectral_cases:
+        cp = _oracle_char_poly(a)
+        assert au.perron_enclosure(cp, tol) == _oracle_enclosure(cp, tol), cp
 
 
 # --- serialization -----------------------------------------------------------

@@ -262,6 +262,18 @@ def test_bad_config_values(tmp_path, capsys, doc):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("minpoly", [
+    [6, -5, 1],  # (x - 2)(x - 3)
+    [-3, 1, -3, 1],  # (x - 3)(x^2 + 1)
+])
+def test_reducible_minpoly(tmp_path, capsys, minpoly):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"beta": {"minpoly": minpoly}, "digits": [0, 1, 3]}))
+    code, out, err = run(capsys, "free", "--config", bad, "--out", tmp_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "is reducible" in err
+
+
 def test_bad_precision_flag(tmp_path, capsys):
     code, _, err = run(capsys, "free", "--config", cfg("intro"),
                        "--out", tmp_path, "--precision", "0")

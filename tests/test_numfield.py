@@ -106,6 +106,8 @@ def test_context_errors():
         make_context([-1, -1, 1], [1, 1])  # duplicate digits
     with pytest.raises(NumFieldError):
         make_context([5], [0, 1])  # degree 0
+    with pytest.raises(NumFieldError, match="reducible"):
+        make_context([6, -5, 1], [0, 1, 3])  # (x-2)(x-3)
 
 
 def test_config_ingestion_errors():

@@ -2,7 +2,6 @@ import random
 from itertools import product as iproduct
 
 import pytest
-from sympy import Poly, Symbol
 
 from betauto import automata as au
 from betauto.automata import PairLetter
@@ -24,6 +23,7 @@ from conftest import (
     SALEM_RHS,
     SALEM_TERMS,
     load_context,
+    random_algebraic_configs,
 )
 
 
@@ -239,17 +239,9 @@ def test_random_pairs_against_oracle():
 
 
 def test_random_contexts_against_exact_arithmetic():
-    # seeded irreducible monic bases of degree 2..4 with digits {0} plus one
-    # or two small integers; verify_relation checks with FieldElem arithmetic
-    rng = random.Random(5)
-    x = Symbol("x")
+    # verify_relation checks with FieldElem arithmetic
     built = nontrivial = 0
-    for _ in range(20):
-        while True:
-            minpoly = [rng.randint(-3, 3) for _ in range(rng.randint(2, 4))] + [1]
-            if Poly(minpoly[::-1], x).is_irreducible:
-                break
-        digits = [0] + rng.sample([c for c in range(-3, 4) if c], rng.randint(1, 2))
+    for minpoly, digits in random_algebraic_configs(5):
         try:
             ctx = make_context(minpoly, digits)
         except NumFieldError:

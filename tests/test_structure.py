@@ -7,7 +7,8 @@ import pytest
 
 from betauto import automata as au
 from betauto.automata import Automaton, PairLetter
-from betauto.relations import build_relation_automaton
+from betauto.numfield import NumFieldError, make_context
+from betauto.relations import CapExceeded, build_relation_automaton
 from betauto.structure import (
     build_multiplier,
     build_reduced_automaton,
@@ -16,7 +17,12 @@ from betauto.structure import (
 )
 from betauto.reducer import ReducerTable
 
-from conftest import KENYON_TABLE, TRANSC_TABLE, load_context
+from conftest import (
+    KENYON_TABLE,
+    TRANSC_TABLE,
+    load_context,
+    random_algebraic_configs,
+)
 
 
 def reduced_words(reduced, n):
@@ -81,6 +87,29 @@ def test_counts_match_bruteforce(name):
     rel = build_relation_automaton(ctx)
     red = build_reduced_automaton(rel)
     assert au.count_series(red, 6) == count_elements_bruteforce(ctx, 6)
+
+
+def test_random_contexts_counts_match_bruteforce():
+    # the seeded contexts of the relation cross-check in test_relations; the
+    # tighter state cap keeps the reduced automata small (x^4-x^3-3x^2-x+2
+    # with digits {0,-1,1} has 55 relation states but 6034 reduced states)
+    built = 0
+    for minpoly, digits in random_algebraic_configs(5):
+        try:
+            ctx = make_context(minpoly, digits)
+        except NumFieldError:
+            continue
+        if ctx.blocked:
+            continue
+        try:
+            rel = build_relation_automaton(ctx, max_states=50)
+        except CapExceeded:
+            continue
+        built += 1
+        red = build_reduced_automaton(rel)
+        assert au.count_series(red, 5) == count_elements_bruteforce(ctx, 5), \
+            (minpoly, digits)
+    assert built >= 10
 
 
 def test_bruteforce_cap():
