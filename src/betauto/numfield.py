@@ -31,6 +31,8 @@ UNIT = "unit"
 UNIT_BAND = 1e-9
 #: target enclosure radius used when testing the unit band
 UNIT_REFINE_RADIUS = 1e-14
+#: largest mpmath dps used to separate the roots or classify their moduli
+MAX_PRECISION = 2000
 
 
 class NumFieldError(Exception):
@@ -174,7 +176,8 @@ def _certified_roots(coeffs: Sequence[int], dps: int) -> list[tuple[complex, flo
 
     Uses the classical bound: every polynomial of degree d has a root within
     d*|P(z)/P'(z)| of any point z.  Disjointness of the disks then isolates
-    one simple root per disk.
+    one simple root per disk; overlapping disks are retried at doubled
+    precision, up to ``MAX_PRECISION``.
     """
     coeffs = poly_trim(coeffs)
     d = len(coeffs) - 1
@@ -187,13 +190,16 @@ def _certified_roots(coeffs: Sequence[int], dps: int) -> list[tuple[complex, flo
             dpz = mp.polyval([c * (d - i) for i, c in enumerate(lead_first[:-1])], z)
             if dpz == 0:
                 raise NotSquarefree("repeated root encountered in root isolation")
-            r = d * abs(pz / dpz)
-            rad = float(r) * 1.001 + mp.mpf(10) ** (5 - dps)
-            out.append((complex(z), float(rad)))
+            # the disk around the float centre also covers its rounding from z
+            cen = complex(z)
+            rad = d * abs(pz / dpz) * 1.001 + mp.mpf(10) ** (5 - dps) + abs(z - cen)
+            out.append((cen, math.nextafter(float(rad), math.inf)))
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if abs(out[i][0] - out[j][0]) <= out[i][1] + out[j][1]:
                 # disks overlap: retry at higher precision
+                if dps * 2 > MAX_PRECISION:
+                    raise NumFieldError("cannot separate the roots at max precision")
                 return _certified_roots(coeffs, dps * 2)
     return out
 
@@ -262,9 +268,8 @@ class BetaContext:
     digits: list  # list[FieldElem] in the working basis
     digit_names: list  # display names, aligned with digits
     blocked: bool = False  # certified unit-circle conjugate
-    precision: int = 30  # mpmath dps for the enclosures
+    precision: int = 30  # mpmath dps of the root isolation
     embeddings: list = field(default_factory=list)
-    _max_precision: int = 2000
     #: per embedding: rows (centre, radius, |centre|) of the disks enclosing
     #: gamma^0 .. gamma^(d-1), the input of ``disk_modulus``
     power_rows: list = field(default_factory=list)
@@ -330,7 +335,7 @@ class BetaContext:
                 blocked = True
             else:
                 # undecided: refine and retry
-                if self.precision * 2 > self._max_precision:
+                if self.precision * 2 > MAX_PRECISION:
                     raise NumFieldError("cannot classify conjugate moduli at max precision")
                 self.precision *= 2
                 self._rebuild_embeddings()
@@ -339,16 +344,6 @@ class BetaContext:
         self.embeddings = embeddings
         self.blocked = blocked
         self.power_rows = [self._power_rows(e) for e in embeddings]
-
-    def refine(self) -> None:
-        """Double the enclosure precision; classes are stable by construction."""
-        if self.precision * 2 > self._max_precision:
-            raise NumFieldError("precision refinement cap reached")
-        old = [e.cls for e in self.embeddings]
-        self.precision *= 2
-        self._rebuild_embeddings()
-        if [e.cls for e in self.embeddings] != old:
-            raise NumFieldError("embedding classification unstable under refinement")
 
     def _power_rows(self, e: Embedding) -> list[tuple[complex, float, float]]:
         pc, pr = 1.0 + 0j, 0.0

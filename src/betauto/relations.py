@@ -23,7 +23,6 @@ from .numfield import (
     TRANSCENDENTAL,
     BetaContext,
     FieldElem,
-    NumFieldError,
     disk_modulus,
     fe_add,
     fe_sub,
@@ -85,38 +84,26 @@ def _transcendental_prune_data(ctx: BetaContext) -> tuple[int, list[int]]:
 class _Pruner:
     """Decides whether a nonzero state of an algebraic context (an integer
     vector) can provably never return to 0: at some expanding conjugate its
-    modulus exceeds the return bound ``BetaContext.prune_bound``."""
+    modulus exceeds the return bound ``BetaContext.prune_bound``.  A state
+    whose enclosure straddles a bound is kept and counted in
+    ``undecided_keeps``; the co-accessibility pass removes it if it is dead."""
 
     def __init__(self, ctx: BetaContext):
-        self.ctx = ctx
-        self.refinements = 0
         self.undecided_keeps = 0
-        self._load_bounds()
-
-    def _load_bounds(self) -> None:
-        self.bounds = [(self.ctx.power_rows[i],) + self.ctx.prune_bound(i)
-                       for i in self.ctx.expanding_indices()]
+        self.bounds = [(ctx.power_rows[i],) + ctx.prune_bound(i)
+                       for i in ctx.expanding_indices()]
 
     def prune(self, x: tuple) -> bool:
-        while True:
-            undecided = False
-            for rows, blo, bhi in self.bounds:
-                lo, hi = disk_modulus(x, rows)
-                if lo > bhi:
-                    return True
-                if hi > blo:
-                    undecided = True
-            if not undecided:
-                return False
-            try:
-                self.ctx.refine()
-            except NumFieldError:
-                # cannot decide at maximal precision: keep (safe, may be
-                # removed by the co-accessibility pass)
-                self.undecided_keeps += 1
-                return False
-            self.refinements += 1
-            self._load_bounds()
+        undecided = False
+        for rows, blo, bhi in self.bounds:
+            lo, hi = disk_modulus(x, rows)
+            if lo > bhi:
+                return True
+            if hi > blo:
+                undecided = True
+        if undecided:
+            self.undecided_keeps += 1
+        return False
 
 
 class _DegreePruner:
@@ -124,7 +111,6 @@ class _DegreePruner:
     (an integer coefficient vector) that breaks the degree or coefficient
     caps of ``_transcendental_prune_data``."""
 
-    refinements = 0
     undecided_keeps = 0
 
     def __init__(self, ctx: BetaContext):
@@ -179,8 +165,7 @@ def build_relation_automaton(
     zero = (0,) * width
     states = [zero]
     index = {zero: 0}
-    # per explored state, per difference: the successor's index; -1 (or None,
-    # when reset by a refinement and needed by no later letter) if pruned
+    # per explored state, per difference: the successor's index, -1 if pruned
     succs = []
     pruned = 0
     head = 0
@@ -204,7 +189,6 @@ def build_relation_automaton(
                 nxt = tuple(map(add, shifted, diffs[k]))
                 j = index.get(nxt)
                 if j is None:
-                    refinements = pruner.refinements
                     if prune(nxt):
                         j = -1
                     else:
@@ -215,9 +199,6 @@ def build_relation_automaton(
                                 {"states": j, "depth": dq, "pruned": pruned})
                         index[nxt] = j
                         states.append(nxt)
-                    if pruner.refinements != refinements:
-                        # bounds changed: decide earlier pruned successors again
-                        succ = [None if s == -1 else s for s in succ]
                 succ[k] = j
             if j < 0:
                 pruned += 1
@@ -225,7 +206,7 @@ def build_relation_automaton(
         head += 1
     transitions = [(p, letter, j) for p, succ in enumerate(succs)
                    for letter, k in letters
-                   if (j := succ[k]) is not None and j >= 0]
+                   if (j := succ[k]) >= 0]
 
     # co-accessibility pass: drop states with no path back to 0
     bwd = [[] for _ in states]
@@ -253,7 +234,6 @@ def build_relation_automaton(
         "states": aut.n_states,
         "pruned": pruned,
         "dropped_coaccessibility": len(states) - len(order),
-        "precision_refinements": pruner.refinements,
         "undecided_keeps": pruner.undecided_keeps,
         "max_depth_reached": dq,
     }

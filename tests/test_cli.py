@@ -22,6 +22,13 @@ def cfg(name):
     return str(fixture_path(name))
 
 
+def subprocess_env(**extra):
+    """Environment in which ``python -m betauto.cli`` imports this checkout."""
+    src = str(Path(betauto.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
 # --- relations ----------------------------------------------------------------
 
 
@@ -91,15 +98,13 @@ def test_structure_intro(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["kenyon_3_8", "transc_1_over_X2+X+1"])
 def test_structure_independent_of_hash_seed(tmp_path, name):
-    src = str(Path(betauto.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("0", "2"):
         out = tmp_path / seed
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "betauto.cli", "structure", "--config", cfg(name),
-             "--out", str(out)], env=env, capture_output=True, timeout=300)
+             "--out", str(out)], env=subprocess_env(PYTHONHASHSEED=seed),
+            capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append((proc.stdout,
                         {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
@@ -284,3 +289,17 @@ def test_bad_word_digit(tmp_path, capsys):
     code, _, err = run(capsys, "reduce", "--config", cfg("intro"),
                        "--out", tmp_path, "12")
     assert code == 1
+
+
+def test_inseparable_roots_input_error(tmp_path):
+    # roots 1 +- 1e-20 share one float centre: root isolation must give up at
+    # its precision cap with an input error, not double the precision forever
+    k = 10**40
+    bad = tmp_path / "close.json"
+    bad.write_text(json.dumps({"beta": {"minpoly": [1, -(k + 2), 2 * k + 3, -(k + 2), 1]},
+                               "digits": [0, 1]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "betauto.cli", "free", "--config", str(bad)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")

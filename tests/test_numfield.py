@@ -151,12 +151,20 @@ def test_abs_at_enclosure():
     assert lo <= phi2 <= hi and hi - lo < 1e-8
 
 
-def test_refine_keeps_classes():
-    ctx = make_context([-1, -1, 1], [0, 1])
-    before = [e.cls for e in ctx.embeddings]
-    ctx.refine()
-    assert [e.cls for e in ctx.embeddings] == before
-    assert ctx.precision == 60
+@pytest.mark.parametrize("name", [
+    "intro", "pisot_x2-x-1", "pisot_x3-x-1", "pisot_x4-x3-x2+x-1", "salem",
+    "free_x4-3x3-3x2-3x+1",
+])
+def test_embeddings_contain_their_roots(name):
+    # each disk holds exactly one root computed at 200 digits
+    ctx = load_context(name)
+    with mp.workdps(200):
+        roots = mp.polyroots([mp.mpf(c) for c in reversed(ctx.minpoly)],
+                             maxsteps=500, extraprec=800)
+        inside = [[r for r in roots if abs(r - mp.mpc(e.center)) <= e.radius]
+                  for e in ctx.embeddings]
+    assert len(ctx.embeddings) == len(roots)
+    assert [len(rs) for rs in inside] == [1] * len(roots)
 
 
 # --- Mahler measure ----------------------------------------------------------

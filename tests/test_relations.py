@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import product as iproduct
 
@@ -181,12 +182,13 @@ def test_salem_forced_caps_out():
     assert e.value.stats == {"states": 3000, "depth": 73, "pruned": 5455}
 
 
-def test_refinement_stays_within_precision_cap():
-    # the quartic Pisot build keeps undecided states after refining to the cap
+def test_build_does_not_mutate_context():
+    # the quartic Pisot build keeps undecided states, and reads its context only
     ctx = load_context("pisot_x4-x3-x2+x-1")
+    before = (ctx.precision, list(ctx.embeddings), copy.deepcopy(ctx.power_rows))
     rel = build_relation_automaton(ctx)
     assert rel.stats["undecided_keeps"] > 0
-    assert ctx.precision <= ctx._max_precision
+    assert (ctx.precision, ctx.embeddings, ctx.power_rows) == before
 
 
 def test_state_cap():
