@@ -8,7 +8,6 @@ from .automata import (
     char_poly,
     complement,
     count_series,
-    count_words,
     determinize,
     dominant_eigenvalue,
     equivalent,
@@ -24,7 +23,6 @@ from .automata import (
     to_json,
     transpose,
     trim,
-    union,
 )
 from .numfield import (
     BetaContext,
@@ -36,7 +34,7 @@ from .numfield import (
     mahler_measure,
     make_context,
 )
-from .reducer import ReducerTable, reduce_word, words_equivalent
+from .reducer import ReducerTable
 from .relations import (
     Blocked,
     CapExceeded,

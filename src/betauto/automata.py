@@ -167,28 +167,6 @@ def determinize(a: Automaton) -> Automaton:
     return Automaton(a.alphabet, len(subsets), transitions, [0], finals, labels)
 
 
-def _moore_classes(a: Automaton) -> list[int]:
-    """Partition refinement on a (partial) DFA; missing targets are a sink."""
-    cls = [1 if s in a.finals else 0 for s in range(a.n_states)]
-    lidx = {x: i for i, x in enumerate(a.alphabet)}
-    tgt = [[-1] * len(a.alphabet) for _ in range(a.n_states)]
-    seen = set()
-    for (p, x, q) in a.transitions:
-        if (p, x) in seen:
-            raise ValueError("automaton is not deterministic")
-        seen.add((p, x))
-        tgt[p][lidx[x]] = q
-    while True:
-        sigs = {}
-        new = []
-        for s in range(a.n_states):
-            sig = (cls[s], tuple(cls[t] if t >= 0 else -1 for t in tgt[s]))
-            new.append(sigs.setdefault(sig, len(sigs)))
-        if new == cls:
-            return cls
-        cls = new
-
-
 def _canonical_relabel(a: Automaton) -> Automaton:
     """BFS renumbering from the initial state in alphabet order (canonical
     form for a trimmed DFA)."""
@@ -219,31 +197,23 @@ def _canonical_relabel(a: Automaton) -> Automaton:
 
 def minimize(a: Automaton) -> Automaton:
     """Canonical minimal partial DFA; language-equal inputs give identical
-    results.  Determinizes by double reversal (Brzozowski), which avoids the
-    forward subset blowup on the relation-projection languages handled here,
-    then canonicalizes with Moore refinement and a BFS relabel."""
-    if not a.deterministic:
-        a = determinize(transpose(determinize(transpose(trim(a)))))
-    b = trim(determinize(a))
-    if b.n_states == 0:
-        return b
-    cls = _moore_classes(b)
-    k = max(cls) + 1
-    reps = {}
-    for s in range(b.n_states):
-        reps.setdefault(cls[s], s)
-    labels = [b.labels[reps[c]] for c in range(k)]
-    merged = Automaton(
-        b.alphabet, k,
-        {(cls[p], x, cls[q]) for (p, x, q) in b.transitions},
-        {cls[s] for s in b.initials},
-        {cls[s] for s in b.finals}, labels)
-    return _canonical_relabel(trim(merged))
+    results.  Brzozowski's double reversal: determinizing the reversal of an
+    accessible DFA gives the minimal DFA of the reversed language, and it
+    avoids the forward subset blowup on the relation-projection languages
+    handled here.  The last subset construction numbers states in BFS order
+    from the initial state in alphabet order, which is already the canonical
+    numbering of ``_canonical_relabel``."""
+    return determinize(transpose(determinize(transpose(trim(a)))))
 
 
 def complement(a: Automaton) -> Automaton:
-    """Complete the determinized automaton with a sink, then swap finals."""
-    d = determinize(a)
+    """Complete the DFA (``a`` itself, or its subset construction when ``a``
+    is nondeterministic) with a sink, swap finals, then trim and renumber.
+
+    Swapping the finals of a complete DFA keeps its states pairwise
+    distinguishable, so a minimal input stays minimal: trimming drops only
+    the states that accepted every word, and a minimal DFA has at most one."""
+    d = a if a.deterministic else determinize(a)
     n = d.n_states
     if n == 0:
         # empty language over this alphabet: complement is the full language
@@ -261,8 +231,9 @@ def complement(a: Automaton) -> Automaton:
         transitions += [(sink, x, sink) for x in d.alphabet]
         n += 1
     finals = [s for s in range(n) if s not in d.finals]
-    return Automaton(d.alphabet, n, transitions, d.initials, finals,
-                     list(d.labels) + (["sink"] if need_sink else []))
+    return _canonical_relabel(trim(Automaton(
+        d.alphabet, n, transitions, d.initials, finals,
+        list(d.labels) + (["sink"] if need_sink else []))))
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
@@ -291,18 +262,6 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
         labels[i] = f"{a.labels[p]}|{b.labels[q]}"
     return Automaton(a.alphabet, len(order), transitions,
                      [order[s] for s in starts], finals, labels)
-
-
-def union(a: Automaton, b: Automaton) -> Automaton:
-    if set(a.alphabet) != set(b.alphabet):
-        raise AlphabetMismatch("union needs a shared alphabet")
-    off = a.n_states
-    return Automaton(
-        a.alphabet, a.n_states + b.n_states,
-        list(a.transitions) + [(p + off, x, q + off) for (p, x, q) in b.transitions],
-        list(a.initials) + [s + off for s in b.initials],
-        list(a.finals) + [s + off for s in b.finals],
-        list(a.labels) + list(b.labels))
 
 
 def product(a: Automaton, b: Automaton) -> Automaton:
@@ -416,9 +375,6 @@ def adjacency(a: Automaton) -> list[list[int]]:
         m[p][q] += 1
     return m
 
-
-def count_words(a: Automaton, n: int) -> int:
-    return count_series(a, n)[n]
 
 def count_series(a: Automaton, n_max: int) -> list[int]:
     """Number of accepted words of each length 0..n_max (big integers).

@@ -27,7 +27,10 @@ class ReducerTable:
         self._cache = {}  # (subset, input letter) -> next subset
 
     def _index(self, g) -> str:
-        name = self.names[g] if isinstance(g, int) else str(g)
+        if isinstance(g, int) and not isinstance(g, bool):
+            name = self.names[g] if 0 <= g < len(self.names) else g
+        else:
+            name = str(g)
         if name not in self.names:
             raise ValueError(f"unknown digit {name!r}")
         return name
@@ -93,10 +96,3 @@ class ReducerTable:
         return accepts(self.rel.automaton,
                        [PairLetter(a, b) for a, b in zip(u, v)])
 
-
-def reduce_word(rel: RelAutomaton, reduced: Automaton, word) -> tuple:
-    return ReducerTable(rel, reduced).reduce(word)
-
-
-def words_equivalent(rel: RelAutomaton, reduced: Automaton, u, v) -> bool:
-    return ReducerTable(rel, reduced).equivalent(u, v)

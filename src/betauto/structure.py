@@ -46,7 +46,7 @@ def build_reduced_automaton(rel: RelAutomaton, order: str = "lex") -> Automaton:
         raise ValueError(f"unknown order {order!r} (expected 'lex' or 'revlex')")
     smaller = intersect(lex_pair_automaton(ranked), rel.automaton)
     reducible = project(smaller, side=2, alphabet=tuple(names))
-    return minimize(complement(minimize(reducible)))
+    return complement(minimize(reducible))
 
 
 def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:

@@ -216,7 +216,7 @@ def test_criterion_7_property_suites():
             assert {w for w in words if au.accepts(m, w)} == lang
             assert {w for w in words if au.accepts(c, w)} == set(words) - lang
             assert au.equivalent(m, au.minimize(m))
-            assert au.count_words(a, 3) == sum(1 for w in lang if len(w) == 3)
+            assert au.count_series(a, 3)[3] == sum(1 for w in lang if len(w) == 3)
 
         for name in buildable_fixture_names():
             ctx = load_context(name)
@@ -225,7 +225,14 @@ def test_criterion_7_property_suites():
             assert t.deterministic and au.is_codeterministic(t), name
             assert au.equivalent(t, au.minimize(t)), name
 
-            reduced = build_reduced_automaton(rel, "lex")
+            # the reduced automaton is already minimal and canonical; the
+            # lex one stays in ``reduced`` for the suites below
+            for order in ("revlex", "lex"):
+                reduced = build_reduced_automaton(rel, order)
+                m = au.minimize(reduced)
+                assert (reduced.n_states, reduced.initials, reduced.finals,
+                        reduced.transitions) == \
+                    (m.n_states, m.initials, m.finals, m.transitions), (name, order)
             table = ReducerTable(rel, reduced)
             names = ctx.digit_names
             for _ in range(20):
@@ -247,4 +254,4 @@ def test_criterion_7_property_suites():
                     in_reduced = [w for w in members if au.accepts(reduced, w)]
                     assert len(in_reduced) == 1, (name, ln, members)
                     n_reduced += 1
-                assert n_reduced == au.count_words(reduced, ln), (name, ln)
+                assert n_reduced == au.count_series(reduced, ln)[ln], (name, ln)

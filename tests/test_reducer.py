@@ -6,7 +6,7 @@ import pytest
 from betauto import automata as au
 from betauto.relations import build_relation_automaton, verify_relation
 from betauto.structure import build_reduced_automaton
-from betauto.reducer import ReducerTable, reduce_word, words_equivalent
+from betauto.reducer import ReducerTable
 
 from conftest import load_context
 
@@ -24,7 +24,7 @@ def test_intro_examples():
     assert t.reduce("03") == ("0", "3")
     assert t.reduce("110") == ("0", "3", "3")
     assert t.reduce("") == ()
-    assert reduce_word(rel, reduced, "10") == ("0", "3")
+    assert ReducerTable(rel, reduced).reduce("10") == ("0", "3")
 
 
 def test_words_equivalent():
@@ -32,13 +32,20 @@ def test_words_equivalent():
     assert t.equivalent("110", "033")
     assert not t.equivalent("0", "1")
     assert not t.equivalent("10", "0")  # different lengths
-    assert words_equivalent(rel, reduced, "103", "033")
+    assert ReducerTable(rel, reduced).equivalent("103", "033")
 
 
 def test_unknown_digit():
     _, _, _, t = make_table("intro")
     with pytest.raises(ValueError):
         t.reduce("12")
+    # integer digits are positions in the digit list, never wrapped
+    with pytest.raises(ValueError):
+        t.reduce([-1, 0])
+    with pytest.raises(ValueError):
+        t.reduce([3])
+    with pytest.raises(ValueError):
+        t.equivalent([True], [1])
 
 
 @pytest.mark.parametrize("name", ["intro", "pisot_x2-x-1", "transc_1_over_X",
