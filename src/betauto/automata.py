@@ -306,7 +306,7 @@ def project(a: Automaton, side: int, alphabet=None) -> Automaton:
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     eps = {p: {p} for p in range(a.n_states)}
-    edges = []
+    out = [[] for _ in range(a.n_states)]  # non-epsilon edges (c, q) by source
     for (p, x, q) in a.transitions:
         if not isinstance(x, tuple) or len(x) != 2:
             raise AlphabetMismatch("project needs a pair alphabet")
@@ -314,7 +314,7 @@ def project(a: Automaton, side: int, alphabet=None) -> Automaton:
         if c is None:
             eps[p].add(q)
         else:
-            edges.append((p, c, q))
+            out[p].append((c, q))
     # epsilon closure (transitive)
     changed = True
     while changed:
@@ -325,13 +325,12 @@ def project(a: Automaton, side: int, alphabet=None) -> Automaton:
                 eps[p] |= add
                 changed = True
     if alphabet is None:
-        alphabet = tuple(sorted({c for (_, c, _) in edges}, key=str))
+        alphabet = tuple(sorted({c for edges in out for (c, _) in edges}, key=str))
     transitions = set()
     for p in range(a.n_states):
         for r in eps[p]:
-            for (pp, c, q) in edges:
-                if pp == r:
-                    transitions.add((p, c, q))
+            for (c, q) in out[r]:
+                transitions.add((p, c, q))
     finals = {p for p in range(a.n_states) if eps[p] & a.finals}
     return Automaton(alphabet, a.n_states, transitions, a.initials, finals, a.labels)
 

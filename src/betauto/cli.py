@@ -163,6 +163,8 @@ def cmd_structure(args) -> int:
           f"reduced_states={reduced.n_states} "
           f"lambda=[{lam['lo']:.10f},{lam['hi']:.10f}] "
           f"counts={','.join(doc['counts'][:8])}")
+    if report.pi_check is not None and not report.pi_check["ok"]:
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

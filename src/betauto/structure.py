@@ -60,15 +60,76 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     ``g`` from a final state, also enters the appended state ``+``, which has
     no outgoing edges.  Letters are scanned in alphabet order and each state
     label is a function of its triple, so the output does not depend on the
-    string-hash seed."""
+    string-hash seed.
+
+    A successor is enqueued only when its (v, relation) pair can still reach
+    (final, final) and its (u, relation) pair can still reach (``+``, final):
+    both are necessary for the triple to reach a final triple, so no
+    co-accessible triple is lost.  Every predecessor of a co-accessible
+    triple is co-accessible too, so those triples are found in the same
+    order as by the unfiltered search, and ``trim`` inside ``minimize``
+    returns the same automaton, labels included."""
     if g not in reduced.alphabet:
         raise ValueError(f"unknown digit {g!r}")
     sigma = reduced.alphabet
+    k = len(sigma)
     alphabet = tuple(PairLetter(x, y) for x in sigma for y in sigma)
-    red = reduced.ddelta()
-    rd = rel.automaton.ddelta()
-    rel_labels = rel.automaton.labels
+    n_rel = rel.automaton.n_states
+    rel_finals = rel.automaton.finals
     plus = reduced.n_states  # the appended state
+
+    # dense tables over letter indices: next_red[v][y] is v's successor in
+    # ``reduced`` (-1 if none); moves[u][x] and pred[u2 * k + x] are the
+    # successors and predecessors in ``reduced`` with + appended on g
+    sidx = {x: i for i, x in enumerate(sigma)}
+    gi = sidx[g]
+    finals_red = sorted(reduced.finals)
+    next_red = [[-1] * k for _ in range(plus)]
+    pred = [[] for _ in range((plus + 1) * k)]
+    for (v, y, v2) in reduced.transitions:
+        next_red[v][sidx[y]] = v2
+        pred[v2 * k + sidx[y]].append(v)
+    pred[plus * k + gi] = finals_red
+    moves = [[(u2,) if u2 >= 0 else () for u2 in row] for row in next_red]
+    for u in finals_red:
+        moves[u][gi] += (plus,)
+    # rel_out[r] lists (x, y, r2) in alphabet order; in_x[r2] / in_y[r2] hold
+    # (x, r) / (y, r) for the edges entering r2
+    lidx = {a: divmod(i, k) for i, a in enumerate(alphabet)}
+    rel_out = [[] for _ in range(n_rel)]
+    in_x = [set() for _ in range(n_rel)]
+    in_y = [set() for _ in range(n_rel)]
+    for (r, a, r2) in rel.automaton.transitions:
+        x, y = lidx[a]
+        rel_out[r].append((x, y, r2))
+        in_x[r2].add((x, r))
+        in_y[r2].add((y, r))
+    for edges in rel_out:
+        edges.sort()
+
+    def live(targets, rel_in):
+        """Bitmap over p * n_rel + r of the pairs (p, r) that reach
+        ``targets`` when r follows the relation automaton and p follows
+        ``pred`` on the component of each letter that ``rel_in`` records."""
+        seen = bytearray((plus + 1) * n_rel)
+        for s in targets:
+            seen[s] = 1
+        stack = list(targets)
+        while stack:
+            p2, r2 = divmod(stack.pop(), n_rel)
+            row = p2 * k
+            for (c, r) in rel_in[r2]:
+                for p in pred[row + c]:
+                    s = p * n_rel + r
+                    if not seen[s]:
+                        seen[s] = 1
+                        stack.append(s)
+        return seen
+
+    # (v, r) pairs that reach F_red x F_rel; (u, r) pairs that reach + x F_rel
+    live_vr = live([v * n_rel + r for v in finals_red for r in rel_finals], in_y)
+    live_ur = live([plus * n_rel + r for r in rel_finals], in_x)
+
     starts = [(u, v, r) for u in sorted(reduced.initials)
               for v in sorted(reduced.initials)
               for r in sorted(rel.automaton.initials)]
@@ -82,30 +143,24 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
         head += 1
         if u == plus:
             continue
-        for x in sigma:
-            u2 = red.get((u, x))
-            us = () if u2 is None else (u2,)
-            if x == g and u in reduced.finals:
-                us += (plus,)
-            if not us:
+        mu, nv = moves[u], next_red[v]
+        for (x, y, r2) in rel_out[r]:
+            v2 = nv[y]
+            if v2 < 0 or not live_vr[v2 * n_rel + r2]:
                 continue
-            for y in sigma:
-                v2 = red.get((v, y))
-                if v2 is None:
+            letter = alphabet[x * k + y]
+            for u2 in mu[x]:
+                if not live_ur[u2 * n_rel + r2]:
                     continue
-                letter = PairLetter(x, y)
-                r2 = rd.get((r, letter))
-                if r2 is None:
-                    continue
-                for u2 in us:
-                    t = (u2, v2, r2)
-                    j = order.get(t)
-                    if j is None:
-                        j = order[t] = len(queue)
-                        queue.append(t)
-                    transitions.append((src, letter, j))
+                t = (u2, v2, r2)
+                j = order.get(t)
+                if j is None:
+                    j = order[t] = len(queue)
+                    queue.append(t)
+                transitions.append((src, letter, j))
+    rel_labels = rel.automaton.labels
     finals = [i for i, (u, v, r) in enumerate(queue)
-              if u == plus and v in reduced.finals and r in rel.automaton.finals]
+              if u == plus and v in reduced.finals and r in rel_finals]
     labels = [f"{'+' if u == plus else u},{v}|{rel_labels[r]}" for (u, v, r) in queue]
     return minimize(Automaton(alphabet, len(queue), transitions,
                               range(len(starts)), finals, labels))

@@ -124,6 +124,16 @@ def test_structure_revlex(tmp_path, capsys):
     assert g["counts"] == ["1", "3", "8", "21", "55"]
 
 
+@pytest.mark.parametrize("candidate, code", [("1,-3,1", 0), ("1,-1,-1", 3)])
+def test_structure_candidate_check_exit_code(tmp_path, capsys, candidate, code):
+    got, _, _ = run(capsys, "structure", "--config", cfg("intro"),
+                    "--out", tmp_path, "-N", "4", "--candidate-pi", candidate)
+    assert got == code
+    g = json.loads((tmp_path / "growth.json").read_text())
+    assert g["pi_check"]["ok"] is (code == 0)
+    assert (tmp_path / "mult_3.dot").exists()
+
+
 def test_structure_bad_candidate(tmp_path, capsys):
     code, _, err = run(capsys, "structure", "--config", cfg("intro"),
                        "--out", tmp_path, "--candidate-pi", "1,x,3")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -89,11 +90,11 @@ def test_counts_match_bruteforce(name):
     assert au.count_series(red, 6) == count_elements_bruteforce(ctx, 6)
 
 
-def test_random_contexts_counts_match_bruteforce():
-    # the seeded contexts of the relation cross-check in test_relations; the
-    # tighter state cap keeps the reduced automata small (x^4-x^3-3x^2-x+2
-    # with digits {0,-1,1} has 55 relation states but 6034 reduced states)
-    built = 0
+def random_relation_automata():
+    """The seeded contexts of the relation cross-check in test_relations whose
+    relation automaton closes within 50 states; the tighter state cap keeps
+    the reduced automata small (x^4-x^3-3x^2-x+2 with digits {0,-1,1} has 55
+    relation states but 6034 reduced states)."""
     for minpoly, digits in random_algebraic_configs(5):
         try:
             ctx = make_context(minpoly, digits)
@@ -102,13 +103,18 @@ def test_random_contexts_counts_match_bruteforce():
         if ctx.blocked:
             continue
         try:
-            rel = build_relation_automaton(ctx, max_states=50)
+            yield (minpoly, digits), build_relation_automaton(ctx, max_states=50)
         except CapExceeded:
             continue
+
+
+def test_random_contexts_counts_match_bruteforce():
+    built = 0
+    for config, rel in random_relation_automata():
         built += 1
         red = build_reduced_automaton(rel)
-        assert au.count_series(red, 5) == count_elements_bruteforce(ctx, 5), \
-            (minpoly, digits)
+        assert au.count_series(red, 5) == \
+            count_elements_bruteforce(rel.context, 5), config
     assert built >= 10
 
 
@@ -148,23 +154,69 @@ def test_multiplier_language():
                 assert table.equivalent(x, v)
 
 
+def assert_matches_product_construction(rel, red):
+    # the pruned triple search against the product-then-intersect construction
+    for g in rel.context.digit_names:
+        new = build_multiplier(rel, red, g)
+        old = au.minimize(au.intersect(au.product(au.append_letter(red, g), red),
+                                       rel.automaton))
+        assert new.n_states == old.n_states, g
+        assert new.initials == old.initials, g
+        assert new.finals == old.finals, g
+        assert new.transitions == old.transitions, g
+        assert new.alphabet == old.alphabet, g
+
+
 @pytest.mark.parametrize("name", ["intro", "kenyon_3_8", "kenyon_6_7",
                                   "pisot_x3-x-1", "transc_1_over_X2+X+1",
                                   "free_x4-3x3-3x2-3x+1"])
 def test_multiplier_matches_product_construction(name):
-    # the fused triple search against the product-then-intersect construction
+    rel = build_relation_automaton(load_context(name), force=True)
+    assert_matches_product_construction(rel, build_reduced_automaton(rel))
+
+
+def test_random_multipliers_match_product_construction():
+    built = 0
+    for config, rel in random_relation_automata():
+        built += 1
+        for order in ("lex", "revlex"):
+            assert_matches_product_construction(rel, build_reduced_automaton(rel, order))
+    assert built >= 10
+
+
+# SHA-256 of json.dumps(to_json(m), indent=2, sort_keys=True) and of to_dot(m),
+# recorded with the unfiltered triple search: pruning dead pairs, or any later
+# change to the search, must not move a byte of the artefacts
+PINNED_MULTIPLIERS = {
+    ("kenyon_3_8", "0"): (
+        "3c6b133a208990c2feeb683a6d04c689bca1d8c58621fb02ba20b6d6a6583887",
+        "d1316633c9dcaf3c8c550ddc001b32494b881f6cfc4d2682b2a39d4868dcfb2d"),
+    ("kenyon_3_8", "3"): (
+        "3aceb1a1531eed1c6511dc7b3bbc310ab9802215b7aafac7fd680e0f62e7f679",
+        "4c0a2337c7892b07119c8448777557219dff15b8e4d900df9c2eef3a45af922b"),
+    ("kenyon_3_8", "8"): (
+        "dee860b1d9c03f15a4b15d9289e966e99648e3aa79010694a13c351682c1ae44",
+        "3b32dfaaa07674ed26cad13005588bf4b8fe9cef7aad7158638706cc7de29a4e"),
+    ("pisot_x3-x-1", "0"): (
+        "88c1b9eb58fbd3bc652499eb9aa5627d5c4d3f35dfa7b71d5713c93caa183441",
+        "3e014b82b7858416b8e81ab4b4f00c7cf6422af33b18fa6729917acad7bdabc0"),
+    ("pisot_x3-x-1", "1"): (
+        "dcd0a6cc5dfacadef0aaa76a9a051d88d1ea5bdbc3bde2bd1c2964e886e7ce32",
+        "5388078b2a099d3d2fa692f6dcb36eb01f29b00e5ca5b264b8b3762c87407937"),
+}
+
+
+@pytest.mark.parametrize("name", ["kenyon_3_8", "pisot_x3-x-1"])
+def test_multiplier_artefacts_pinned(name):
     ctx = load_context(name)
-    rel = build_relation_automaton(ctx, force=True)
-    red = build_reduced_automaton(rel)
+    rel = build_relation_automaton(ctx)
+    red = build_reduced_automaton(rel, "lex")
     for g in ctx.digit_names:
-        new = build_multiplier(rel, red, g)
-        old = au.minimize(au.intersect(au.product(au.append_letter(red, g), red),
-                                       rel.automaton))
-        assert new.n_states == old.n_states
-        assert new.initials == old.initials
-        assert new.finals == old.finals
-        assert new.transitions == old.transitions
-        assert new.alphabet == old.alphabet
+        m = build_multiplier(rel, red, g)
+        doc = json.dumps(au.to_json(m), indent=2, sort_keys=True)
+        digests = (hashlib.sha256(doc.encode()).hexdigest(),
+                   hashlib.sha256(au.to_dot(m).encode()).hexdigest())
+        assert digests == PINNED_MULTIPLIERS[name, g], g
 
 
 def test_multiplier_unknown_digit():
