@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -134,6 +135,16 @@ def cmd_relations(args) -> int:
 
 
 def cmd_structure(args) -> int:
+    candidate = None
+    if args.candidate_pi:
+        try:
+            candidate = [int(c) for c in args.candidate_pi.split(",")]
+        except ValueError as e:
+            raise InputError(f"bad --candidate-pi: {e}") from e
+        if not any(candidate):
+            raise InputError("bad --candidate-pi: the zero polynomial")
+    if args.N < 0:
+        raise InputError(f"-N must be >= 0, got {args.N}")
     ctx = _load_context(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,12 +160,6 @@ def cmd_structure(args) -> int:
         m = build_multiplier(rel, reduced, g)
         _dump_json(out / f"mult_{g}.json", au.to_json(m))
         (out / f"mult_{g}.dot").write_text(au.to_dot(m, f"mult_{g}") + "\n")
-    candidate = None
-    if args.candidate_pi:
-        try:
-            candidate = [int(c) for c in args.candidate_pi.split(",")]
-        except ValueError as e:
-            raise InputError(f"bad --candidate-pi: {e}") from e
     report = growth(reduced, N=args.N, candidate_pi=candidate)
     doc = report.to_json()
     _dump_json(out / "growth.json", doc)
@@ -199,16 +204,14 @@ def cmd_equiv(args) -> int:
 def _kenyon_params(ctx: BetaContext):
     """(p, q) when the context is base 3 with constant digits {0, p, q},
     0 < p < q coprime; None otherwise."""
-    import math
-
     if ctx.mode != "algebraic" or ctx.minpoly != (-3, 1) or ctx.inverted:
         return None
     vals = []
     for d in ctx.digits:
         c = d.coeffs
-        if any(x != 0 for x in c[1:]) or c[0] != int(c[0]):
+        if any(x != 0 for x in c[1:]):
             return None
-        vals.append(int(c[0]))
+        vals.append(c[0])
     vals.sort()
     if len(vals) != 3 or vals[0] != 0:
         return None

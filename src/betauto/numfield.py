@@ -1,18 +1,23 @@
 """Exact arithmetic in Z[beta], and in Z[X] for a formal base.
 
-A ``BetaContext`` fixes the base beta (by its integer minimal polynomial, or
-as a formal indeterminate), a finite digit set, and certified numeric
-enclosures of the conjugates of beta.  All element arithmetic is exact: the
-working minimal polynomial is monic, so elements are integer vectors in
-Z[beta] (modulo the minimal polynomial), or integer polynomials in Z[X].  The
-numeric enclosures are only used for pruning bounds and modulus
-classification.
+A ``BetaContext`` is a frozen value that fixes the base beta (by its integer
+minimal polynomial, or as a formal indeterminate), a finite digit set, and
+certified numeric enclosures of the conjugates of beta.  ``make_context``
+computes all of it in one pure function.  All element arithmetic is exact:
+the working minimal polynomial is monic, so elements are integer vectors in
+Z[beta] (modulo the minimal polynomial), or integer polynomials in Z[X].
+
+The numeric enclosures are only used for pruning bounds and modulus
+classification.  Whether a conjugate lies on the unit circle is decided
+exactly (``_unit_root_count``, a Sturm count); the root isolation doubles its
+precision until the disks are disjoint and exactly that many of them straddle
+modulus 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,11 +31,6 @@ EXPANDING = "expanding"
 CONTRACTING = "contracting"
 UNIT = "unit"
 
-#: half-width of the band around modulus 1 inside which a root of a
-#: self-reciprocal polynomial is declared to lie on the unit circle
-UNIT_BAND = 1e-9
-#: target enclosure radius used when testing the unit band
-UNIT_REFINE_RADIUS = 1e-14
 #: largest mpmath dps used to separate the roots or classify their moduli
 MAX_PRECISION = 2000
 
@@ -71,10 +71,6 @@ def poly_deg(c: Sequence) -> int:
     return len(poly_trim(c)) - 1
 
 
-def poly_deriv(c: Sequence) -> tuple:
-    return poly_trim([i * c[i] for i in range(1, len(c))])
-
-
 def poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
     """Euclidean division over Q."""
     a = [Fraction(x) for x in poly_trim(a)]
@@ -92,21 +88,6 @@ def poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
     return poly_trim(q), poly_trim(a)
 
 
-def poly_gcd(a: Sequence, b: Sequence) -> tuple:
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def poly_content(c: Sequence) -> int:
-    g = 0
-    for x in c:
-        g = math.gcd(g, abs(int(x)))
-    return g
-
-
 def poly_str(c: Sequence, var: str = "x") -> str:
     """Human-readable form, highest power first."""
     c = poly_trim(c)
@@ -118,7 +99,7 @@ def poly_str(c: Sequence, var: str = "x") -> str:
         if a == 0:
             continue
         if i == 0:
-            term = str(abs(a)) if a == int(a) else str(abs(Fraction(a)))
+            term = str(abs(a))
         else:
             mag = "" if abs(a) == 1 else f"{abs(a)}*"
             term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
@@ -171,15 +152,14 @@ class Embedding:
         return disk_abs(self.center, self.radius)
 
 
-def _certified_roots(coeffs: Sequence[int], dps: int) -> list[tuple[complex, float]]:
-    """All roots of the squarefree integer polynomial, with radius bounds.
+def _root_disks(coeffs: Sequence[int], dps: int) -> list[tuple[complex, float]]:
+    """All roots of the squarefree integer polynomial at ``dps`` digits, as
+    disks (float centre, radius).
 
     Uses the classical bound: every polynomial of degree d has a root within
-    d*|P(z)/P'(z)| of any point z.  Disjointness of the disks then isolates
-    one simple root per disk; overlapping disks are retried at doubled
-    precision, up to ``MAX_PRECISION``.
+    d*|P(z)/P'(z)| of any point z.  Only disjoint disks isolate one simple
+    root each; the caller checks that.
     """
-    coeffs = poly_trim(coeffs)
     d = len(coeffs) - 1
     lead_first = [mp.mpf(int(c)) for c in reversed(coeffs)]
     with mp.workdps(dps):
@@ -194,13 +174,6 @@ def _certified_roots(coeffs: Sequence[int], dps: int) -> list[tuple[complex, flo
             cen = complex(z)
             rad = d * abs(pz / dpz) * 1.001 + mp.mpf(10) ** (5 - dps) + abs(z - cen)
             out.append((cen, math.nextafter(float(rad), math.inf)))
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if abs(out[i][0] - out[j][0]) <= out[i][1] + out[j][1]:
-                # disks overlap: retry at higher precision
-                if dps * 2 > MAX_PRECISION:
-                    raise NumFieldError("cannot separate the roots at max precision")
-                return _certified_roots(coeffs, dps * 2)
     return out
 
 
@@ -209,6 +182,70 @@ def is_self_reciprocal(coeffs: Sequence[int]) -> bool:
     c = poly_trim(coeffs)
     rev = tuple(reversed(c))
     return rev == c or rev == tuple(-x for x in c)
+
+
+def _unit_root_count(minpoly: Sequence[int]) -> int:
+    """Exact number of roots on |z| = 1 of an irreducible integer polynomial.
+
+    Such a polynomial with a unit root z also vanishes at 1/z = conj(z), so
+    it is self-reciprocal.  In even degree 2m it is x^m Q(x + 1/x), and its
+    unit roots come in conjugate pairs over the real roots of Q in [-2, 2]
+    (Smyth, Seventy years of Salem numbers, Bull. LMS 47, 2015).
+    """
+    c = poly_trim(minpoly)
+    if not is_self_reciprocal(c):
+        return 0
+    if len(c) == 2:
+        return int(abs(c[0]) == abs(c[1]))
+    m = (len(c) - 1) // 2
+    # x^-m P(x) = c_m + sum_k c_(m+k) (x^k + x^-k), and x^k + x^-k = D_k(y)
+    # for y = x + 1/x, with D_0 = 2, D_1 = y, D_(k+1) = y D_k - D_(k-1)
+    q = [c[m]] + [0] * m
+    prev, cur = [2], [0, 1]
+    for k in range(1, m + 1):
+        for i, a in enumerate(cur):
+            q[i] += c[m + k] * a
+        prev, cur = cur, [a - (prev[i] if i < len(prev) else 0)
+                          for i, a in enumerate([0] + cur)]
+    return 2 * Poly(q[::-1], Symbol("y")).count_roots(-2, 2)
+
+
+def _embeddings(minpoly: tuple, precision: int) -> tuple[int, tuple]:
+    """(dps, embeddings) at the first dps from ``precision``, doubling up to
+    ``MAX_PRECISION``, at which the root disks are disjoint and exactly
+    ``_unit_root_count`` of them straddle modulus 1.  A disk contains its
+    root, so every unit root's disk straddles: those disks are the UNIT ones."""
+    units = _unit_root_count(minpoly)
+    dps = precision
+    while True:
+        roots = _root_disks(minpoly, dps)
+        if any(abs(a[0] - b[0]) <= a[1] + b[1]
+               for i, a in enumerate(roots) for b in roots[i + 1:]):
+            failure = "cannot separate the roots at max precision"
+        else:
+            classes = [CONTRACTING if hi < 1.0 else EXPANDING if lo > 1.0 else UNIT
+                       for lo, hi in (disk_abs(cen, rad) for cen, rad in roots)]
+            if classes.count(UNIT) == units:
+                return dps, tuple(Embedding(cen, rad, cls)
+                                  for (cen, rad), cls in zip(roots, classes))
+            failure = "cannot classify conjugate moduli at max precision"
+        if dps * 2 > MAX_PRECISION:
+            raise NumFieldError(failure)
+        dps *= 2
+
+
+def _power_rows(e: Embedding, d: int) -> tuple[tuple[complex, float, float], ...]:
+    """Rows (centre, radius, |centre|) of the disks enclosing gamma^0 ..
+    gamma^(d-1) for the conjugate gamma of embedding ``e``, the input of
+    ``disk_modulus``."""
+    pc, pr = 1.0 + 0j, 0.0
+    rows = []
+    for _ in range(d):
+        rows.append((pc, pr, abs(pc)))
+        cen = pc * e.center
+        rad = abs(pc) * e.radius + pr * abs(e.center) + pr * e.radius
+        pc, pr = cen, rad + _SLOP * (abs(cen) + 1.0)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +293,28 @@ def fe_sub(x: FieldElem, y: FieldElem) -> FieldElem:
     return fe_add(x, fe_neg(y))
 
 
-@dataclass
+def _reduce(minpoly: tuple, c: list[int]) -> tuple:
+    """Reduce modulo the (monic) working minimal polynomial."""
+    d = len(minpoly) - 1
+    c = list(c)
+    for i in range(len(c) - 1, d - 1, -1):
+        f = c[i]
+        if f:
+            for j in range(d):
+                c[i - d + j] -= f * minpoly[j]
+        c.pop()
+    c += [0] * (d - len(c))
+    return tuple(c)
+
+
+def _element(minpoly: tuple | None, coeffs: Sequence[int]) -> FieldElem:
+    """Element from integer coefficients in the working basis (Z[X] without minpoly)."""
+    if minpoly is None:
+        return FieldElem(TRANSCENDENTAL, poly_trim([int(c) for c in coeffs]))
+    return FieldElem(ALGEBRAIC, _reduce(minpoly, [int(c) for c in coeffs]))
+
+
+@dataclass(frozen=True)
 class BetaContext:
     """Working form of the base: minimal polynomial (monic, after possible
     inversion to u = 1/beta), digit set, and certified conjugate enclosures."""
@@ -265,14 +323,18 @@ class BetaContext:
     minpoly: tuple | None  # working minimal polynomial, constant first, monic
     user_minpoly: tuple | None  # as supplied (normalized sign/content)
     inverted: bool
-    digits: list  # list[FieldElem] in the working basis
-    digit_names: list  # display names, aligned with digits
-    blocked: bool = False  # certified unit-circle conjugate
-    precision: int = 30  # mpmath dps of the root isolation
-    embeddings: list = field(default_factory=list)
+    digits: tuple  # FieldElem in the working basis
+    digit_names: tuple  # display names, aligned with digits
+    precision: int = 30  # mpmath dps at which the roots were isolated
+    embeddings: tuple = ()
     #: per embedding: rows (centre, radius, |centre|) of the disks enclosing
     #: gamma^0 .. gamma^(d-1), the input of ``disk_modulus``
-    power_rows: list = field(default_factory=list)
+    power_rows: tuple = ()
+
+    @property
+    def blocked(self) -> bool:
+        """Some conjugate lies on the unit circle (an exact verdict)."""
+        return any(e.cls == UNIT for e in self.embeddings)
 
     # -- exact arithmetic ---------------------------------------------------
 
@@ -287,22 +349,7 @@ class BetaContext:
 
     def from_int_poly(self, coeffs: Sequence[int]) -> FieldElem:
         """Element from an integer coefficient list in the working basis."""
-        if self.mode == TRANSCENDENTAL:
-            return FieldElem(TRANSCENDENTAL, poly_trim([int(c) for c in coeffs]))
-        return FieldElem(ALGEBRAIC, self._reduce([int(c) for c in coeffs]))
-
-    def _reduce(self, c: list[int]) -> tuple:
-        """Reduce modulo the (monic) working minimal polynomial."""
-        d = self.degree
-        c = list(c)
-        for i in range(len(c) - 1, d - 1, -1):
-            f = c[i]
-            if f:
-                for j in range(d):
-                    c[i - d + j] -= f * self.minpoly[j]
-            c.pop()
-        c += [0] * (d - len(c))
-        return tuple(c)
+        return _element(self.minpoly, coeffs)
 
     def mul_base(self, x: FieldElem) -> FieldElem:
         """Multiply by the working base (shift and reduce / shift by X)."""
@@ -310,7 +357,7 @@ class BetaContext:
             if not x.coeffs:
                 return x
             return FieldElem(TRANSCENDENTAL, (0,) + x.coeffs)
-        return FieldElem(ALGEBRAIC, self._reduce([0] + list(x.coeffs)))
+        return FieldElem(ALGEBRAIC, _reduce(self.minpoly, [0] + list(x.coeffs)))
 
     def one(self) -> FieldElem:
         if self.mode == ALGEBRAIC:
@@ -318,42 +365,6 @@ class BetaContext:
         return FieldElem(TRANSCENDENTAL, (1,))
 
     # -- numeric enclosures ---------------------------------------------------
-
-    def _rebuild_embeddings(self) -> None:
-        roots = _certified_roots(self.minpoly, self.precision)
-        selfrec = is_self_reciprocal(self.minpoly)
-        embeddings = []
-        blocked = False
-        for cen, rad in roots:
-            lo, hi = disk_abs(cen, rad)
-            if hi < 1.0:
-                cls = CONTRACTING
-            elif lo > 1.0:
-                cls = EXPANDING
-            elif selfrec and rad <= UNIT_REFINE_RADIUS and lo <= 1 + UNIT_BAND and hi >= 1 - UNIT_BAND:
-                cls = UNIT
-                blocked = True
-            else:
-                # undecided: refine and retry
-                if self.precision * 2 > MAX_PRECISION:
-                    raise NumFieldError("cannot classify conjugate moduli at max precision")
-                self.precision *= 2
-                self._rebuild_embeddings()
-                return
-            embeddings.append(Embedding(cen, rad, cls))
-        self.embeddings = embeddings
-        self.blocked = blocked
-        self.power_rows = [self._power_rows(e) for e in embeddings]
-
-    def _power_rows(self, e: Embedding) -> list[tuple[complex, float, float]]:
-        pc, pr = 1.0 + 0j, 0.0
-        rows = []
-        for _ in range(self.degree):
-            rows.append((pc, pr, abs(pc)))
-            cen = pc * e.center
-            rad = abs(pc) * e.radius + pr * abs(e.center) + pr * e.radius
-            pc, pr = cen, rad + _SLOP * (abs(cen) + 1.0)
-        return rows
 
     def abs_at(self, x: FieldElem, i: int) -> tuple[float, float]:
         """Certified enclosure of |sigma_i(x)|."""
@@ -418,24 +429,17 @@ def _normalize_minpoly(coeffs: Sequence[int]) -> tuple:
     c = poly_trim([int(x) for x in coeffs])
     if len(c) < 2:
         raise NumFieldError("minimal polynomial must have degree >= 1")
-    g = poly_content(c)
+    g = math.gcd(*c)
     if g > 1:
         c = tuple(x // g for x in c)
     if c[-1] < 0:
         c = tuple(-x for x in c)
-    if poly_deg(poly_gcd(c, poly_deriv(c))) > 0:
-        raise NotSquarefree(f"{poly_str(c)} is not squarefree")
     factors = factor_list(Poly(list(reversed(c)), Symbol("x")))[1]
-    if len(factors) > 1 or factors[0][1] > 1:
+    if any(k > 1 for _, k in factors):
+        raise NotSquarefree(f"{poly_str(c)} is not squarefree")
+    if len(factors) > 1:
         raise NumFieldError(f"minimal polynomial {poly_str(c)} is reducible")
     return c
-
-
-def _digit_name(coeffs: Sequence[int], index: int) -> str:
-    c = poly_trim(coeffs)
-    if len(c) <= 1:
-        return str(c[0] if c else 0)
-    return f"t{index}"
 
 
 def make_context(
@@ -460,28 +464,22 @@ def make_context(
     if not digit_specs:
         raise EmptyDigits("at least one digit is required")
 
-    names = [_digit_name(d, i) for i, d in enumerate(digit_specs)]
+    # constant digits are named by their value, the others t<position>
+    names = tuple(str(d[0] if d else 0) if len(d) <= 1 else f"t{i}"
+                  for i, d in enumerate(digit_specs))
 
+    mode, working, user, inverted = TRANSCENDENTAL, None, None, False
+    working_digits, embeddings, power_rows = digit_specs, (), ()
     if isinstance(minpoly, str):
         if minpoly != TRANSCENDENTAL:
             raise NumFieldError(f"unknown mode {minpoly!r}")
-        ctx = BetaContext(
-            mode=TRANSCENDENTAL,
-            minpoly=None,
-            user_minpoly=None,
-            inverted=False,
-            digits=[],
-            digit_names=names,
-            precision=precision,
-        )
-        ctx.digits = [ctx.from_int_poly(d) for d in digit_specs]
     else:
-        user = _normalize_minpoly(minpoly)
-        if abs(user[-1]) == 1:
-            working = user
-            inverted = False
-            working_digits = digit_specs
-        elif abs(user[0]) == 1:
+        mode = ALGEBRAIC
+        user = working = _normalize_minpoly(minpoly)
+        if abs(user[-1]) != 1:
+            if abs(user[0]) != 1:
+                raise UnsupportedDenominator(
+                    "neither the base nor its inverse is an algebraic integer")
             working = _normalize_minpoly(tuple(reversed(user)))
             inverted = True
             m = max(max(poly_deg(d), 0) for d in digit_specs)
@@ -489,25 +487,23 @@ def make_context(
             working_digits = [
                 tuple(reversed(tuple(d) + (0,) * (m + 1 - len(d)))) for d in digit_specs
             ]
-        else:
-            raise UnsupportedDenominator(
-                "neither the base nor its inverse is an algebraic integer"
-            )
-        ctx = BetaContext(
-            mode=ALGEBRAIC,
-            minpoly=working,
-            user_minpoly=user,
-            inverted=inverted,
-            digits=[],
-            digit_names=names,
-            precision=precision,
-        )
-        ctx.digits = [ctx.from_int_poly(d) for d in working_digits]
-        ctx._rebuild_embeddings()
+        precision, embeddings = _embeddings(working, precision)
+        power_rows = tuple(_power_rows(e, len(working) - 1) for e in embeddings)
 
-    if len({d.coeffs for d in ctx.digits}) != len(ctx.digits):
+    digits = tuple(_element(working, d) for d in working_digits)
+    if len({d.coeffs for d in digits}) != len(digits):
         raise NumFieldError("digits must be pairwise distinct")
-    return ctx
+    return BetaContext(
+        mode=mode,
+        minpoly=working,
+        user_minpoly=user,
+        inverted=inverted,
+        digits=digits,
+        digit_names=names,
+        precision=precision,
+        embeddings=embeddings,
+        power_rows=power_rows,
+    )
 
 
 def _int_list(value, what: str) -> list:

@@ -13,6 +13,7 @@ return to 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import add, sub
 
@@ -287,8 +288,6 @@ def mahler_nonfree_check(ctx: BetaContext) -> bool:
 def kenyon_criterion(p: int, q: int) -> bool:
     """Freeness of the three-map system with slope 1/3 and translations
     0, p/q, 1: free iff p + q is divisible by 3.  Requires 0 < p < q coprime."""
-    import math
-
     if not (0 < p < q) or math.gcd(p, q) != 1:
         raise ValueError("need 0 < p < q with gcd(p, q) = 1")
     return (p + q) % 3 == 0

@@ -67,6 +67,22 @@ def random_algebraic_configs(seed: int, count: int = 20):
         yield minpoly, digits
 
 
+def random_palindromic_polys(seed: int, count: int = 100):
+    """Seeded irreducible monic palindromic integer polynomials (constant
+    first) of even degree 2..8, the only degrees in which a palindromic
+    polynomial can be irreducible and have a root on the unit circle."""
+    rng = random.Random(seed)
+    x = Symbol("x")
+    for _ in range(count):
+        while True:
+            m = rng.randint(1, 4)
+            half = [1] + [rng.randint(-4, 4) for _ in range(m)]
+            poly = half + half[-2::-1]
+            if Poly(poly[::-1], x).is_irreducible:
+                break
+        yield poly
+
+
 # growth table: (p, q) -> (printed lambda, minimal polynomial, constant first)
 KENYON_TABLE = {
     (1, 3): (2.6180, [1, -3, 1]),

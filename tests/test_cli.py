@@ -140,6 +140,20 @@ def test_structure_bad_candidate(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--candidate-pi", "0"],
+    ["--candidate-pi", "0,0,0"],
+    ["--candidate-pi", "x"],
+    ["-N", "-4"],
+])
+def test_structure_bad_flags_fail_before_build(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "structure", "--config", cfg("intro"),
+                            "--out", out, *flags)
+    assert code == 1 and stdout == "" and err.startswith("error: ")
+    assert not out.exists()
+
+
 # --- word commands --------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,9 +11,12 @@ from betauto.numfield import (
     EmptyDigits,
     FieldElem,
     NotSquarefree,
+    UNIT,
     NumFieldError,
     UnsupportedDenominator,
+    _unit_root_count,
     context_from_config,
+    disk_modulus,
     fe_add,
     fe_neg,
     fe_sub,
@@ -20,12 +25,11 @@ from betauto.numfield import (
     make_context,
     poly_deg,
     poly_divmod,
-    poly_gcd,
     poly_str,
     poly_trim,
 )
 
-from conftest import load_context
+from conftest import load_context, random_palindromic_polys
 
 
 # --- polynomial helpers ------------------------------------------------------
@@ -38,7 +42,6 @@ def test_poly_helpers():
     assert poly_deg([0, 0, 3]) == 2
     q, r = poly_divmod([1, 0, 1], [1, 1])  # x^2+1 = (x-1)(x+1) + 2
     assert q == (-1, 1) and r == (2,)
-    assert poly_gcd([-1, 0, 1], [1, 1]) != ()  # x+1 divides x^2-1
     assert poly_str([1, -3, 1]) == "x^2-3*x+1"
     assert poly_str([0]) == "0"
 
@@ -70,6 +73,35 @@ def test_salem_context_blocked():
     assert ctx.blocked
     assert sorted(e.cls for e in ctx.embeddings) == [
         "contracting", "expanding", "unit", "unit"]
+
+
+def test_unit_root_count_matches_oracle():
+    # exact Sturm count == UNIT embeddings == 200-digit roots on |z| = 1
+    seen = set()
+    for poly in random_palindromic_polys(0, 100):
+        count = _unit_root_count(poly)
+        ctx = make_context(poly, [0, 1])
+        with mp.workdps(200):
+            roots = mp.polyroots([mp.mpf(c) for c in reversed(poly)],
+                                 maxsteps=500, extraprec=200)
+            oracle = sum(abs(abs(r) - 1) < mp.mpf(10) ** -150 for r in roots)
+        assert count == sum(e.cls == UNIT for e in ctx.embeddings) == oracle, poly
+        assert ctx.blocked == (count > 0)
+        seen.add(count)
+    assert {0, 2, 4} <= seen
+
+
+def test_unit_root_count_degree_one():
+    assert _unit_root_count([1, 1]) == _unit_root_count([-1, 1]) == 1
+    assert _unit_root_count([-3, 1]) == 0
+
+
+def test_context_is_frozen():
+    ctx = load_context("intro")
+    with pytest.raises(FrozenInstanceError):
+        ctx.precision = 60
+    with pytest.raises(FrozenInstanceError):
+        ctx.digits = ()
 
 
 def test_not_blocked_without_self_reciprocity():
@@ -165,6 +197,31 @@ def test_embeddings_contain_their_roots(name):
                   for e in ctx.embeddings]
     assert len(ctx.embeddings) == len(roots)
     assert [len(rs) for rs in inside] == [1] * len(roots)
+
+
+@pytest.mark.parametrize("name", [
+    "intro", "pisot_x3-x-1", "pisot_x4-x3-x2+x-1", "salem",
+    "free_x4-3x3-3x2-3x+1", "inverted",
+])
+def test_disk_modulus_encloses_modulus(name):
+    # lo <= |sigma_i(x)| <= hi for random integer x, against a 200-digit root
+    if name == "inverted":  # 3b^2 - b - 1 = 0, worked on as u^2 + u - 3 = 0
+        ctx = make_context([-1, -1, 3], [[0], [1], [0, 1]])
+    else:
+        ctx = load_context(name)
+    rng = random.Random(name)
+    d = ctx.degree
+    with mp.workdps(200):
+        roots = mp.polyroots([mp.mpf(c) for c in reversed(ctx.minpoly)],
+                             maxsteps=500, extraprec=200)
+        for e, rows in zip(ctx.embeddings, ctx.power_rows):
+            (root,) = [r for r in roots if abs(r - mp.mpc(e.center)) <= e.radius]
+            for _ in range(200):
+                k = 10 ** rng.randint(0, 6)
+                x = [rng.randint(-k, k) for _ in range(d)]
+                lo, hi = disk_modulus(x, rows)
+                exact = abs(sum(c * root ** i for i, c in enumerate(x)))
+                assert lo <= exact <= hi, (x, e)
 
 
 # --- Mahler measure ----------------------------------------------------------

@@ -185,7 +185,7 @@ def test_salem_forced_caps_out():
 def test_build_does_not_mutate_context():
     # the quartic Pisot build keeps undecided states, and reads its context only
     ctx = load_context("pisot_x4-x3-x2+x-1")
-    before = (ctx.precision, list(ctx.embeddings), copy.deepcopy(ctx.power_rows))
+    before = copy.deepcopy((ctx.precision, ctx.embeddings, ctx.power_rows))
     rel = build_relation_automaton(ctx)
     assert rel.stats["undecided_keeps"] > 0
     assert (ctx.precision, ctx.embeddings, ctx.power_rows) == before
