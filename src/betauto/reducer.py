@@ -3,13 +3,25 @@
 Runs the relation automaton as a letter-to-letter transducer restricted to
 reduced outputs: a forward pass over subsets of (relation state, reduced
 state) pairs, then a deterministic backward extraction of the output word.
-Per input letter the work is bounded by the (cached) subset transitions, so
-reduction is linear in the word length.
+Both automata are dense integer tables over digit indices, and a pair
+(r, s) is the integer ``r * n_reduced + s``, so integer order is (r, s)
+order.
+
+Per input letter, the forward pass costs one cached subset step: a lookup
+of (subset, letter), and on a miss the union of the pairs' successor rows.
+The extraction costs O(k * |pred|): it scans the predecessor pairs of the
+current pair, by output letter and then in increasing order, and takes the
+first that lies in the forward subset.  Successor and predecessor rows are
+built lazily, once per (pair, input letter), so the set-up is linear in the
+size of the two automata and reduction is linear in the word length.
 """
 
 from __future__ import annotations
 
-from .automata import Automaton, PairLetter, accepts
+from itertools import chain
+
+from .automata import Automaton, PairLetter
+from .automata import accepts  # noqa: F401  (the benchmark tracer wraps reducer.accepts)
 from .relations import RelAutomaton
 
 
@@ -17,74 +29,125 @@ class ReducerTable:
     """Precomputed transition data for reducing words of one structure."""
 
     def __init__(self, rel: RelAutomaton, reduced: Automaton):
+        names = tuple(rel.context.digit_names)
+        if reduced.alphabet != names:
+            raise ValueError(
+                f"reduced alphabet {reduced.alphabet!r} is not the digit names {names!r}")
+        for what, aut in (("relation", rel.automaton), ("reduced", reduced)):
+            if not aut.deterministic:
+                raise ValueError(
+                    f"{what} automaton is not deterministic with a single initial state")
         self.rel = rel
         self.reduced = reduced
-        self.names = list(rel.context.digit_names)
-        self.rel_delta = rel.automaton.ddelta()
-        self.red_delta = reduced.ddelta()
+        self.names = names
+        self._position = {g: i for i, g in enumerate(names)}
+        k = self._k = len(names)
+        n_rel, n_red = rel.automaton.n_states, reduced.n_states
+        self._n_red = n_red
+
+        # successors (-1: no edge) and sorted predecessors by letter index;
+        # the relation letter (names[a], names[b]) has index a * k + b
+        pair_index = {PairLetter(x, y): i * k + j
+                      for i, x in enumerate(names) for j, y in enumerate(names)}
+        self._rel_next = [[-1] * (k * k) for _ in range(n_rel)]
+        self._rel_pred = [[[] for _ in range(k * k)] for _ in range(n_rel)]
+        for (r, x, r2) in rel.automaton.transitions:
+            ab = pair_index.get(x)
+            if ab is None:
+                raise ValueError(f"relation letter {x!r} is not a pair of digit names")
+            self._rel_next[r][ab] = r2
+            self._rel_pred[r2][ab].append(r)
+        self._red_next = [[-1] * k for _ in range(n_red)]
+        self._red_pred = [[[] for _ in range(k)] for _ in range(n_red)]
+        for (s, y, s2) in reduced.transitions:
+            b = self._position[y]
+            self._red_next[s][b] = s2
+            self._red_pred[s2][b].append(s)
+        for preds in chain(chain.from_iterable(self._rel_pred),
+                           chain.from_iterable(self._red_pred)):
+            preds.sort()
+
         (self.rel_init,) = rel.automaton.initials
         (self.red_init,) = reduced.initials
-        self._cache = {}  # (subset, input letter) -> next subset
+        self._start = frozenset({self.rel_init * n_red + self.red_init})
+        self._final = frozenset(r * n_red + s for r in rel.automaton.finals
+                                for s in reduced.finals)
+        # per input letter, pair -> its successor pairs, and pair -> its
+        # (predecessor pair, output letter) candidates in extraction order
+        self._succ = [{} for _ in range(k)]
+        self._pred = [{} for _ in range(k)]
+        self._cache = {}  # (subset, input letter index) -> next subset
 
-    def _index(self, g) -> str:
+    def _index(self, g) -> int:
         if isinstance(g, int) and not isinstance(g, bool):
-            name = self.names[g] if 0 <= g < len(self.names) else g
+            if 0 <= g < self._k:
+                return g
+            name = g
         else:
             name = str(g)
-        if name not in self.names:
-            raise ValueError(f"unknown digit {name!r}")
-        return name
+            i = self._position.get(name)
+            if i is not None:
+                return i
+        raise ValueError(f"unknown digit {name!r}")
 
-    def _step(self, subset: frozenset, a: str) -> frozenset:
-        key = (subset, a)
-        nxt = self._cache.get(key)
-        if nxt is None:
-            out = set()
-            for (r, s) in subset:
-                for b in self.names:
-                    r2 = self.rel_delta.get((r, PairLetter(a, b)))
-                    if r2 is None:
-                        continue
-                    s2 = self.red_delta.get((s, b))
-                    if s2 is not None:
-                        out.add((r2, s2))
-            nxt = frozenset(out)
-            self._cache[key] = nxt
+    def _succ_row(self, pair: int, a: int) -> tuple:
+        k, n_red = self._k, self._n_red
+        r, s = divmod(pair, n_red)
+        rn, sn = self._rel_next[r], self._red_next[s]
+        return tuple(r2 * n_red + s2 for b in range(k)
+                     if (r2 := rn[a * k + b]) >= 0 and (s2 := sn[b]) >= 0)
+
+    def _pred_row(self, pair: int, a: int) -> tuple:
+        k, n_red = self._k, self._n_red
+        r, s = divmod(pair, n_red)
+        rp, sp = self._rel_pred[r], self._red_pred[s]
+        return tuple((r0 * n_red + s0, b) for b in range(k)
+                     for r0 in rp[a * k + b] for s0 in sp[b])
+
+    def _step(self, subset: frozenset, a: int) -> frozenset:
+        """Successor subset on input letter ``a``; fills the cache."""
+        rows = self._succ[a]
+        for pair in subset.difference(rows):
+            rows[pair] = self._succ_row(pair, a)
+        nxt = self._cache[subset, a] = frozenset(
+            chain.from_iterable(map(rows.__getitem__, subset)))
         return nxt
 
     def reduce(self, word) -> tuple:
         """Reduced representative of the word, as a tuple of digit names."""
         letters = [self._index(g) for g in word]
-        subsets = [frozenset({(self.rel_init, self.red_init)})]
+        cache = self._cache
+        sub = self._start
+        subsets = [sub]
         for a in letters:
-            subsets.append(self._step(subsets[-1], a))
+            nxt = cache.get((sub, a))
+            if nxt is None:
+                nxt = self._step(sub, a)
+            subsets.append(nxt)
+            sub = nxt
 
-        rel_finals = self.rel.automaton.finals
-        red_finals = self.reduced.finals
-        finals = sorted(
-            (r, s) for (r, s) in subsets[-1]
-            if r in rel_finals and s in red_finals)
+        finals = sub & self._final
         if not finals:
             raise ValueError("word has no reduced equivalent (inconsistent input)")
-        cur = finals[0]
+        # the first output letter with a predecessor pair in the subset, and
+        # the least such pair
+        pred = self._pred
+        pair = min(finals)
         out = []
         for i in range(len(letters) - 1, -1, -1):
             a = letters[i]
-            best = None
-            for bi, b in enumerate(self.names):
-                pl = PairLetter(a, b)
-                for prev in sorted(subsets[i]):
-                    if (self.rel_delta.get((prev[0], pl)) == cur[0]
-                            and self.red_delta.get((prev[1], b)) == cur[1]):
-                        best = (bi, prev)
-                        break
-                if best is not None:
+            row = pred[a].get(pair)
+            if row is None:
+                row = pred[a][pair] = self._pred_row(pair, a)
+            sub = subsets[i]
+            for pair, b in row:
+                if pair in sub:
                     break
-            assert best is not None, "backward extraction lost the path"
-            out.append(self.names[best[0]])
-            cur = best[1]
+            else:
+                raise AssertionError("backward extraction lost the path")
+            out.append(b)
         out.reverse()
-        return tuple(out)
+        return tuple(map(self.names.__getitem__, out))
 
     def equivalent(self, u, v) -> bool:
         """Exact equality of the two represented maps.  Words of different
@@ -93,6 +156,10 @@ class ReducerTable:
         v = [self._index(g) for g in v]
         if len(u) != len(v):
             return False
-        return accepts(self.rel.automaton,
-                       [PairLetter(a, b) for a, b in zip(u, v)])
-
+        rel_next, k = self._rel_next, self._k
+        r = self.rel_init
+        for a, b in zip(u, v):
+            r = rel_next[r][a * k + b]
+            if r < 0:
+                return False
+        return r in self.rel.automaton.finals

@@ -298,7 +298,7 @@ def kenyon_criterion(p: int, q: int) -> bool:
 
 
 def _digit_index(ctx: BetaContext, g) -> int:
-    if isinstance(g, int):
+    if isinstance(g, int) and not isinstance(g, bool):
         if not 0 <= g < len(ctx.digits):
             raise ValueError(f"digit index {g} out of range")
         return g

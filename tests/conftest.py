@@ -5,7 +5,8 @@ from pathlib import Path
 
 from sympy import Poly, Symbol
 
-from betauto.numfield import context_from_config
+from betauto.numfield import NumFieldError, context_from_config, make_context
+from betauto.relations import CapExceeded, build_relation_automaton
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "betauto" / "fixtures"
 
@@ -65,6 +66,24 @@ def random_algebraic_configs(seed: int, count: int = 20):
                 break
         digits = [0] + rng.sample([c for c in range(-3, 4) if c], rng.randint(1, 2))
         yield minpoly, digits
+
+
+def random_relation_automata():
+    """The seeded contexts of the relation cross-check in test_relations whose
+    relation automaton closes within 50 states; the tighter state cap keeps
+    the reduced automata small (x^4-x^3-3x^2-x+2 with digits {0,-1,1} has 55
+    relation states but 6034 reduced states)."""
+    for minpoly, digits in random_algebraic_configs(5):
+        try:
+            ctx = make_context(minpoly, digits)
+        except NumFieldError:
+            continue
+        if ctx.blocked:
+            continue
+        try:
+            yield (minpoly, digits), build_relation_automaton(ctx, max_states=50)
+        except CapExceeded:
+            continue
 
 
 def random_palindromic_polys(seed: int, count: int = 100):

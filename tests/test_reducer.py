@@ -1,14 +1,19 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
 
 from betauto import automata as au
+from betauto.automata import PairLetter
+from betauto.numfield import fe_add
 from betauto.relations import build_relation_automaton, verify_relation
 from betauto.structure import build_reduced_automaton
 from betauto.reducer import ReducerTable
 
-from conftest import load_context
+from conftest import load_context, random_relation_automata
 
 
 def make_table(name, order="lex"):
@@ -63,9 +68,9 @@ def test_reduce_properties(name):
         assert t.reduce(r) == r  # idempotent
 
 
-@pytest.mark.parametrize("order", ["lex", "revlex"])
-def test_reduce_is_order_least_equivalent(order):
-    ctx, rel, reduced, t = make_table("intro", order)
+def assert_order_least(ctx, rel, order):
+    reduced = build_reduced_automaton(rel, order)
+    t = ReducerTable(rel, reduced)
     names = list(ctx.digit_names)
     ranked = names if order == "lex" else list(reversed(names))
     rank = {g: i for i, g in enumerate(ranked)}
@@ -75,7 +80,6 @@ def test_reduce_is_order_least_equivalent(order):
         for w in iproduct(names, repeat=n):
             val = ctx.zero()
             for g in w:
-                from betauto.numfield import fe_add
                 val = fe_add(ctx.mul_base(val), ctx.digits[names.index(g)])
             classes.setdefault(val.coeffs, []).append(w)
         for words in classes.values():
@@ -88,9 +92,89 @@ def test_reduce_is_order_least_equivalent(order):
             assert [w for w in words if au.accepts(reduced, w)] == [least]
 
 
+ORDER_LEAST_FIXTURES = ["intro", "pisot_x3-x-1", "kenyon_3_8",
+                        "transc_1_over_X2+X+1", "free_x4-3x3-3x2-3x+1"]
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_reduce_is_order_least_equivalent(order):
+    for name in ORDER_LEAST_FIXTURES:
+        ctx = load_context(name)
+        assert_order_least(ctx, build_relation_automaton(ctx, force=True), order)
+    built = 0
+    for _, rel in random_relation_automata():
+        built += 1
+        assert_order_least(rel.context, rel, order)
+    assert built >= 10
+
+
 def test_cache_reuse():
     _, _, _, t = make_table("intro")
     assert t.reduce("1111") == t.reduce("1111")
     n_cached = len(t._cache)
     t.reduce("1111")
     assert len(t._cache) == n_cached
+
+
+def test_table_rejects_mismatched_automata():
+    _, rel, reduced, _ = make_table("intro")
+    _, _, kenyon_reduced, _ = make_table("kenyon_3_8")
+    with pytest.raises(ValueError, match="reduced alphabet"):
+        ReducerTable(rel, kenyon_reduced)
+    swapped = au.Automaton(tuple(reversed(reduced.alphabet)), reduced.n_states,
+                           reduced.transitions, reduced.initials, reduced.finals)
+    with pytest.raises(ValueError, match="reduced alphabet"):
+        ReducerTable(rel, swapped)
+
+    a = rel.automaton
+    stray = au.Automaton(a.alphabet + (PairLetter("0", "7"),), a.n_states,
+                         a.transitions | {(0, PairLetter("0", "7"), 0)},
+                         a.initials, a.finals)
+    with pytest.raises(ValueError, match="relation letter"):
+        ReducerTable(replace(rel, automaton=stray), reduced)
+    two_starts = au.Automaton(a.alphabet, a.n_states, a.transitions,
+                              set(range(a.n_states)), a.finals)
+    with pytest.raises(ValueError, match="relation automaton is not deterministic"):
+        ReducerTable(replace(rel, automaton=two_starts), reduced)
+    (p, x, q) = min(reduced.transitions)
+    split = au.Automaton(reduced.alphabet, reduced.n_states,
+                         reduced.transitions | {(p, x, 1 - q)},
+                         reduced.initials, reduced.finals)
+    with pytest.raises(ValueError, match="reduced automaton is not deterministic"):
+        ReducerTable(rel, split)
+
+
+# SHA-256 of the JSON list, per seeded 100-letter word w, of [reduce(w),
+# equivalent(w, reduce(w)), equivalent(w, w with a 5-letter window reduced),
+# equivalent(w, that word with one letter changed), equivalent(w, w[:-1])],
+# recorded with the dict-based reducer: the dense tables must not move a bit
+PINNED_REDUCTIONS = {
+    ("kenyon_3_8", "lex"):
+        "74672a75bb48ac7c8fd57de942fc68bd8cae0df9af7da03129a22e36c5dc535c",
+    ("kenyon_3_8", "revlex"):
+        "19fccad966d93e938ec70a005addc525215f4bdf9159c269fa8008f6c12b8d02",
+    ("pisot_x3-x-1", "lex"):
+        "3c57c265bf807026360960375a2f7bd0d631189b9b9d7525728e9a3b129e6249",
+    ("pisot_x3-x-1", "revlex"):
+        "5e0d2fd5882c39e443ee4f1ac8c12b9500c4daa8f65bab085ead767885b12a54",
+}
+
+
+@pytest.mark.parametrize("name, order", sorted(PINNED_REDUCTIONS))
+def test_reductions_pinned(name, order):
+    ctx, _, _, t = make_table(name, order)
+    names = ctx.digit_names
+    rng = random.Random(2024)
+    out = []
+    for _ in range(200):
+        w = [rng.choice(names) for _ in range(100)]
+        r = t.reduce(w)
+        j = rng.randrange(95)
+        spliced = w[:j] + list(t.reduce(w[j:j + 5])) + w[j + 5:]
+        changed = list(spliced)
+        i = rng.randrange(100)
+        changed[i] = rng.choice([g for g in names if g != changed[i]])
+        out.append(["".join(r), t.equivalent(w, r), t.equivalent(w, spliced),
+                    t.equivalent(w, changed), t.equivalent(w, w[:-1])])
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == PINNED_REDUCTIONS[name, order]

@@ -105,6 +105,9 @@ def test_verify_relation():
         verify_relation(ctx, "10", "0")
     with pytest.raises(ValueError):
         verify_relation(ctx, "12", "03")
+    # a bool is not a digit position
+    with pytest.raises(ValueError):
+        verify_relation(ctx, [True], [1])
 
 
 def test_relation_language_matches_verify():

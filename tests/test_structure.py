@@ -8,8 +8,7 @@ import pytest
 
 from betauto import automata as au
 from betauto.automata import Automaton, PairLetter
-from betauto.numfield import NumFieldError, make_context
-from betauto.relations import CapExceeded, build_relation_automaton
+from betauto.relations import build_relation_automaton
 from betauto.structure import (
     build_multiplier,
     build_reduced_automaton,
@@ -22,7 +21,7 @@ from conftest import (
     KENYON_TABLE,
     TRANSC_TABLE,
     load_context,
-    random_algebraic_configs,
+    random_relation_automata,
 )
 
 
@@ -88,24 +87,6 @@ def test_counts_match_bruteforce(name):
     rel = build_relation_automaton(ctx)
     red = build_reduced_automaton(rel)
     assert au.count_series(red, 6) == count_elements_bruteforce(ctx, 6)
-
-
-def random_relation_automata():
-    """The seeded contexts of the relation cross-check in test_relations whose
-    relation automaton closes within 50 states; the tighter state cap keeps
-    the reduced automata small (x^4-x^3-3x^2-x+2 with digits {0,-1,1} has 55
-    relation states but 6034 reduced states)."""
-    for minpoly, digits in random_algebraic_configs(5):
-        try:
-            ctx = make_context(minpoly, digits)
-        except NumFieldError:
-            continue
-        if ctx.blocked:
-            continue
-        try:
-            yield (minpoly, digits), build_relation_automaton(ctx, max_states=50)
-        except CapExceeded:
-            continue
 
 
 def test_random_contexts_counts_match_bruteforce():
