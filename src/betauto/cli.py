@@ -75,6 +75,18 @@ def _load_context(args) -> BetaContext:
         raise InputError(str(e)) from e
 
 
+def _check_limits(args) -> None:
+    """Reject nonsense caps and lengths before anything is built or written."""
+    if args.max_states < 1:
+        raise InputError(f"--max-states must be >= 1, got {args.max_states}")
+    if args.max_depth < 0:
+        raise InputError(f"--max-depth must be >= 0, got {args.max_depth}")
+    for flag in ("n", "N"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            raise InputError(f"-{flag} must be >= 0, got {value}")
+
+
 def _build_rel(ctx: BetaContext, args) -> RelAutomaton:
     return build_relation_automaton(
         ctx, max_states=args.max_states, max_depth=args.max_depth,
@@ -143,8 +155,6 @@ def cmd_structure(args) -> int:
             raise InputError(f"bad --candidate-pi: {e}") from e
         if not any(candidate):
             raise InputError("bad --candidate-pi: the zero polynomial")
-    if args.N < 0:
-        raise InputError(f"-N must be >= 0, got {args.N}")
     ctx = _load_context(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -302,9 +312,7 @@ def cmd_oracle(args) -> int:
     for ln in range(na + 1):
         for u in itertools.product(names, repeat=ln):
             for v in itertools.product(names, repeat=ln):
-                got = au.accepts(rel.automaton,
-                                 [au.PairLetter(a, b) for a, b in zip(u, v)])
-                if got != verify_relation(ctx, u, v):
+                if table.equivalent(u, v) != verify_relation(ctx, u, v):
                     ok = False
     check(f"relation language vs exact arithmetic (lengths 0..{na})", ok)
 
@@ -382,6 +390,7 @@ def main(argv=None) -> int:
         "oracle": cmd_oracle,
     }[args.command]
     try:
+        _check_limits(args)
         return handler(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import mpmath as mp
@@ -114,8 +115,15 @@ def poly_str(c: Sequence, var: str = "x") -> str:
 # ---------------------------------------------------------------------------
 # complex disk arithmetic (certified-enough enclosures around float centers)
 
-# inflation factor covering float rounding in short dot products
+# rounding allowance per unit of modulus, per power in ``_power_rows`` and
+# per unit of the weighted norm in ``disk_modulus``
 _SLOP = 1e-13
+
+#: largest degree at which ``disk_modulus`` bounds its own rounding (derived
+#: in its docstring); a larger minimal polynomial is an input error
+MAX_DEGREE = 894
+
+_U = 2.0 ** -53  # unit roundoff of a float
 
 
 def disk_abs(cen: complex, rad: float) -> tuple[float, float]:
@@ -123,21 +131,51 @@ def disk_abs(cen: complex, rad: float) -> tuple[float, float]:
     return max(m - rad, 0.0), m + rad
 
 
-def disk_modulus(coeffs: Sequence[int], rows: Sequence[tuple[complex, float, float]]) -> tuple[float, float]:
-    """Enclosure of |sum_k coeffs[k] * gamma^k| for integer coefficients, from
-    rows (centre, radius, |centre|) of the disks enclosing gamma^0, gamma^1, ...
-    (see ``BetaContext.power_rows``)."""
-    cen = 0j
-    rad = mag = norm = 0.0
-    for c, (pc, pr, apc) in zip(coeffs, rows):
-        if c:
-            cen += c * pc
-            ac = c if c > 0 else -c
-            rad += ac * pr
-            mag += ac * apc
-            norm += ac
-    # 1e-15 per unit of the coefficients' 1-norm covers their rounding to float
-    return disk_abs(cen, rad + _SLOP * (mag + 1.0) + norm * 1e-15)
+def disk_modulus(coeffs: Sequence[int], rows: tuple[tuple, tuple]) -> tuple[float, float]:
+    """Enclosure [lo, hi] of |S|, S = sum_k x_k gamma^k, for integer
+    coefficients x_k, from the rows (centres c_k, weights w_k) of
+    ``_power_rows``: the disk of centre c_k and radius p_k encloses gamma^k,
+    and w_k = p_k + _SLOP*a_k + 1e-15 with a_k = fl(|c_k|).  The result is
+    m -+ r with m = |sum x_k c_k| and r = sum |x_k| w_k + _SLOP, that is the
+    disk bound P = sum |x_k| p_k plus the kernel's own allowance
+    _SLOP*(A + 1) + 1e-15*|x|_1, where A = sum |x_k| a_k.
+
+    Rounding (u = 2^-53, gamma_n = n*u / (1 - n*u): Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1), for d terms:
+
+    - Centre: a term is converted to float (rounded only when
+      |x_k| > 2^53), multiplied and summed (d - 1 additions), so the sum
+      is within gamma_(d+1) * sum |x_k| |c_k| of the exact one.  For complex
+      centres this holds for the real and the imaginary part, and the
+      triangle inequality in the plane gives it for the complex error.
+      |c_k| <= a_k (1 + gamma_2) and ``abs`` (hypot, within an ulp) widen
+      it to |m - |sum x_k c_k|| <= gamma_(d+5) * A.
+    - Radius: every term is non-negative and carries at most d + 5 roundings
+      (three in w_k, the conversion, the product, d - 1 additions and the
+      final + _SLOP), so r >= (1 - (d+5)u) (P + _SLOP*(A + 1) + 1e-15*|x|_1).
+    - m - r and m + r round once more; ``max`` with 0 is exact.
+
+    (The compensated float ``sum`` of Python 3.12 only tightens these.)
+
+    With n = d + 6, lo <= |S| <= hi therefore holds when
+    gamma_n * A + n*u*P <= (1 - n*u) (_SLOP*(A + 1) + 1e-15*|x|_1).  The
+    allowance per unit of A covers the first term when
+    gamma_n <= _SLOP * (1 - n*u), true exactly for n <= 900: ``MAX_DEGREE``
+    = 894, which ``make_context`` enforces before root isolation.  The rest
+    of it and the 1e-15 per unit of |x|_1 cover the second term when
+    n*u*p_k <= (_SLOP*(1 - n*u) - gamma_n) * a_k + (1 - n*u) * 1e-15 for
+    every k, which ``_power_rows`` checks.
+
+    So the bound needs the kernel's own allowance.  The per-power _SLOP is
+    what ``_power_rows`` needs for its disks to enclose gamma^k.  It makes
+    p_k >= _SLOP*(a_k + 1) for k >= 1, so it also over-covers the centre's
+    rounding on every term but x_0 (p_0 = 0): a random test passes without
+    the kernel's allowance, but that is no proof.  Both are kept as they are.
+    """
+    centres, weights = rows
+    m = abs(sum(map(mul, coeffs, centres)))
+    r = sum(map(mul, map(abs, coeffs), weights)) + _SLOP
+    return max(m - r, 0.0), m + r
 
 
 @dataclass(frozen=True)
@@ -234,18 +272,31 @@ def _embeddings(minpoly: tuple, precision: int) -> tuple[int, tuple]:
         dps *= 2
 
 
-def _power_rows(e: Embedding, d: int) -> tuple[tuple[complex, float, float], ...]:
-    """Rows (centre, radius, |centre|) of the disks enclosing gamma^0 ..
-    gamma^(d-1) for the conjugate gamma of embedding ``e``, the input of
-    ``disk_modulus``."""
-    pc, pr = 1.0 + 0j, 0.0
-    rows = []
+def _power_rows(e: Embedding, d: int) -> tuple[tuple, tuple]:
+    """Rows (centres, weights) of gamma^0 .. gamma^(d-1) for the conjugate
+    gamma of embedding ``e``, the input of ``disk_modulus``.  The disk of
+    centre c_k and radius p_k encloses gamma^k: the per-power allowance
+    _SLOP*(|c_k| + 1) covers the rounding of the recurrence (a complex
+    product errs by at most 2*sqrt(2)*u*|c_(k-1)||c|, the radius sum by a
+    few ulps of itself).  The centres are floats when gamma's centre is
+    real.  Raises ``NumFieldError`` for a disk too wide for the rounding
+    bound of ``disk_modulus``."""
+    nu = (d + 6) * _U
+    margin = _SLOP * (1.0 - nu) - nu / (1.0 - nu)
+    real = e.center.imag == 0
+    c = e.center.real if real else e.center
+    pc, pr = (1.0 if real else 1.0 + 0j), 0.0
+    centres, weights = [], []
     for _ in range(d):
-        rows.append((pc, pr, abs(pc)))
-        cen = pc * e.center
-        rad = abs(pc) * e.radius + pr * abs(e.center) + pr * e.radius
+        apc = abs(pc)
+        if nu * pr > margin * apc + (1.0 - nu) * 1e-15:
+            raise NumFieldError("conjugate enclosure too wide for the rounding bound")
+        centres.append(pc)
+        weights.append(pr + _SLOP * apc + 1e-15)
+        cen = pc * c
+        rad = apc * e.radius + pr * abs(c) + pr * e.radius
         pc, pr = cen, rad + _SLOP * (abs(cen) + 1.0)
-    return tuple(rows)
+    return tuple(centres), tuple(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +378,8 @@ class BetaContext:
     digit_names: tuple  # display names, aligned with digits
     precision: int = 30  # mpmath dps at which the roots were isolated
     embeddings: tuple = ()
-    #: per embedding: rows (centre, radius, |centre|) of the disks enclosing
-    #: gamma^0 .. gamma^(d-1), the input of ``disk_modulus``
+    #: per embedding: rows (centres, weights) of gamma^0 .. gamma^(d-1), the
+    #: input of ``disk_modulus``
     power_rows: tuple = ()
 
     @property
@@ -475,6 +526,11 @@ def make_context(
             raise NumFieldError(f"unknown mode {minpoly!r}")
     else:
         mode = ALGEBRAIC
+        degree = poly_deg(minpoly)
+        if degree > MAX_DEGREE:
+            raise NumFieldError(
+                f"minimal polynomial of degree {degree} exceeds {MAX_DEGREE}, "
+                "the largest degree at which the enclosures bound their rounding")
         user = working = _normalize_minpoly(minpoly)
         if abs(user[-1]) != 1:
             if abs(user[0]) != 1:

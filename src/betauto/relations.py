@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import numfield as nf
 from .automata import Automaton, PairLetter, trim
 from .numfield import (
+    _SLOP,
     ALGEBRAIC,
     TRANSCENDENTAL,
     BetaContext,
     FieldElem,
-    disk_modulus,
     fe_add,
     fe_sub,
     mahler_measure,
@@ -91,16 +91,19 @@ class _Pruner:
 
     def __init__(self, ctx: BetaContext):
         self.undecided_keeps = 0
-        self.bounds = [(ctx.power_rows[i],) + ctx.prune_bound(i)
+        self.bounds = [ctx.power_rows[i] + ctx.prune_bound(i)
                        for i in ctx.expanding_indices()]
 
     def prune(self, x: tuple) -> bool:
         undecided = False
-        for rows, blo, bhi in self.bounds:
-            lo, hi = disk_modulus(x, rows)
-            if lo > bhi:
+        for centres, weights, blo, bhi in self.bounds:
+            # the enclosure m -+ r of ``disk_modulus``, inlined: the call
+            # would cost about a tenth of the exploration
+            m = abs(sum(map(mul, x, centres)))
+            r = sum(map(mul, map(abs, x), weights)) + _SLOP
+            if m - r > bhi:
                 return True
-            if hi > blo:
+            if m + r > blo:
                 undecided = True
         if undecided:
             self.undecided_keeps += 1
@@ -151,7 +154,8 @@ def build_relation_automaton(
     prune = pruner.prune
 
     # letters in order, each with the index of its digit-difference vector;
-    # letters sharing a difference share one successor computation per state
+    # letters sharing a difference share one successor computation per state,
+    # and difference 0 is the zero vector of the first letter (g0, g0)
     diff_index = {}
     letters = []
     for gi, g in enumerate(ctx.digits):
@@ -166,8 +170,10 @@ def build_relation_automaton(
     zero = (0,) * width
     states = [zero]
     index = {zero: 0}
-    # per explored state, per difference: the successor's index, -1 if pruned
-    succs = []
+    # flat successor table: succ[p * n_diffs + k] is the index of state p's
+    # successor by difference k, -1 if pruned
+    n_diffs = len(diffs)
+    succ = []
     pruned = 0
     head = 0
     dq, layer_end = 0, 1  # BFS depth of states[head], end of that layer
@@ -183,11 +189,11 @@ def build_relation_automaton(
         shifted = (0,) + q[:-1]
         if top:
             shifted = tuple(map(sub, shifted, [top * m for m in low]))
-        succ = [None] * len(diffs)
+        row = [None] * n_diffs
         for k in letter_diffs:
-            j = succ[k]
+            j = row[k]
             if j is None:
-                nxt = tuple(map(add, shifted, diffs[k]))
+                nxt = tuple(map(add, shifted, diffs[k])) if k else shifted
                 j = index.get(nxt)
                 if j is None:
                     if prune(nxt):
@@ -200,14 +206,14 @@ def build_relation_automaton(
                                 {"states": j, "depth": dq, "pruned": pruned})
                         index[nxt] = j
                         states.append(nxt)
-                succ[k] = j
+                row[k] = j
             if j < 0:
                 pruned += 1
-        succs.append(succ)
+        succ += row
         head += 1
-    transitions = [(p, letter, j) for p, succ in enumerate(succs)
+    transitions = [(p, letter, j) for p in range(len(states))
                    for letter, k in letters
-                   if (j := succ[k]) >= 0]
+                   if (j := succ[p * n_diffs + k]) >= 0]
 
     # co-accessibility pass: drop states with no path back to 0
     bwd = [[] for _ in states]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import betauto
+import betauto.numfield as nf
 from betauto.cli import main
 
 from conftest import fixture_path
@@ -301,6 +302,33 @@ def test_reducible_minpoly(tmp_path, capsys, minpoly):
     code, out, err = run(capsys, "free", "--config", bad, "--out", tmp_path)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "is reducible" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "--max-states", "-5"],
+    ["relations", "--max-states", "0"],
+    ["relations", "--max-depth", "-1"],
+    ["structure", "--max-states", "0"],
+    ["oracle", "-n", "-1"],
+])
+def test_nonsense_limits_fail_before_build(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--config", cfg("intro"), "--out", out)
+    assert code == 1 and stdout == "" and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_degree_above_limit_input_error(tmp_path, capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("root isolation reached")
+
+    monkeypatch.setattr(nf, "_embeddings", refuse)
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"beta": {"minpoly": [-2] + [0] * nf.MAX_DEGREE + [1]},
+                               "digits": [0, 1]}))
+    code, out, err = run(capsys, "free", "--config", bad, "--out", tmp_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"exceeds {nf.MAX_DEGREE}" in err
 
 
 def test_bad_precision_flag(tmp_path, capsys):

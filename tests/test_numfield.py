@@ -6,14 +6,20 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import betauto.numfield as nf
 from betauto.numfield import (
+    _SLOP,
+    EXPANDING,
+    MAX_DEGREE,
     BetaContext,
+    Embedding,
     EmptyDigits,
     FieldElem,
     NotSquarefree,
     UNIT,
     NumFieldError,
     UnsupportedDenominator,
+    _power_rows,
     _unit_root_count,
     context_from_config,
     disk_modulus,
@@ -204,7 +210,8 @@ def test_embeddings_contain_their_roots(name):
     "free_x4-3x3-3x2-3x+1", "inverted",
 ])
 def test_disk_modulus_encloses_modulus(name):
-    # lo <= |sigma_i(x)| <= hi for random integer x, against a 200-digit root
+    # lo <= |sigma_i(x)| <= hi for random integer x, against a 200-digit root;
+    # coefficients past 2^53 round when converted to float
     if name == "inverted":  # 3b^2 - b - 1 = 0, worked on as u^2 + u - 3 = 0
         ctx = make_context([-1, -1, 3], [[0], [1], [0, 1]])
     else:
@@ -217,11 +224,46 @@ def test_disk_modulus_encloses_modulus(name):
         for e, rows in zip(ctx.embeddings, ctx.power_rows):
             (root,) = [r for r in roots if abs(r - mp.mpc(e.center)) <= e.radius]
             for _ in range(200):
-                k = 10 ** rng.randint(0, 6)
+                k = 10 ** rng.randint(0, 17)
                 x = [rng.randint(-k, k) for _ in range(d)]
                 lo, hi = disk_modulus(x, rows)
                 exact = abs(sum(c * root ** i for i, c in enumerate(x)))
                 assert lo <= exact <= hi, (x, e)
+
+
+def test_max_degree_is_where_the_rounding_bound_ends():
+    # disk_modulus encloses its rounding when gamma_n <= _SLOP * (1 - n*u)
+    # for n = degree + 6 (see its docstring)
+    u, slop = Fraction(1, 2**53), Fraction(_SLOP)
+
+    def holds(degree):
+        nu = (degree + 6) * u
+        return nu / (1 - nu) <= slop * (1 - nu)
+
+    assert holds(MAX_DEGREE) and not holds(MAX_DEGREE + 1)
+
+
+def test_degree_above_the_limit_fails_before_root_isolation(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("reached factoring or root isolation")
+
+    monkeypatch.setattr(nf, "_normalize_minpoly", refuse)
+    monkeypatch.setattr(nf, "_embeddings", refuse)
+    with pytest.raises(NumFieldError, match=f"degree {MAX_DEGREE + 1} exceeds {MAX_DEGREE}"):
+        make_context([-2] + [0] * MAX_DEGREE + [1], [0, 1])
+    # the limit itself is allowed through to factoring
+    with pytest.raises(AssertionError):
+        make_context([-2] + [0] * (MAX_DEGREE - 1) + [1], [0, 1])
+
+
+def test_power_rows_reject_wide_enclosures():
+    # gamma^k enclosed with a radius about 100 times its centre's modulus is
+    # too wide for the kernel's rounding bound
+    with pytest.raises(NumFieldError, match="too wide"):
+        _power_rows(Embedding(1.5 + 0j, 1.4, EXPANDING), 8)
+    centres, weights = _power_rows(Embedding(1.5 + 0j, 1e-20, EXPANDING), 8)
+    assert centres[0] == 1.0 and all(type(c) is float for c in centres)
+    assert weights[0] == _SLOP + 1e-15
 
 
 # --- Mahler measure ----------------------------------------------------------

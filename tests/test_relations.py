@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import random
 from itertools import product as iproduct
 
@@ -23,6 +25,7 @@ from conftest import (
     BINARY_PISOT,
     SALEM_RHS,
     SALEM_TERMS,
+    buildable_fixture_names,
     load_context,
     random_algebraic_configs,
 )
@@ -183,6 +186,59 @@ def test_salem_forced_caps_out():
         build_relation_automaton(ctx, max_states=3000, force=True)
     # pins the BFS order and the per-letter prune count
     assert e.value.stats == {"states": 3000, "depth": 73, "pruned": 5455}
+
+
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _fixture_relations() -> list:
+    out = []
+    for name in buildable_fixture_names():
+        rel = build_relation_automaton(load_context(name), force=True)
+        a = rel.automaton
+        out.append([name, sorted((p, x.left, x.right, q) for p, x, q in a.transitions),
+                    list(a.labels), rel.stats])
+    return out
+
+
+def _random_outcomes() -> list:
+    out = []
+    for seed in range(5, 9):
+        for minpoly, digits in random_algebraic_configs(seed, 30):
+            try:
+                ctx = make_context(minpoly, digits)
+            except NumFieldError:
+                out.append("error")
+                continue
+            try:
+                out.append(build_relation_automaton(ctx, max_states=3000, force=True).stats)
+            except CapExceeded as e:
+                out.append(["capped", e.stats])
+    return out
+
+
+def test_prune_decisions_pinned():
+    # every prune decision shows in the automata and their stats and, at a
+    # cap, in the pruned count, which also depends on the order of the letters
+    fixtures = _fixture_relations()
+    assert len(fixtures) == 62
+    assert _sha256(fixtures) == FIXTURE_RELATIONS_SHA256
+
+    salem = load_context("salem")
+    for cap, stats in [(1000, {"states": 1000, "depth": 44, "pruned": 1813}),
+                       (10000, {"states": 10000, "depth": 129, "pruned": 18465})]:
+        with pytest.raises(CapExceeded) as e:
+            build_relation_automaton(salem, max_states=cap, force=True)
+        assert e.value.stats == stats
+
+    outcomes = _random_outcomes()
+    assert sum(isinstance(o, list) for o in outcomes) == 13
+    assert _sha256(outcomes) == RANDOM_STATS_SHA256
+
+
+FIXTURE_RELATIONS_SHA256 = "aa455eaa39d2dca7aed0f4b4be867c9f5a579a7060d16d18693c4df78d9f9355"
+RANDOM_STATS_SHA256 = "bd2085f2901c8e9ac936765e24c74dbe7276dd2afb980363ca324b6272e1a4a2"
 
 
 def test_build_does_not_mutate_context():
