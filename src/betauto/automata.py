@@ -9,7 +9,6 @@ polynomial of the adjacency count matrix.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -24,15 +23,13 @@ from .numfield import poly_trim
 
 
 class PairLetter(NamedTuple):
-    """Letter of a pair alphabet; ``None`` is the padding symbol."""
+    """Letter of a pair alphabet: one letter of each component, no padding."""
 
     left: object
     right: object
 
     def __str__(self) -> str:
-        l = "e" if self.left is None else str(self.left)
-        r = "e" if self.right is None else str(self.right)
-        return f"{l},{r}"
+        return f"{self.left},{self.right}"
 
 
 class AlphabetMismatch(ValueError):
@@ -301,38 +298,18 @@ def append_letter(a: Automaton, letter) -> Automaton:
 
 
 def project(a: Automaton, side: int, alphabet=None) -> Automaton:
-    """Component projection of a pair-letter automaton; padding components
-    project to the empty word (epsilon transitions eliminated)."""
+    """Component projection of a pair-letter automaton: each letter (x, y)
+    becomes x (side 1) or y (side 2)."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    eps = {p: {p} for p in range(a.n_states)}
-    out = [[] for _ in range(a.n_states)]  # non-epsilon edges (c, q) by source
+    transitions = set()
     for (p, x, q) in a.transitions:
         if not isinstance(x, tuple) or len(x) != 2:
             raise AlphabetMismatch("project needs a pair alphabet")
-        c = x[0] if side == 1 else x[1]
-        if c is None:
-            eps[p].add(q)
-        else:
-            out[p].append((c, q))
-    # epsilon closure (transitive)
-    changed = True
-    while changed:
-        changed = False
-        for p in eps:
-            add = set().union(*(eps[q] for q in eps[p]))
-            if not add <= eps[p]:
-                eps[p] |= add
-                changed = True
+        transitions.add((p, x[side - 1], q))
     if alphabet is None:
-        alphabet = tuple(sorted({c for edges in out for (c, _) in edges}, key=str))
-    transitions = set()
-    for p in range(a.n_states):
-        for r in eps[p]:
-            for (c, q) in out[r]:
-                transitions.add((p, c, q))
-    finals = {p for p in range(a.n_states) if eps[p] & a.finals}
-    return Automaton(alphabet, a.n_states, transitions, a.initials, finals, a.labels)
+        alphabet = tuple(sorted({c for (_, c, _) in transitions}, key=str))
+    return Automaton(alphabet, a.n_states, transitions, a.initials, a.finals, a.labels)
 
 
 def lex_pair_automaton(alphabet: Iterable) -> Automaton:
@@ -520,20 +497,15 @@ def equivalent(a: Automaton, b: Automaton) -> bool:
 # serialization
 
 
-def _letter_to_str(x) -> str:
-    return str(x)
-
-
 def _letter_from_str(s: str):
     if "," in s:
-        l, r = s.split(",", 1)
-        return PairLetter(None if l == "e" else l, None if r == "e" else r)
+        return PairLetter(*s.split(",", 1))
     return s
 
 
 def to_json(a: Automaton) -> dict:
     return {
-        "alphabet": [_letter_to_str(x) for x in a.alphabet],
+        "alphabet": [str(x) for x in a.alphabet],
         "states": [{"label": lbl} for lbl in a.labels],
         "initials": sorted(a.initials),
         "finals": sorted(a.finals),
@@ -569,17 +541,3 @@ def to_dot(a: Automaton, name: str = "A") -> str:
         lines.append(f'  {p} -> {q} [label="{lbl}"];')
     lines.append("}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# random instances (shared by the property-test suites)
-
-
-def random_automaton(rng: random.Random, max_states: int = 5, alphabet=("a", "b")) -> Automaton:
-    n = rng.randint(1, max_states)
-    transitions = set()
-    for _ in range(rng.randint(0, 3 * n)):
-        transitions.add((rng.randrange(n), rng.choice(alphabet), rng.randrange(n)))
-    initials = {s for s in range(n) if rng.random() < 0.4} or {0}
-    finals = {s for s in range(n) if rng.random() < 0.4}
-    return Automaton(alphabet, n, transitions, initials, finals)

@@ -23,6 +23,7 @@ from operator import mul
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import NoConvergence, to_rational
 from sympy import Poly, Symbol, factor_list
 
 ALGEBRAIC = "algebraic"
@@ -190,18 +191,62 @@ class Embedding:
         return disk_abs(self.center, self.radius)
 
 
+def _sqrt_up(num: int, den: int) -> float:
+    """A float at least sqrt(num / den), for integers num >= 0 and den > 0."""
+    if not num:
+        return 0.0
+    # r / 2^k > sqrt(num / den), with r of about 64 bits
+    k = 64 - (num.bit_length() - den.bit_length()) // 2
+    r = math.isqrt((num << 2 * k) // den if k >= 0 else num // (den << -2 * k)) + 1
+    try:
+        return math.nextafter(math.ldexp(r, -k), math.inf)  # covers float(r)
+    except OverflowError:
+        return math.inf
+
+
+def _disk_radius(coeffs: Sequence[int], z, cen: complex) -> float:
+    """A float at least d*|P(z)/P'(z)| + |z - cen|, so that the disk of that
+    radius around ``cen`` holds a root of P, computed exactly: the mpmath
+    point z = (a + b*i) / s and the float ``cen`` are dyadic rationals (s a
+    power of 2), so s^d P(z) and s^(d-1) P'(z) are Gaussian integers.
+    ``inf`` when P'(z) = 0."""
+    z = mp.mpc(z)
+    ratios = [x.as_integer_ratio() for x in (cen.real, cen.imag)]
+    ratios += [to_rational(x._mpf_) for x in (z.real, z.imag)]
+    s = max(q for _, q in ratios)
+    cr, ci, a, b = (p * (s // q) for p, q in ratios)
+    pr, pi, dr, di, sp = coeffs[-1], 0, 0, 0, 1  # Horner for P and P'
+    for c in reversed(coeffs[:-1]):
+        sp *= s
+        dr, di = dr * a - di * b + pr, dr * b + di * a + pi
+        pr, pi = pr * a - pi * b + c * sp, pr * b + pi * a
+    if not (dr or di):
+        return math.inf
+    d = len(coeffs) - 1
+    newton = _sqrt_up(d * d * (pr * pr + pi * pi), (dr * dr + di * di) * s * s)
+    shift = _sqrt_up((a - cr) ** 2 + (b - ci) ** 2, s * s)
+    return math.nextafter(newton + shift, math.inf)
+
+
 def _root_disks(coeffs: Sequence[int], dps: int) -> list[tuple[complex, float]]:
     """All roots of the squarefree integer polynomial at ``dps`` digits, as
     disks (float centre, radius).
 
     Uses the classical bound: every polynomial of degree d has a root within
-    d*|P(z)/P'(z)| of any point z.  Only disjoint disks isolate one simple
-    root each; the caller checks that.
+    d*|P(z)/P'(z)| of any point z.  The radius is the larger of that bound
+    evaluated exactly (``_disk_radius``) and its mpmath value with a slack
+    for its rounding; the slack covers small coefficients only, the exact
+    bound every polynomial.  Only disjoint disks isolate one simple root
+    each; the caller checks that.  ``None`` when the root finder does not
+    converge at ``dps``.
     """
     d = len(coeffs) - 1
     lead_first = [mp.mpf(int(c)) for c in reversed(coeffs)]
     with mp.workdps(dps):
-        roots = mp.polyroots(lead_first, maxsteps=200, extraprec=4 * dps)
+        try:
+            roots = mp.polyroots(lead_first, maxsteps=200, extraprec=4 * dps)
+        except NoConvergence:
+            return None
         out = []
         for z in roots:
             pz = mp.polyval(lead_first, z)
@@ -211,7 +256,8 @@ def _root_disks(coeffs: Sequence[int], dps: int) -> list[tuple[complex, float]]:
             # the disk around the float centre also covers its rounding from z
             cen = complex(z)
             rad = d * abs(pz / dpz) * 1.001 + mp.mpf(10) ** (5 - dps) + abs(z - cen)
-            out.append((cen, math.nextafter(float(rad), math.inf)))
+            out.append((cen, max(math.nextafter(float(rad), math.inf),
+                                 _disk_radius(coeffs, z, cen))))
     return out
 
 
@@ -250,15 +296,18 @@ def _unit_root_count(minpoly: Sequence[int]) -> int:
 
 def _embeddings(minpoly: tuple, precision: int) -> tuple[int, tuple]:
     """(dps, embeddings) at the first dps from ``precision``, doubling up to
-    ``MAX_PRECISION``, at which the root disks are disjoint and exactly
-    ``_unit_root_count`` of them straddle modulus 1.  A disk contains its
-    root, so every unit root's disk straddles: those disks are the UNIT ones."""
+    ``MAX_PRECISION``, at which the roots are found, their disks are disjoint
+    and exactly ``_unit_root_count`` of them straddle modulus 1.  A disk
+    contains its root, so every unit root's disk straddles: those disks are
+    the UNIT ones."""
     units = _unit_root_count(minpoly)
     dps = precision
     while True:
         roots = _root_disks(minpoly, dps)
-        if any(abs(a[0] - b[0]) <= a[1] + b[1]
-               for i, a in enumerate(roots) for b in roots[i + 1:]):
+        if roots is None:
+            failure = "cannot find the roots at max precision"
+        elif any(abs(a[0] - b[0]) <= a[1] + b[1]
+                 for i, a in enumerate(roots) for b in roots[i + 1:]):
             failure = "cannot separate the roots at max precision"
         else:
             classes = [CONTRACTING if hi < 1.0 else EXPANDING if lo > 1.0 else UNIT

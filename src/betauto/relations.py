@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import add, mul, sub
 
 from . import numfield as nf
@@ -22,7 +23,6 @@ from .automata import Automaton, PairLetter, trim
 from .numfield import (
     _SLOP,
     ALGEBRAIC,
-    TRANSCENDENTAL,
     BetaContext,
     FieldElem,
     fe_add,
@@ -60,28 +60,6 @@ class RelAutomaton:
         return self.automaton.n_states
 
 
-def _transcendental_prune_data(ctx: BetaContext) -> tuple[int, list[int]]:
-    """Degree cap D and per-coefficient caps S for co-reachable states.
-
-    A state q co-reachable to 0 satisfies q = -sum_{j>=1} X^(-j) e_j with
-    e_j in A - A, so deg q < max deg(A - A) and the coefficient of X^i is
-    bounded by the tail sums of the difference coefficient maxima.
-    """
-    diffs = [d.coeffs for d in ctx.digit_diffs()]
-    deg = max((poly_deg(d) for d in diffs), default=-1)
-    if deg <= 0:
-        # constant digits: only the zero state can return to 0
-        return 0, []
-    maxc = [max(abs(d[i]) if i < len(d) else 0 for d in diffs) for i in range(deg + 1)]
-    tails = []
-    run = 0
-    for i in range(deg, -1, -1):
-        run += maxc[i]
-        tails.append(run)
-    tails.reverse()  # tails[i] = sum_{j >= i} maxc[j]
-    return deg, tails
-
-
 class _Pruner:
     """Decides whether a nonzero state of an algebraic context (an integer
     vector) can provably never return to 0: at some expanding conjugate its
@@ -111,18 +89,33 @@ class _Pruner:
 
 
 class _DegreePruner:
-    """Transcendental counterpart of ``_Pruner``: prunes a nonzero state
-    (an integer coefficient vector) that breaks the degree or coefficient
-    caps of ``_transcendental_prune_data``."""
+    """Transcendental counterpart of ``_Pruner``: prunes a nonzero state (an
+    integer coefficient vector) that breaks a degree or coefficient cap.
+
+    A state q co-reachable to 0 satisfies q = -sum_{j>=1} X^(-j) e_j with
+    e_j in A - A, so deg q < deg_cap = max deg(A - A), and the coefficient of
+    X^i is at most coeff_caps[i], the tail sum from i of the coefficient
+    maxima of the differences."""
 
     undecided_keeps = 0
 
     def __init__(self, ctx: BetaContext):
-        self.deg_cap, self.coeff_caps = _transcendental_prune_data(ctx)
+        diffs = [d.coeffs for d in ctx.digit_diffs()]
+        deg = max((poly_deg(d) for d in diffs), default=-1)
+        maxc = [max(abs(d[i]) if i < len(d) else 0 for d in diffs) for i in range(deg + 1)]
+        # constant digits (deg <= 0): only the zero state can return to 0
+        self.deg_cap = max(deg, 0)
+        self.coeff_caps = list(accumulate(reversed(maxc)))[::-1] if deg > 0 else []
 
     def prune(self, x: tuple) -> bool:
         # a nonzero coefficient at X^deg_cap or above: degree >= deg_cap
         return any(x[self.deg_cap:]) or any(abs(c) > s for c, s in zip(x, self.coeff_caps))
+
+
+def _pruner(ctx: BetaContext):
+    """The exploration's prune test for ``ctx``: ``_Pruner`` for an
+    algebraic base, ``_DegreePruner`` for a formal one."""
+    return _Pruner(ctx) if ctx.mode == ALGEBRAIC else _DegreePruner(ctx)
 
 
 def build_relation_automaton(
@@ -144,11 +137,10 @@ def build_relation_automaton(
     # is the companion shift of a monic polynomial with lower coefficients
     # ``low``: the working minimal polynomial, or X^width for a formal base
     # (no kept state has degree deg_cap = width - 1, so nothing overflows).
+    pruner = _pruner(ctx)
     if ctx.mode == ALGEBRAIC:
-        pruner = _Pruner(ctx)
         width, low = ctx.degree, ctx.minpoly[:-1]
     else:
-        pruner = _DegreePruner(ctx)
         width = pruner.deg_cap + 1
         low = (0,) * width
     prune = pruner.prune
@@ -260,25 +252,11 @@ def is_free(rel: RelAutomaton) -> bool:
 
 
 def quick_free_sufficient(ctx: BetaContext) -> bool:
-    """Cheap sufficient criterion: at some expanding conjugate, every nonzero
-    digit difference already exceeds the return bound, so no nonzero state is
-    co-accessible and the semigroup is free.  ``False`` means unknown."""
-    if ctx.mode == TRANSCENDENTAL:
-        pruner = _DegreePruner(ctx)
-        return all(d.is_zero() or pruner.prune(d.coeffs) for d in ctx.digit_diffs())
-    for i in ctx.expanding_indices():
-        blo, bhi = ctx.prune_bound(i)
-        ok = True
-        for d in ctx.digit_diffs():
-            if d.is_zero():
-                continue
-            lo, _ = ctx.abs_at(d, i)
-            if lo <= bhi:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    """Cheap sufficient criterion: the exploration's prune test rejects every
+    nonzero digit difference, that is every successor of 0 but 0, so no
+    nonzero state is kept and the semigroup is free.  ``False`` means unknown."""
+    prune = _pruner(ctx).prune
+    return all(d.is_zero() or prune(d.coeffs) for d in ctx.digit_diffs())
 
 
 def mahler_nonfree_check(ctx: BetaContext) -> bool:

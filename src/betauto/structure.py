@@ -193,7 +193,6 @@ class GrowthReport:
     char_poly: tuple  # exact, constant term first
     lam_lo: Fraction
     lam_hi: Fraction
-    candidate_pi: tuple | None = None
     pi_check: dict | None = None
 
     def to_json(self) -> dict:
@@ -207,8 +206,7 @@ class GrowthReport:
         return doc
 
 
-def growth(reduced: Automaton, N: int = 20, candidate_pi=None,
-           tol: float = 1e-10) -> GrowthReport:
+def growth(reduced: Automaton, N: int = 20, candidate_pi=None) -> GrowthReport:
     """Growth data of the reduced automaton: exact counting series, exact
     characteristic polynomial of the trimmed adjacency matrix, and a
     certified enclosure of the growth rate (its largest real root).
@@ -216,27 +214,21 @@ def growth(reduced: Automaton, N: int = 20, candidate_pi=None,
     When ``candidate_pi`` is given (integer coefficients, constant first) the
     report records whether it divides the characteristic polynomial exactly
     and changes sign across the enclosure, which certifies the growth rate
-    is a root of the candidate."""
+    is a root of the candidate.  The enclosure isolates the growth rate among
+    the roots of the characteristic polynomial, so of a divisor too.  A zero
+    at an end of an open enclosure is another root: it counts only when the
+    enclosure is exact (lo == hi)."""
     t = trim(reduced)
     counts = count_series(reduced, N)
     cp = char_poly(t)
-    lo, hi = perron_enclosure(cp, tol)
+    lo, hi = perron_enclosure(cp)
     report = GrowthReport(counts, cp, lo, hi)
     if candidate_pi is not None:
         cand = poly_trim([int(c) for c in candidate_pi])
         q, r = poly_divmod(cp, cand)
         divides = (r == () and all(x.denominator == 1 for x in q))
-        llo, lhi = lo, hi
-        sign_change = False
-        cur_tol = tol
-        for _ in range(4):
-            a, b = _poly_eval(cand, llo), _poly_eval(cand, lhi)
-            if a * b <= 0:
-                sign_change = True
-                break
-            cur_tol /= 1000.0
-            llo, lhi = perron_enclosure(cp, cur_tol)
-        report.candidate_pi = cand
+        a, b = _poly_eval(cand, lo), _poly_eval(cand, hi)
+        sign_change = a * b < 0 or (lo == hi and a == 0)
         report.pi_check = {
             "candidate": [int(c) for c in cand],
             "divides": divides,

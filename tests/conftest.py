@@ -5,6 +5,7 @@ from pathlib import Path
 
 from sympy import Poly, Symbol
 
+from betauto.automata import Automaton
 from betauto.numfield import NumFieldError, context_from_config, make_context
 from betauto.relations import CapExceeded, build_relation_automaton
 
@@ -84,6 +85,16 @@ def random_relation_automata():
             yield (minpoly, digits), build_relation_automaton(ctx, max_states=50)
         except CapExceeded:
             continue
+
+
+def random_automaton(rng: random.Random, max_states: int = 5, alphabet=("a", "b")) -> Automaton:
+    n = rng.randint(1, max_states)
+    transitions = set()
+    for _ in range(rng.randint(0, 3 * n)):
+        transitions.add((rng.randrange(n), rng.choice(alphabet), rng.randrange(n)))
+    initials = {s for s in range(n) if rng.random() < 0.4} or {0}
+    finals = {s for s in range(n) if rng.random() < 0.4}
+    return Automaton(alphabet, n, transitions, initials, finals)
 
 
 def random_palindromic_polys(seed: int, count: int = 100):

@@ -40,6 +40,7 @@ from conftest import (
     TRANSC_TABLE,
     buildable_fixture_names,
     load_context,
+    random_automaton,
 )
 
 
@@ -204,7 +205,7 @@ def test_criterion_7_property_suites():
                       "reducer/minimality/uniqueness suites", limit=120.0):
         rng = random.Random(7)
         for _ in range(200):
-            a = au.random_automaton(rng)
+            a = random_automaton(rng)
             words = [w for ln in range(4)
                      for w in itertools.product(a.alphabet, repeat=ln)]
             lang = {w for w in words if au.accepts(a, w)}

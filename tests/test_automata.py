@@ -12,7 +12,7 @@ from betauto.automata import Automaton, PairLetter
 from betauto.relations import build_relation_automaton
 from betauto.structure import build_reduced_automaton
 
-from conftest import load_context
+from conftest import load_context, random_automaton
 
 
 SIGMA = ("a", "b")
@@ -95,17 +95,20 @@ def test_append_letter():
         au.append_letter(a, "z")
 
 
-def test_project_with_padding():
-    # pair word (a,e)(b,c): side 1 reads 'ab', side 2 reads 'c'
-    pairs = (PairLetter("a", None), PairLetter("b", "c"))
+def test_project_pair_letters():
+    # pair word (a,c)(b,c): side 1 reads 'ab', side 2 reads 'cc'
+    pairs = (PairLetter("a", "c"), PairLetter("b", "c"))
     a = Automaton(pairs, 3, [(0, pairs[0], 1), (1, pairs[1], 2)], [0], [2])
     p1 = au.project(a, 1)
     p2 = au.project(a, 2)
-    assert au.accepts(p1, ["a", "b"])
-    assert au.accepts(p2, ["c"])
-    assert not au.accepts(p2, ["c", "c"])
+    assert p1.alphabet == ("a", "b") and p2.alphabet == ("c",)
+    assert lang(p1) == {("a", "b")}
+    assert lang(p2) == {("c", "c")}
+    assert au.project(a, 2, alphabet=("c", "d")).alphabet == ("c", "d")
     with pytest.raises(ValueError):
         au.project(a, 3)
+    with pytest.raises(au.AlphabetMismatch):
+        au.project(dfa([(0, "a", 1)], [1], 2), 1)
 
 
 def test_lex_pair_automaton():
@@ -303,8 +306,8 @@ def test_random_language_invariants():
     rng = random.Random(20240817)
     full = {w for k in range(6) for w in iproduct(SIGMA, repeat=k)}
     for _ in range(60):
-        a = au.random_automaton(rng)
-        b = au.random_automaton(rng)
+        a = random_automaton(rng)
+        b = random_automaton(rng)
         La, Lb = lang(a), lang(b)
         assert lang(au.determinize(a)) == La
         assert lang(au.trim(a)) == La

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from sympy import Poly, Symbol
 
 import betauto.numfield as nf
 from betauto.numfield import (
@@ -189,20 +190,41 @@ def test_abs_at_enclosure():
     assert lo <= phi2 <= hi and hi - lo < 1e-8
 
 
+def _large_coefficient_minpolys(seed: int = 60, count: int = 12):
+    """Seeded irreducible monic quartics and quintics with two coefficients
+    of size up to 10^60, like x^4 + 5x^3 - 7*10^40 x^2 + 3x + 10^40 + 1: at
+    30 digits the float value of P/P' at a root has no correct digit."""
+    rng = random.Random(seed)
+    x = Symbol("x")
+    for _ in range(count):
+        while True:
+            d = rng.randint(4, 5)
+            c = [rng.randint(-9, 9) for _ in range(d)] + [1]
+            for i in rng.sample(range(d), 2):
+                c[i] += rng.choice((-1, 1)) * rng.randint(1, 9) * 10 ** rng.randint(40, 60)
+            if Poly(c[::-1], x).is_irreducible:
+                break
+        yield c
+
+
 @pytest.mark.parametrize("name", [
     "intro", "pisot_x2-x-1", "pisot_x3-x-1", "pisot_x4-x3-x2+x-1", "salem",
-    "free_x4-3x3-3x2-3x+1",
+    "free_x4-3x3-3x2-3x+1", "large_coefficients",
 ])
 def test_embeddings_contain_their_roots(name):
-    # each disk holds exactly one root computed at 200 digits
-    ctx = load_context(name)
-    with mp.workdps(200):
-        roots = mp.polyroots([mp.mpf(c) for c in reversed(ctx.minpoly)],
-                             maxsteps=500, extraprec=800)
-        inside = [[r for r in roots if abs(r - mp.mpc(e.center)) <= e.radius]
-                  for e in ctx.embeddings]
-    assert len(ctx.embeddings) == len(roots)
-    assert [len(rs) for rs in inside] == [1] * len(roots)
+    # each disk holds exactly one root computed at 300 digits
+    if name == "large_coefficients":
+        contexts = (make_context(c, [0, 1]) for c in _large_coefficient_minpolys())
+    else:
+        contexts = [load_context(name)]
+    for ctx in contexts:
+        with mp.workdps(300):
+            roots = mp.polyroots([mp.mpf(c) for c in reversed(ctx.minpoly)],
+                                 maxsteps=800, extraprec=1200)
+            inside = [[r for r in roots if abs(r - mp.mpc(e.center)) <= e.radius]
+                      for e in ctx.embeddings]
+        assert len(ctx.embeddings) == len(roots)
+        assert [len(rs) for rs in inside] == [1] * len(roots), ctx.minpoly
 
 
 @pytest.mark.parametrize("name", [

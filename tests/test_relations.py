@@ -157,6 +157,29 @@ def test_quick_free_sufficient():
     assert quick_free_sufficient(free_t)
 
 
+def _quick_free_contexts():
+    for name in buildable_fixture_names() + ["salem"]:
+        yield name, load_context(name)
+    for seed in range(5, 9):
+        for minpoly, digits in random_algebraic_configs(seed, 30):
+            try:
+                yield (minpoly, digits), make_context(minpoly, digits)
+            except NumFieldError:
+                continue
+
+
+def test_quick_free_is_the_first_layer_prune():
+    # the certificate holds exactly when the exploration prunes every
+    # successor of 0 but 0 itself, i.e. explores the single state 0
+    for key, ctx in _quick_free_contexts():
+        try:
+            rel = build_relation_automaton(ctx, max_states=2, force=True)
+            one_state = rel.stats["states_explored"] == 1
+        except CapExceeded:
+            one_state = False
+        assert quick_free_sufficient(ctx) == one_state, key
+
+
 @pytest.mark.parametrize("name", BINARY_PISOT)
 def test_mahler_nonfree(name):
     ctx = load_context(name)

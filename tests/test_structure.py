@@ -7,6 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from betauto import automata as au
+from betauto import structure
 from betauto.automata import Automaton, PairLetter
 from betauto.relations import build_relation_automaton
 from betauto.structure import (
@@ -230,6 +231,25 @@ def test_growth_rejects_wrong_candidate():
     # divides but the growth rate is not a root
     g2 = growth(red, N=2, candidate_pi=[1, -3, 1, 0, 0])
     assert g2.pi_check["divides"] and g2.pi_check["ok"]
+
+
+def test_growth_candidate_zero_at_an_open_end(monkeypatch):
+    # cp = (x - 2)(x^2 - 5x + 5): a state with two loops before the block
+    # [[3, 1], [1, 2]], whose Perron root (5 + sqrt 5)/2 lies in (2, 4); the
+    # root 2 of cp sits on the open end of that enclosure
+    sigma = ("a", "b", "c", "d")
+    edges = [(0, "a", 0), (0, "b", 0), (0, "c", 1),
+             (1, "a", 1), (1, "b", 1), (1, "c", 1), (1, "d", 2),
+             (2, "a", 2), (2, "b", 2), (2, "c", 1)]
+    red = Automaton(sigma, 3, edges, [0], [2])
+    monkeypatch.setattr(structure, "perron_enclosure",
+                        lambda cp, tol=1e-10: (Fraction(2), Fraction(4)))
+    g = growth(red, N=2, candidate_pi=[-2, 1])  # x - 2
+    assert g.char_poly == (-10, 15, -7, 1)
+    assert g.pi_check["divides"]
+    assert not g.pi_check["sign_change"] and not g.pi_check["ok"]
+    g2 = growth(red, N=2, candidate_pi=[5, -5, 1])
+    assert g2.pi_check["ok"]
 
 
 def test_growth_empty_reduced():
