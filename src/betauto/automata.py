@@ -36,6 +36,12 @@ class AlphabetMismatch(ValueError):
     pass
 
 
+def pair_alphabet(left: tuple, right: tuple | None = None) -> tuple:
+    """The pair letters (x, y), x in ``left`` and y in ``right`` (default
+    ``left``): (left[i], right[j]) has index i * len(right) + j."""
+    return tuple(PairLetter(x, y) for x in left for y in (left if right is None else right))
+
+
 class Automaton:
     """(alphabet, states, transitions, initials, finals) with opaque letters."""
 
@@ -46,40 +52,46 @@ class Automaton:
         self.initials = frozenset(initials)
         self.finals = frozenset(finals)
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n_states))
+        self._letter_index = {x: i for i, x in enumerate(self.alphabet)}
+        if len(self._letter_index) != len(self.alphabet):
+            raise ValueError("alphabet has a repeated letter")
         for (p, a, q) in self.transitions:
             if not (0 <= p < n_states and 0 <= q < n_states):
                 raise ValueError("transition endpoint out of range")
+            if a not in self._letter_index:
+                raise ValueError(f"transition letter {a!r} is not in the alphabet")
         if not (self.initials <= set(range(n_states)) and self.finals <= set(range(n_states))):
             raise ValueError("initial/final state out of range")
+        self._delta = self._ddelta = None
 
-    # convenience views -----------------------------------------------------
+    def delta(self) -> list:
+        """Transition table, built once and shared (callers must not mutate
+        it): ``delta()[p][i]`` is the set of targets of state p on
+        ``alphabet[i]``, or None."""
+        if self._delta is None:
+            table = [[None] * len(self.alphabet) for _ in range(self.n_states)]
+            for (p, x, q) in self.transitions:
+                row, i = table[p], self._letter_index[x]
+                if row[i] is None:
+                    row[i] = {q}
+                else:
+                    row[i].add(q)
+            self._delta = table
+        return self._delta
 
-    def delta(self) -> dict:
-        """(state, letter) -> set of targets."""
-        d = {}
-        for (p, a, q) in self.transitions:
-            d.setdefault((p, a), set()).add(q)
-        return d
-
-    def ddelta(self) -> dict:
-        """(state, letter) -> unique target; requires determinism."""
-        d = {}
-        for (p, a, q) in self.transitions:
-            if (p, a) in d:
+    def ddelta(self) -> list:
+        """Deterministic view of ``delta()``: the target, or -1; ``ValueError``
+        when a state has two targets on one letter."""
+        if self._ddelta is None:
+            if any(cell and len(cell) > 1 for row in self.delta() for cell in row):
                 raise ValueError("automaton is not deterministic")
-            d[(p, a)] = q
-        return d
+            self._ddelta = [[min(cell) if cell else -1 for cell in row] for row in self.delta()]
+        return self._ddelta
 
     @property
     def deterministic(self) -> bool:
-        if len(self.initials) != 1:
-            return False
-        seen = set()
-        for (p, a, _) in self.transitions:
-            if (p, a) in seen:
-                return False
-            seen.add((p, a))
-        return True
+        return len(self.initials) == 1 and not any(
+            cell and len(cell) > 1 for row in self.delta() for cell in row)
 
     def __repr__(self):
         return (f"Automaton({self.n_states} states, {len(self.alphabet)} letters, "
@@ -129,13 +141,7 @@ def determinize(a: Automaton) -> Automaton:
     start = frozenset(a.initials)
     if not start:
         return Automaton(a.alphabet, 0, [], [], [])
-    lidx = {x: i for i, x in enumerate(a.alphabet)}
-    tgt = [[None] * len(a.alphabet) for _ in range(a.n_states)]
-    for (p, x, q) in a.transitions:
-        cell = tgt[p][lidx[x]]
-        if cell is None:
-            cell = tgt[p][lidx[x]] = set()
-        cell.add(q)
+    tgt = a.delta()
     order = {start: 0}
     subsets = [start]
     transitions = []
@@ -177,9 +183,8 @@ def _canonical_relabel(a: Automaton) -> Automaton:
     while head < len(queue):
         s = queue[head]
         head += 1
-        for x in a.alphabet:
-            q = d.get((s, x))
-            if q is not None and q not in order:
+        for q in d[s]:
+            if q >= 0 and q not in order:
                 order[q] = len(order)
                 queue.append(q)
     # trimmed DFAs are initial-connected, so every state is ordered
@@ -211,32 +216,26 @@ def complement(a: Automaton) -> Automaton:
     distinguishable, so a minimal input stays minimal: trimming drops only
     the states that accepted every word, and a minimal DFA has at most one."""
     d = a if a.deterministic else determinize(a)
-    n = d.n_states
-    if n == 0:
+    sink = d.n_states
+    if sink == 0:
         # empty language over this alphabet: complement is the full language
         return Automaton(a.alphabet, 1, [(0, x, 0) for x in a.alphabet], [0], [0], ["all"])
-    dd = d.ddelta()
-    transitions = list(d.transitions)
-    sink = n
-    need_sink = False
-    for s in range(n):
-        for x in d.alphabet:
-            if (s, x) not in dd:
-                transitions.append((s, x, sink))
-                need_sink = True
-    if need_sink:
-        transitions += [(sink, x, sink) for x in d.alphabet]
-        n += 1
-    finals = [s for s in range(n) if s not in d.finals]
+    to_sink = [(s, x, sink) for s, row in enumerate(d.ddelta())
+               for x, q in zip(d.alphabet, row) if q < 0]
+    labels = list(d.labels)
+    if to_sink:
+        to_sink += [(sink, x, sink) for x in d.alphabet]
+        labels.append("sink")
+    finals = [s for s in range(len(labels)) if s not in d.finals]
     return _canonical_relabel(trim(Automaton(
-        d.alphabet, n, transitions, d.initials, finals,
-        list(d.labels) + (["sink"] if need_sink else []))))
+        d.alphabet, len(labels), list(d.transitions) + to_sink, d.initials, finals, labels)))
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetMismatch("intersect needs a shared alphabet")
     da, db = a.delta(), b.delta()
+    cols = [b._letter_index[x] for x in a.alphabet]  # letter i of a is cols[i] of b
     starts = [(p, q) for p in a.initials for q in b.initials]
     order = {s: i for i, s in enumerate(starts)}
     queue = list(starts)
@@ -245,9 +244,13 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     while head < len(queue):
         (p, q) = s = queue[head]
         head += 1
-        for x in a.alphabet:
-            for p2 in da.get((p, x), ()):
-                for q2 in db.get((q, x), ()):
+        row_b = db[q]
+        for x, cell_a, j in zip(a.alphabet, da[p], cols):
+            cell_b = row_b[j]
+            if not (cell_a and cell_b):
+                continue
+            for p2 in cell_a:
+                for q2 in cell_b:
                     t = (p2, q2)
                     if t not in order:
                         order[t] = len(order)
@@ -263,7 +266,8 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
 
 def product(a: Automaton, b: Automaton) -> Automaton:
     """Synchronous product: language {(u_i, v_i)_i : u in L(a), v in L(b)}."""
-    alphabet = tuple(PairLetter(x, y) for x in a.alphabet for y in b.alphabet)
+    alphabet = pair_alphabet(a.alphabet, b.alphabet)
+    k = len(b.alphabet)
     da, db = a.delta(), b.delta()
     starts = [(p, q) for p in a.initials for q in b.initials]
     order = {s: i for i, s in enumerate(starts)}
@@ -273,15 +277,15 @@ def product(a: Automaton, b: Automaton) -> Automaton:
     while head < len(queue):
         (p, q) = s = queue[head]
         head += 1
-        for x in a.alphabet:
-            for p2 in da.get((p, x), ()):
-                for y in b.alphabet:
-                    for q2 in db.get((q, y), ()):
+        for i, cell_a in enumerate(da[p]):
+            for p2 in cell_a or ():
+                for j, cell_b in enumerate(db[q]):
+                    for q2 in cell_b or ():
                         t = (p2, q2)
                         if t not in order:
                             order[t] = len(order)
                             queue.append(t)
-                        transitions.append((order[s], PairLetter(x, y), order[t]))
+                        transitions.append((order[s], alphabet[i * k + j], order[t]))
     finals = [i for (p, q), i in order.items() if p in a.finals and q in b.finals]
     return Automaton(alphabet, len(order), transitions,
                      [order[s] for s in starts], finals)
@@ -317,17 +321,13 @@ def lex_pair_automaton(alphabet: Iterable) -> Automaton:
     lexicographic order induced by the alphabet list order."""
     sigma = tuple(alphabet)
     rank = {x: i for i, x in enumerate(sigma)}
-    pairs = tuple(PairLetter(x, y) for x in sigma for y in sigma)
+    pairs = pair_alphabet(sigma)
     transitions = []
-    for (x, y) in pairs:
-        if rank[x] == rank[y]:
-            transitions.append((0, PairLetter(x, y), 0))
-        elif rank[x] < rank[y]:
-            transitions.append((0, PairLetter(x, y), 1))
-        else:
-            transitions.append((0, PairLetter(x, y), 2))
-        transitions.append((1, PairLetter(x, y), 1))
-        transitions.append((2, PairLetter(x, y), 2))
+    for xy in pairs:
+        rx, ry = rank[xy.left], rank[xy.right]
+        transitions.append((0, xy, 0 if rx == ry else 1 if rx < ry else 2))
+        transitions.append((1, xy, 1))
+        transitions.append((2, xy, 2))
     return Automaton(pairs, 3, transitions, [0], [1], ["=", "<", ">"])
 
 
@@ -339,7 +339,8 @@ def accepts(a: Automaton, word: Iterable) -> bool:
     d = a.delta()
     cur = set(a.initials)
     for x in word:
-        cur = set().union(*(d.get((p, x), set()) for p in cur)) if cur else set()
+        i = a._letter_index.get(x)
+        cur = set().union(*(d[p][i] or () for p in cur)) if i is not None else ()
         if not cur:
             return False
     return bool(cur & a.finals)
@@ -355,12 +356,10 @@ def adjacency(a: Automaton) -> list[list[int]]:
 def count_series(a: Automaton, n_max: int) -> list[int]:
     """Number of accepted words of each length 0..n_max (big integers).
     Determinizes first so that paths and words coincide, then steps the
-    count vector along the transition list."""
+    count vector along the transition table."""
     if not a.deterministic:
         a = determinize(a)
-    succ = [[] for _ in range(a.n_states)]
-    for (p, _, q) in a.transitions:
-        succ[p].append(q)
+    succ = a.ddelta()
     v = [1 if s in a.initials else 0 for s in range(a.n_states)]
     out = [sum(v[s] for s in a.finals)]
     for _ in range(n_max):
@@ -368,7 +367,8 @@ def count_series(a: Automaton, n_max: int) -> list[int]:
         for p, vp in enumerate(v):
             if vp:
                 for q in succ[p]:
-                    v2[q] += vp
+                    if q >= 0:
+                        v2[q] += vp
         v = v2
         out.append(sum(v[s] for s in a.finals))
     return out
@@ -510,7 +510,7 @@ def to_json(a: Automaton) -> dict:
         "initials": sorted(a.initials),
         "finals": sorted(a.finals),
         "transitions": sorted(
-            [p, a.alphabet.index(x), q] for (p, x, q) in a.transitions),
+            [p, a._letter_index[x], q] for (p, x, q) in a.transitions),
     }
 
 

@@ -127,9 +127,20 @@ MAX_DEGREE = 894
 _U = 2.0 ** -53  # unit roundoff of a float
 
 
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
 def disk_abs(cen: complex, rad: float) -> tuple[float, float]:
+    """Enclosure of |z| over the disk |z - cen| <= rad.  ``abs`` is within an
+    ulp of |cen|, and a rounded-to-nearest step lies between the neighbours
+    of its exact value, so each step is widened by one float outward."""
     m = abs(cen)
-    return max(m - rad, 0.0), m + rad
+    return max(_down(_down(m) - rad), 0.0), _up(_up(m) + rad)
 
 
 def disk_modulus(coeffs: Sequence[int], rows: tuple[tuple, tuple]) -> tuple[float, float]:
@@ -497,7 +508,7 @@ class BetaContext:
             num_hi = max(num_hi, hi)
         if glo <= 1.0:
             raise NumFieldError("prune bound requested at a non-expanding embedding")
-        return num_lo / (ghi - 1.0), num_hi / (glo - 1.0)
+        return _down(num_lo / _up(ghi - 1.0)), _up(num_hi / _down(glo - 1.0))
 
 
 def mahler_measure(ctx: BetaContext) -> tuple[float, float]:
@@ -506,18 +517,18 @@ def mahler_measure(ctx: BetaContext) -> tuple[float, float]:
     if ctx.mode != ALGEBRAIC:
         raise ModeMismatch("Mahler measure needs an algebraic base")
     lead = abs(ctx.user_minpoly[-1])
-    lo, hi = float(lead), float(lead)
+    f = float(lead)
+    lo, hi = (f, f) if f == lead else (_down(f), _up(f))
     for e in ctx.embeddings:
         alo, ahi = e.abs_interval()
         if ctx.inverted:
             # user conjugates are the reciprocals of the working ones
             if e.cls != CONTRACTING:
                 continue
-            alo, ahi = 1.0 / ahi, 1.0 / alo
+            alo, ahi = _down(1.0 / ahi), _up(1.0 / alo)
         elif e.cls != EXPANDING:
             continue
-        lo *= alo
-        hi *= ahi
+        lo, hi = _down(lo * alo), _up(hi * ahi)
     return lo, hi
 
 

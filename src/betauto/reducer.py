@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .automata import Automaton, PairLetter
+from .automata import Automaton, pair_alphabet, transpose
 from .automata import accepts  # noqa: F401  (the benchmark tracer wraps reducer.accepts)
 from .relations import RelAutomaton
 
@@ -33,6 +33,10 @@ class ReducerTable:
         if reduced.alphabet != names:
             raise ValueError(
                 f"reduced alphabet {reduced.alphabet!r} is not the digit names {names!r}")
+        if rel.automaton.alphabet != pair_alphabet(names):
+            raise ValueError(
+                f"relation letters {rel.automaton.alphabet!r} are not the pairs of "
+                f"the digit names {names!r}")
         for what, aut in (("relation", rel.automaton), ("reduced", reduced)):
             if not aut.deterministic:
                 raise ValueError(
@@ -42,30 +46,15 @@ class ReducerTable:
         self.names = names
         self._position = {g: i for i, g in enumerate(names)}
         k = self._k = len(names)
-        n_rel, n_red = rel.automaton.n_states, reduced.n_states
-        self._n_red = n_red
+        n_red = self._n_red = reduced.n_states
 
         # successors (-1: no edge) and sorted predecessors by letter index;
         # the relation letter (names[a], names[b]) has index a * k + b
-        pair_index = {PairLetter(x, y): i * k + j
-                      for i, x in enumerate(names) for j, y in enumerate(names)}
-        self._rel_next = [[-1] * (k * k) for _ in range(n_rel)]
-        self._rel_pred = [[[] for _ in range(k * k)] for _ in range(n_rel)]
-        for (r, x, r2) in rel.automaton.transitions:
-            ab = pair_index.get(x)
-            if ab is None:
-                raise ValueError(f"relation letter {x!r} is not a pair of digit names")
-            self._rel_next[r][ab] = r2
-            self._rel_pred[r2][ab].append(r)
-        self._red_next = [[-1] * k for _ in range(n_red)]
-        self._red_pred = [[[] for _ in range(k)] for _ in range(n_red)]
-        for (s, y, s2) in reduced.transitions:
-            b = self._position[y]
-            self._red_next[s][b] = s2
-            self._red_pred[s2][b].append(s)
-        for preds in chain(chain.from_iterable(self._rel_pred),
-                           chain.from_iterable(self._red_pred)):
-            preds.sort()
+        self._rel_next = rel.automaton.ddelta()
+        self._red_next = reduced.ddelta()
+        self._rel_pred, self._red_pred = (
+            [[sorted(cell or ()) for cell in row] for row in transpose(aut).delta()]
+            for aut in (rel.automaton, reduced))
 
         (self.rel_init,) = rel.automaton.initials
         (self.red_init,) = reduced.initials

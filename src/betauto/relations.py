@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import add, mul, sub
 
 from . import numfield as nf
-from .automata import Automaton, PairLetter, trim
+from .automata import Automaton, pair_alphabet, trim
 from .numfield import (
     _SLOP,
     ALGEBRAIC,
@@ -145,19 +145,18 @@ def build_relation_automaton(
         low = (0,) * width
     prune = pruner.prune
 
-    # letters in order, each with the index of its digit-difference vector;
+    # the index of each letter's digit-difference vector, in letter order;
     # letters sharing a difference share one successor computation per state,
     # and difference 0 is the zero vector of the first letter (g0, g0)
+    letters = pair_alphabet(ctx.digit_names)
     diff_index = {}
-    letters = []
-    for gi, g in enumerate(ctx.digits):
-        for hi, h in enumerate(ctx.digits):
+    letter_diffs = []
+    for g in ctx.digits:
+        for h in ctx.digits:
             d = fe_sub(g, h).coeffs
             d += (0,) * (width - len(d))
-            letters.append((PairLetter(ctx.digit_names[gi], ctx.digit_names[hi]),
-                            diff_index.setdefault(d, len(diff_index))))
+            letter_diffs.append(diff_index.setdefault(d, len(diff_index)))
     diffs = list(diff_index)
-    letter_diffs = [k for _, k in letters]
 
     zero = (0,) * width
     states = [zero]
@@ -204,7 +203,7 @@ def build_relation_automaton(
         succ += row
         head += 1
     transitions = [(p, letter, j) for p in range(len(states))
-                   for letter, k in letters
+                   for letter, k in zip(letters, letter_diffs)
                    if (j := succ[p * n_diffs + k]) >= 0]
 
     # co-accessibility pass: drop states with no path back to 0
@@ -223,7 +222,7 @@ def build_relation_automaton(
     trim_state = tuple if ctx.mode == ALGEBRAIC else poly_trim
     elems = [FieldElem(ctx.mode, trim_state(states[s])) for s in order]
     aut = Automaton(
-        tuple(l for l, _ in letters), len(order),
+        letters, len(order),
         [(remap[p], x, remap[q]) for (p, x, q) in transitions
          if p in remap and q in remap],
         [0], [0], [str(e) for e in elems])

@@ -14,15 +14,16 @@ from fractions import Fraction
 
 from .automata import (
     Automaton,
-    PairLetter,
     char_poly,
     complement,
     count_series,
     intersect,
     lex_pair_automaton,
     minimize,
+    pair_alphabet,
     perron_enclosure,
     project,
+    transpose,
     trim,
 )
 from .numfield import BetaContext, FieldElem, fe_add, poly_divmod, poly_trim
@@ -69,43 +70,41 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     triple is co-accessible too, so those triples are found in the same
     order as by the unfiltered search, and ``trim`` inside ``minimize``
     returns the same automaton, labels included."""
-    if g not in reduced.alphabet:
-        raise ValueError(f"unknown digit {g!r}")
     sigma = reduced.alphabet
+    alphabet = pair_alphabet(sigma)
+    if rel.automaton.alphabet != alphabet:
+        raise ValueError(
+            f"relation letters {rel.automaton.alphabet!r} are not the pairs of "
+            f"the reduced alphabet {sigma!r}")
+    if g not in sigma:
+        raise ValueError(f"unknown digit {g!r}")
     k = len(sigma)
-    alphabet = tuple(PairLetter(x, y) for x in sigma for y in sigma)
     n_rel = rel.automaton.n_states
     rel_finals = rel.automaton.finals
     plus = reduced.n_states  # the appended state
 
     # dense tables over letter indices: next_red[v][y] is v's successor in
-    # ``reduced`` (-1 if none); moves[u][x] and pred[u2 * k + x] are the
-    # successors and predecessors in ``reduced`` with + appended on g
-    sidx = {x: i for i, x in enumerate(sigma)}
-    gi = sidx[g]
+    # ``reduced`` (-1 if none); moves[u][x] and pred[u2][x] are the successors
+    # and the predecessors (or None) in ``reduced`` with + appended on g
+    gi = sigma.index(g)
     finals_red = sorted(reduced.finals)
-    next_red = [[-1] * k for _ in range(plus)]
-    pred = [[] for _ in range((plus + 1) * k)]
-    for (v, y, v2) in reduced.transitions:
-        next_red[v][sidx[y]] = v2
-        pred[v2 * k + sidx[y]].append(v)
-    pred[plus * k + gi] = finals_red
+    next_red = reduced.ddelta()
+    pred = transpose(reduced).delta() + [[finals_red if x == gi else None for x in range(k)]]
     moves = [[(u2,) if u2 >= 0 else () for u2 in row] for row in next_red]
     for u in finals_red:
         moves[u][gi] += (plus,)
     # rel_out[r] lists (x, y, r2) in alphabet order; in_x[r2] / in_y[r2] hold
     # (x, r) / (y, r) for the edges entering r2
-    lidx = {a: divmod(i, k) for i, a in enumerate(alphabet)}
     rel_out = [[] for _ in range(n_rel)]
     in_x = [set() for _ in range(n_rel)]
     in_y = [set() for _ in range(n_rel)]
-    for (r, a, r2) in rel.automaton.transitions:
-        x, y = lidx[a]
-        rel_out[r].append((x, y, r2))
-        in_x[r2].add((x, r))
-        in_y[r2].add((y, r))
-    for edges in rel_out:
-        edges.sort()
+    for r, row in enumerate(rel.automaton.ddelta()):
+        for xy, r2 in enumerate(row):
+            if r2 >= 0:
+                x, y = divmod(xy, k)
+                rel_out[r].append((x, y, r2))
+                in_x[r2].add((x, r))
+                in_y[r2].add((y, r))
 
     def live(targets, rel_in):
         """Bitmap over p * n_rel + r of the pairs (p, r) that reach
@@ -117,9 +116,9 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
         stack = list(targets)
         while stack:
             p2, r2 = divmod(stack.pop(), n_rel)
-            row = p2 * k
+            row = pred[p2]
             for (c, r) in rel_in[r2]:
-                for p in pred[row + c]:
+                for p in row[c] or ():
                     s = p * n_rel + r
                     if not seen[s]:
                         seen[s] = 1

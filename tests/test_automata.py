@@ -19,8 +19,15 @@ SIGMA = ("a", "b")
 
 
 def lang(a, n=5):
-    return {w for k in range(n + 1) for w in iproduct(a.alphabet, repeat=k)
-            if au.accepts(a, w)}
+    """Accepted words of length <= n, by a walk over ``a.transitions``: an
+    oracle that shares no transition table with the constructions."""
+    layer = {((), p) for p in a.initials}
+    words = set()
+    for _ in range(n + 1):
+        words |= {w for w, p in layer if p in a.finals}
+        layer = {(w + (x,), q) for w, p in layer
+                 for (p0, x, q) in a.transitions if p0 == p}
+    return words
 
 
 def dfa(transitions, finals, n, alphabet=SIGMA):
@@ -297,6 +304,10 @@ def test_invalid_construction():
         Automaton(SIGMA, 1, [(0, "a", 5)], [0], [])
     with pytest.raises(ValueError):
         Automaton(SIGMA, 1, [], [3], [])
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        Automaton(("a",), 1, [(0, "b", 0)], [0], [0])
+    with pytest.raises(ValueError, match="repeated letter"):
+        Automaton(("a", "a"), 1, [(0, "a", 0)], [0], [0])
 
 
 # --- randomized invariants ---------------------------------------------------
@@ -323,7 +334,11 @@ def test_random_language_invariants():
         assert (c.n_states, c.initials, c.finals, c.transitions) == \
             (mc.n_states, mc.initials, mc.finals, mc.transitions)
         assert lang(au.intersect(a, b)) == La & Lb
+        # intersect maps letter indices between the two alphabets
+        b_rev = Automaton(tuple(reversed(b.alphabet)), b.n_states, b.transitions,
+                          b.initials, b.finals)
+        assert lang(au.intersect(a, b_rev)) == La & Lb
+        assert {w for w in full if au.accepts(a, w)} == La
         cs = au.count_series(a, 4)
         for k in range(5):
-            assert cs[k] == sum(1 for w in iproduct(SIGMA, repeat=k)
-                                if au.accepts(a, w))
+            assert cs[k] == sum(1 for w in La if len(w) == k)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 from betauto import automata, cli, numfield, reducer, relations, structure
 
+from conftest import load_config
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 OWNERS = (automata, cli, numfield, reducer, relations, structure,
@@ -40,3 +42,24 @@ def test_tracing_install_and_restore():
             for attr, value in old.items():
                 if vars(owner).get(attr) is not value:
                     setattr(owner, attr, value)
+
+
+def test_tracing_records_the_transition_tables():
+    # the tracer wraps ``delta`` and ``ddelta`` as methods: were either a
+    # property, its wrapped attribute would be a bound method, not a table,
+    # and this run would fail
+    tracing = load_tracing()
+    rec = tracing.Recorder()
+    restore = tracing.install(rec)
+    try:
+        rec.op = "intro"
+        ctx = numfield.context_from_config(load_config("intro"))
+        rel = relations.build_relation_automaton(ctx)
+        reduced = structure.build_reduced_automaton(rel)
+        structure.build_multiplier(rel, reduced, "1")
+        reducer.ReducerTable(rel, reduced)
+        rec.op = None
+    finally:
+        restore()
+    names = {span[tracing.NAME] for span in rec.spans}
+    assert {"automata.delta", "automata.ddelta", "automata.determinize"} <= names

@@ -328,6 +328,62 @@ def test_mahler_measure_needs_algebraic():
         mahler_measure(ctx)
 
 
+def _contexts_for_outward_rounding(seed: int = 1018, count: int = 40):
+    """Seeded contexts with monic and with inverted bases (|lead| > 1 and
+    constant +-1), so both branches of ``mahler_measure`` run."""
+    rng = random.Random(seed)
+    x = Symbol("x")
+    found = 0
+    while found < count:
+        d = rng.randint(2, 5)
+        c = [rng.choice((-1, 1))] + [rng.randint(-4, 4) for _ in range(d - 1)]
+        c.append(1 if found % 2 else rng.choice((-3, -2, 2, 3, 5)))
+        if not Poly(c[::-1], x).is_irreducible:
+            continue
+        try:
+            ctx = make_context(c, [0] + rng.sample([-3, -2, -1, 1, 2, 3], 2))
+        except NumFieldError:
+            continue
+        found += 1
+        yield ctx
+
+
+def test_float_steps_round_outward():
+    # disk_abs, prune_bound and mahler_measure enclose the exact results of
+    # their steps on the same floats, computed with Fractions
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        cen = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 2.0 ** rng.randint(-20, 20)
+        rad = abs(cen) * rng.choice((0.0, 1e-17, 1e-13, 0.3, 1.7))
+        lo, hi = nf.disk_abs(cen, rad)
+        sq = Fraction(cen.real) ** 2 + Fraction(cen.imag) ** 2  # |cen|^2
+        assert lo == 0.0 or (Fraction(lo) + Fraction(rad)) ** 2 <= sq
+        assert Fraction(hi) >= Fraction(rad) and (Fraction(hi) - Fraction(rad)) ** 2 >= sq
+
+    inverted = 0
+    for ctx in _contexts_for_outward_rounding():
+        for i in ctx.expanding_indices():
+            glo, ghi = map(Fraction, ctx.embeddings[i].abs_interval())
+            nums = [ctx.abs_at(d, i) for d in ctx.digit_diffs()]
+            lo, hi = ctx.prune_bound(i)
+            assert Fraction(lo) <= Fraction(max(a for a, _ in nums)) / (ghi - 1)
+            assert Fraction(hi) >= Fraction(max(b for _, b in nums)) / (glo - 1)
+        inverted += ctx.inverted
+        lo_x = hi_x = Fraction(abs(ctx.user_minpoly[-1]))
+        for e in ctx.embeddings:
+            alo, ahi = map(Fraction, e.abs_interval())
+            if ctx.inverted:
+                if e.cls != nf.CONTRACTING:
+                    continue
+                alo, ahi = 1 / ahi, 1 / alo
+            elif e.cls != EXPANDING:
+                continue
+            lo_x, hi_x = lo_x * alo, hi_x * ahi
+        lo, hi = mahler_measure(ctx)
+        assert Fraction(lo) <= lo_x and hi_x <= Fraction(hi)
+    assert inverted >= 10
+
+
 def test_prune_bound_positive():
     ctx = load_context("intro")
     i = ctx.expanding_indices()[0]

@@ -208,6 +208,23 @@ def test_multiplier_unknown_digit():
         build_multiplier(rel, red, "7")
 
 
+def test_multiplier_rejects_a_relation_automaton_of_other_digits():
+    rel = build_relation_automaton(load_context("intro"))
+    kenyon = build_reduced_automaton(build_relation_automaton(load_context("kenyon_3_8")))
+    with pytest.raises(ValueError, match="relation letters"):
+        build_multiplier(rel, kenyon, "3")
+
+
+def test_multiplier_rejects_a_nondeterministic_reduced_automaton():
+    rel = build_relation_automaton(load_context("intro"))
+    red = build_reduced_automaton(rel)
+    (p, x, q) = min(red.transitions)
+    split = Automaton(red.alphabet, red.n_states, red.transitions | {(p, x, 1 - q)},
+                      red.initials, red.finals)
+    with pytest.raises(ValueError, match="not deterministic"):
+        build_multiplier(rel, split, "0")
+
+
 # --- growth report ---------------------------------------------------------------
 
 
