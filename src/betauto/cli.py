@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 input error, 2 construction blocked or capped,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import random
@@ -18,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import automata as au
-from .numfield import BetaContext, NumFieldError, context_from_config
+from .numfield import BetaContext, NumFieldError, context_from_config, fe_add, fe_sub
 from .reducer import ReducerTable
 from .relations import (
     Blocked,
@@ -307,14 +306,26 @@ def cmd_oracle(args) -> int:
     check(f"counting vs bruteforce (lengths 0..{nb})",
           au.count_series(reduced, nb) == count_elements_bruteforce(ctx, nb))
 
+    # walk the tree of equal-length word pairs (u, v) once: each node holds
+    # the exact value of u - v and the relation state after (u, v), -1 once
+    # dead; a dead subtree is still walked, since every pair is compared
     na = min(n, 4)
-    ok = True
-    for ln in range(na + 1):
-        for u in itertools.product(names, repeat=ln):
-            for v in itertools.product(names, repeat=ln):
-                if table.equivalent(u, v) != verify_relation(ctx, u, v):
-                    ok = False
-    check(f"relation language vs exact arithmetic (lengths 0..{na})", ok)
+    k = len(names)
+    diffs = [(a * k + b, fe_sub(ctx.digits[a], ctx.digits[b]))
+             for a in range(k) for b in range(k)]
+    rel_next, rel_finals = rel.automaton.ddelta(), rel.automaton.finals
+    dead = [-1] * (k * k)
+
+    def pairs_agree(r, val, depth) -> bool:
+        ok = (r in rel_finals) == val.is_zero()
+        if depth < na:
+            base, row = ctx.mul_base(val), rel_next[r] if r >= 0 else dead
+            for ab, d in diffs:
+                ok &= pairs_agree(row[ab], fe_add(base, d), depth + 1)
+        return ok
+
+    check(f"relation language vs exact arithmetic (lengths 0..{na})",
+          pairs_agree(table.rel_init, ctx.zero(), 0))
 
     ok = True
     for _ in range(200):

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import betauto
 import betauto.numfield as nf
+from betauto import automata as au
+from betauto import cli
 from betauto.cli import main
 
 from conftest import fixture_path
@@ -257,6 +260,26 @@ def test_oracle_intro(tmp_path, capsys):
     assert code == 0
     assert "4/4 oracle checks passed" in out
     assert "[FAIL]" not in out
+
+
+def test_oracle_catches_a_wrong_relation_language(tmp_path, capsys, monkeypatch):
+    structure_parts = cli._structure_parts
+
+    def with_extra_final(ctx, args):
+        rel, reduced = structure_parts(ctx, args)
+        a = rel.automaton
+        # the state after the pair (0, 1), whose value 0 - 1 is not zero
+        r = a.ddelta()[min(a.initials)][1]
+        assert r >= 0 and r not in a.finals
+        wrong = au.Automaton(a.alphabet, a.n_states, a.transitions, a.initials,
+                             set(a.finals) | {r})
+        return replace(rel, automaton=wrong), reduced
+
+    monkeypatch.setattr(cli, "_structure_parts", with_extra_final)
+    code, out, _ = run(capsys, "oracle", "--config", cfg("intro"),
+                       "--out", tmp_path, "-n", "4")
+    assert code == 3
+    assert "[FAIL] relation language vs exact arithmetic (lengths 0..4)" in out
 
 
 # --- input errors ------------------------------------------------------------------

@@ -108,12 +108,63 @@ def test_reduce_is_order_least_equivalent(order):
     assert built >= 10
 
 
-def test_cache_reuse():
+def test_cache_reuse(monkeypatch):
+    live_passes = []
+    live_pairs = ReducerTable._live_pairs
+    monkeypatch.setattr(ReducerTable, "_live_pairs",
+                        lambda self: live_passes.append(1) or live_pairs(self))
     _, _, _, t = make_table("intro")
+    # neither the table nor an equivalence test builds the live set
+    assert t.equivalent("110", "033")
+    assert t.reduce("") == ()
+    assert t._live is None and not live_passes
+    # the first reduction builds it once; a warm one adds no cache entry
     assert t.reduce("1111") == t.reduce("1111")
+    assert len(live_passes) == 1
     n_cached = len(t._cache)
     t.reduce("1111")
+    t.reduce("0311")
+    assert len(t._cache) > n_cached
+    n_cached = len(t._cache)
+    t.reduce("0311")
     assert len(t._cache) == n_cached
+    assert len(live_passes) == 1
+
+
+def coreachable_pairs(rel, reduced):
+    """Pair indices r * n_reduced + s from which some input word leads the
+    relation automaton (input on the left, output on the right) and the
+    reduced automaton (reading the output) into a final pair: a plain
+    fixpoint over the transition sets."""
+    live = {(r, s) for r in rel.automaton.finals for s in reduced.finals}
+    grown = True
+    while grown:
+        grown = False
+        for r, letter, r2 in rel.automaton.transitions:
+            for s, y, s2 in reduced.transitions:
+                if y == letter.right and (r2, s2) in live and (r, s) not in live:
+                    live.add((r, s))
+                    grown = True
+    return {r * reduced.n_states + s for r, s in live}
+
+
+def test_cached_subsets_hold_live_pairs_only():
+    cases = [(name, build_relation_automaton(load_context(name)))
+             for name in ["pisot_x3-x-1", "kenyon_3_8"]]
+    cases += random_relation_automata()
+    assert len(cases) >= 12
+    for case, rel in cases:
+        reduced = build_reduced_automaton(rel, "lex")
+        t = ReducerTable(rel, reduced)
+        names = rel.context.digit_names
+        rng = random.Random(13)
+        for _ in range(40):
+            w = [rng.choice(names) for _ in range(rng.randint(1, 30))]
+            assert t.equivalent(w, t.reduce(w))
+        live = coreachable_pairs(rel, reduced)
+        assert t._cache, case
+        for subset in t._cache.values():
+            assert subset <= live, case
 
 
 def test_table_rejects_mismatched_automata():
