@@ -108,6 +108,19 @@ def transpose(a: Automaton) -> Automaton:
                      a.finals, a.initials, a.labels)
 
 
+def reach(sources, adj) -> set:
+    """The nodes reachable from ``sources`` in the plain graph ``adj`` (node
+    -> its successor nodes), sources included."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for q in adj[stack.pop()]:
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
 def trim(a: Automaton) -> Automaton:
     """Restrict to states on some path from an initial to a final state."""
     fwd = {p: set() for p in range(a.n_states)}
@@ -115,17 +128,6 @@ def trim(a: Automaton) -> Automaton:
     for (p, _, q) in a.transitions:
         fwd[p].add(q)
         bwd[q].add(p)
-
-    def reach(sources, adj):
-        seen = set(sources)
-        stack = list(sources)
-        while stack:
-            for q in adj[stack.pop()]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
-
     keep = sorted(reach(a.initials, fwd) & reach(a.finals, bwd))
     idx = {s: i for i, s in enumerate(keep)}
     return Automaton(
@@ -299,6 +301,40 @@ def append_letter(a: Automaton, letter) -> Automaton:
     transitions = list(a.transitions) + [(q, letter, f) for q in a.finals]
     return Automaton(a.alphabet, f + 1, transitions, a.initials, [f],
                      list(a.labels) + ["+"])
+
+
+def live_pairs(a: Automaton, rel: Automaton, side: int) -> bytearray:
+    """Bitmap over ``r * a.n_states + p`` of the pairs (p, r) from which some
+    word of pair letters leads ``rel`` to a final state and leads ``a``,
+    reading component ``side`` (1 or 2) of each letter, to a final state:
+    one backward search from the (final, final) pairs."""
+    if rel.alphabet != pair_alphabet(a.alphabet):
+        raise ValueError(
+            f"relation letters {rel.alphabet!r} are not the pairs of {a.alphabet!r}")
+    n = a.n_states
+    # rel_in[r2] holds (c, r) for the relation edges r -> r2 whose letter has
+    # the letter of index c of ``a`` on ``side``
+    rel_in = [set() for _ in range(rel.n_states)]
+    for (r, xy, r2) in rel.transitions:
+        rel_in[r2].add((a._letter_index[xy[side - 1]], r))
+    # pred[q][c] lists the states of ``a`` with an edge to q on letter c
+    pred = [[[] for _ in a.alphabet] for _ in range(n)]
+    for (p, x, q) in a.transitions:
+        pred[q][a._letter_index[x]].append(p)
+    live = bytearray(rel.n_states * n)
+    stack = [r * n + p for r in rel.finals for p in a.finals]
+    for s in stack:
+        live[s] = 1
+    while stack:
+        r2, p2 = divmod(stack.pop(), n)
+        row = pred[p2]
+        for (c, r) in rel_in[r2]:
+            for p in row[c]:
+                s = r * n + p
+                if not live[s]:
+                    live[s] = 1
+                    stack.append(s)
+    return live
 
 
 def project(a: Automaton, side: int, alphabet=None) -> Automaton:

@@ -568,6 +568,8 @@ def make_context(
     polynomial and digits rescaled by beta^(-m), which reverses their
     coefficient vectors (relations are invariant under digit scaling).
     """
+    if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
+        raise NumFieldError(f"precision must be an integer from 1 to {MAX_PRECISION}")
     digit_specs = [
         poly_trim([int(d)] if isinstance(d, int) else [int(c) for c in d])
         for d in digit_specs
@@ -646,7 +648,4 @@ def context_from_config(doc: dict) -> BetaContext:
     if not isinstance(digits, list):
         raise NumFieldError("config needs a digits list")
     digits = [_int_list(d if isinstance(d, list) else [d], "digit coefficients") for d in digits]
-    precision = doc.get("precision", 30)
-    if type(precision) is not int or precision < 1:
-        raise NumFieldError("precision must be an integer >= 1")
-    return make_context(base, digits, precision=precision)
+    return make_context(base, digits, precision=doc.get("precision", 30))

@@ -11,8 +11,9 @@ The forward subsets hold live pairs only: pairs from which some input word
 drives both automata into a (final, final) pair.  The extraction walks back
 from a final pair through predecessors, which are all live, so dropping the
 other pairs changes no output; it makes the subsets, and the number of
-distinct (subset, letter) steps, several times smaller.  The live set is a
-bitmap over pairs, built by one backward search on the first cache miss, so
+distinct (subset, letter) steps, several times smaller.  The live set is
+``automata.live_pairs(reduced, rel.automaton, 2)``, the bitmap over pairs
+that the multiplier search also uses, built on the first cache miss, so
 building a table and ``equivalent`` never pay for it (10-15 ms on
 ``pisot_x3-x-1``, 179 x 138 pairs).
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .automata import Automaton, pair_alphabet, transpose
+from .automata import Automaton, live_pairs, pair_alphabet, transpose
 from .automata import accepts  # noqa: F401  (the benchmark tracer wraps reducer.accepts)
 from .relations import RelAutomaton
 
@@ -91,31 +92,6 @@ class ReducerTable:
                 return i
         raise ValueError(f"unknown digit {name!r}")
 
-    def _live_pairs(self) -> bytearray:
-        """Bitmap of the pairs from which some input word drives both
-        automata into a (final, final) pair: a backward search from the
-        final pairs over the predecessor rows, any input letter."""
-        k, n_red = self._k, self._n_red
-        live = bytearray(self.rel.automaton.n_states * n_red)
-        stack = list(self._final)
-        for pair in stack:
-            live[pair] = 1
-        rel_pred, red_pred = self._rel_pred, self._red_pred
-        while stack:
-            r2, s2 = divmod(stack.pop(), n_red)
-            rp = rel_pred[r2]
-            for b, s0s in enumerate(red_pred[s2]):
-                if not s0s:
-                    continue
-                for a in range(k):
-                    for r0 in rp[a * k + b]:
-                        base = r0 * n_red
-                        for s0 in s0s:
-                            if not live[p := base + s0]:
-                                live[p] = 1
-                                stack.append(p)
-        return live
-
     def _succ_row(self, pair: int, a: int) -> tuple:
         k, n_red, live = self._k, self._n_red, self._live
         r, s = divmod(pair, n_red)
@@ -134,7 +110,7 @@ class ReducerTable:
     def _step(self, subset: frozenset, a: int) -> frozenset:
         """Successor subset on input letter ``a``; fills the cache."""
         if self._live is None:
-            self._live = self._live_pairs()
+            self._live = live_pairs(self.reduced, self.rel.automaton, 2)
         rows = self._succ[a]
         for pair in subset.difference(rows):
             rows[pair] = self._succ_row(pair, a)

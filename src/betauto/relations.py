@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import add, mul, sub
 
 from . import numfield as nf
-from .automata import Automaton, pair_alphabet, trim
+from .automata import Automaton, pair_alphabet, reach, trim
 from .numfield import (
     _SLOP,
     ALGEBRAIC,
@@ -210,14 +210,7 @@ def build_relation_automaton(
     bwd = [[] for _ in states]
     for (p, _, q) in transitions:
         bwd[q].append(p)
-    keep = {0}
-    stack = [0]
-    while stack:
-        for p in bwd[stack.pop()]:
-            if p not in keep:
-                keep.add(p)
-                stack.append(p)
-    order = sorted(keep)
+    order = sorted(reach([0], bwd))
     remap = {s: i for i, s in enumerate(order)}
     trim_state = tuple if ctx.mode == ALGEBRAIC else poly_trim
     elems = [FieldElem(ctx.mode, trim_state(states[s])) for s in order]

@@ -14,16 +14,16 @@ from fractions import Fraction
 
 from .automata import (
     Automaton,
+    append_letter,
     char_poly,
     complement,
     count_series,
     intersect,
     lex_pair_automaton,
+    live_pairs,
     minimize,
-    pair_alphabet,
     perron_enclosure,
     project,
-    transpose,
     trim,
 )
 from .numfield import BetaContext, FieldElem, fe_add, poly_divmod, poly_trim
@@ -57,77 +57,38 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     One breadth-first search over triples (u-state, v-state, relation state)
     accepts the language of
     ``intersect(product(append_letter(reduced, g), reduced), rel.automaton)``
-    without building the product.  The u-component runs ``reduced`` and, on
-    ``g`` from a final state, also enters the appended state ``+``, which has
-    no outgoing edges.  Letters are scanned in alphabet order and each state
-    label is a function of its triple, so the output does not depend on the
-    string-hash seed.
+    without building the product.  The u-component runs
+    ``append_letter(reduced, g)``: ``reduced`` plus the state ``+``, entered
+    on ``g`` from a final state, which has no outgoing edges.  Letters are
+    scanned in alphabet order and each state label is a function of its
+    triple, so the output does not depend on the string-hash seed.
 
     A successor is enqueued only when its (v, relation) pair can still reach
-    (final, final) and its (u, relation) pair can still reach (``+``, final):
-    both are necessary for the triple to reach a final triple, so no
-    co-accessible triple is lost.  Every predecessor of a co-accessible
-    triple is co-accessible too, so those triples are found in the same
-    order as by the unfiltered search, and ``trim`` inside ``minimize``
-    returns the same automaton, labels included."""
+    (final, final) and its (u, relation) pair can still reach (``+``, final);
+    ``live_pairs`` computes both sets, one backward search each.  Both are
+    necessary for the triple to reach a final triple, so no co-accessible
+    triple is lost.  Every predecessor of a co-accessible triple is
+    co-accessible too, so those triples are found in the same order as by
+    the unfiltered search, and ``trim`` inside ``minimize`` returns the same
+    automaton, labels included."""
     sigma = reduced.alphabet
-    alphabet = pair_alphabet(sigma)
-    if rel.automaton.alphabet != alphabet:
-        raise ValueError(
-            f"relation letters {rel.automaton.alphabet!r} are not the pairs of "
-            f"the reduced alphabet {sigma!r}")
+    # (v, r) pairs that reach F_red x F_rel, at r * n_red + v; this also
+    # checks that the relation letters are the pairs of ``sigma``
+    live_vr = live_pairs(reduced, rel.automaton, 2)
     if g not in sigma:
         raise ValueError(f"unknown digit {g!r}")
+    with_g = append_letter(reduced, g)
+    # (u, r) pairs that reach + x F_rel, at r * (n_red + 1) + u
+    live_ur = live_pairs(with_g, rel.automaton, 1)
+    alphabet = rel.automaton.alphabet
     k = len(sigma)
-    n_rel = rel.automaton.n_states
     rel_finals = rel.automaton.finals
-    plus = reduced.n_states  # the appended state
-
-    # dense tables over letter indices: next_red[v][y] is v's successor in
-    # ``reduced`` (-1 if none); moves[u][x] and pred[u2][x] are the successors
-    # and the predecessors (or None) in ``reduced`` with + appended on g
-    gi = sigma.index(g)
-    finals_red = sorted(reduced.finals)
-    next_red = reduced.ddelta()
-    pred = transpose(reduced).delta() + [[finals_red if x == gi else None for x in range(k)]]
-    moves = [[(u2,) if u2 >= 0 else () for u2 in row] for row in next_red]
-    for u in finals_red:
-        moves[u][gi] += (plus,)
-    # rel_out[r] lists (x, y, r2) in alphabet order; in_x[r2] / in_y[r2] hold
-    # (x, r) / (y, r) for the edges entering r2
-    rel_out = [[] for _ in range(n_rel)]
-    in_x = [set() for _ in range(n_rel)]
-    in_y = [set() for _ in range(n_rel)]
-    for r, row in enumerate(rel.automaton.ddelta()):
-        for xy, r2 in enumerate(row):
-            if r2 >= 0:
-                x, y = divmod(xy, k)
-                rel_out[r].append((x, y, r2))
-                in_x[r2].add((x, r))
-                in_y[r2].add((y, r))
-
-    def live(targets, rel_in):
-        """Bitmap over p * n_rel + r of the pairs (p, r) that reach
-        ``targets`` when r follows the relation automaton and p follows
-        ``pred`` on the component of each letter that ``rel_in`` records."""
-        seen = bytearray((plus + 1) * n_rel)
-        for s in targets:
-            seen[s] = 1
-        stack = list(targets)
-        while stack:
-            p2, r2 = divmod(stack.pop(), n_rel)
-            row = pred[p2]
-            for (c, r) in rel_in[r2]:
-                for p in row[c] or ():
-                    s = p * n_rel + r
-                    if not seen[s]:
-                        seen[s] = 1
-                        stack.append(s)
-        return seen
-
-    # (v, r) pairs that reach F_red x F_rel; (u, r) pairs that reach + x F_rel
-    live_vr = live([v * n_rel + r for v in finals_red for r in rel_finals], in_y)
-    live_ur = live([plus * n_rel + r for r in rel_finals], in_x)
+    plus = n_red = reduced.n_states  # the appended state
+    n_u = plus + 1
+    moves, next_red = with_g.delta(), reduced.ddelta()
+    # rel_out[r] lists the edges (x, y, r2) leaving r, in alphabet order
+    rel_out = [[(*divmod(xy, k), r2) for xy, r2 in enumerate(row) if r2 >= 0]
+               for row in rel.automaton.ddelta()]
 
     starts = [(u, v, r) for u in sorted(reduced.initials)
               for v in sorted(reduced.initials)
@@ -145,11 +106,11 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
         mu, nv = moves[u], next_red[v]
         for (x, y, r2) in rel_out[r]:
             v2 = nv[y]
-            if v2 < 0 or not live_vr[v2 * n_rel + r2]:
+            if v2 < 0 or not live_vr[r2 * n_red + v2]:
                 continue
             letter = alphabet[x * k + y]
-            for u2 in mu[x]:
-                if not live_ur[u2 * n_rel + r2]:
+            for u2 in mu[x] or ():
+                if not live_ur[r2 * n_u + u2]:
                     continue
                 t = (u2, v2, r2)
                 j = order.get(t)

@@ -97,6 +97,22 @@ def random_automaton(rng: random.Random, max_states: int = 5, alphabet=("a", "b"
     return Automaton(alphabet, n, transitions, initials, finals)
 
 
+def coreachable_pairs(a, rel, side):
+    """Pair indices r * a.n_states + p from which some word of pair letters
+    leads ``rel`` and ``a`` (reading component ``side`` of each letter) into
+    a final pair: a plain fixpoint over the transition sets."""
+    live = {(r, p) for r in rel.finals for p in a.finals}
+    grown = True
+    while grown:
+        grown = False
+        for r, letter, r2 in rel.transitions:
+            for p, c, p2 in a.transitions:
+                if c == letter[side - 1] and (r2, p2) in live and (r, p) not in live:
+                    live.add((r, p))
+                    grown = True
+    return {r * a.n_states + p for r, p in live}
+
+
 def random_palindromic_polys(seed: int, count: int = 100):
     """Seeded irreducible monic palindromic integer polynomials (constant
     first) of even degree 2..8, the only degrees in which a palindromic

@@ -12,7 +12,7 @@ from betauto.automata import Automaton, PairLetter
 from betauto.relations import build_relation_automaton
 from betauto.structure import build_reduced_automaton
 
-from conftest import load_context, random_automaton
+from conftest import coreachable_pairs, load_context, random_automaton, random_relation_automata
 
 
 SIGMA = ("a", "b")
@@ -342,3 +342,26 @@ def test_random_language_invariants():
         cs = au.count_series(a, 4)
         for k in range(5):
             assert cs[k] == sum(1 for w in La if len(w) == k)
+
+
+LIVE_PAIR_FIXTURES = ["intro", "kenyon_3_8", "pisot_x3-x-1", "transc_1_over_X2+X+1"]
+
+
+def test_live_pairs_matches_fixpoint():
+    cases = [(name, build_relation_automaton(load_context(name), force=True))
+             for name in LIVE_PAIR_FIXTURES]
+    cases += random_relation_automata()
+    assert len(cases) >= 14
+    for case, rel in cases:
+        reduced = build_reduced_automaton(rel, "lex")
+        checks = [(reduced, 2)] + [(au.append_letter(reduced, g), 1)
+                                   for g in reduced.alphabet]
+        for a, side in checks:
+            live = au.live_pairs(a, rel.automaton, side)
+            assert len(live) == rel.automaton.n_states * a.n_states, case
+            assert {i for i, bit in enumerate(live) if bit} == \
+                coreachable_pairs(a, rel.automaton, side), (case, side)
+
+    kenyon_reduced = build_reduced_automaton(cases[1][1], "lex")
+    with pytest.raises(ValueError, match="relation letters"):
+        au.live_pairs(kenyon_reduced, cases[0][1].automaton, 2)

@@ -306,6 +306,7 @@ def test_invalid_config(tmp_path, capsys):
     {"beta": {"minpoly": [-3, 1]}, "digits": [0, 1], "precision": "abc"},
     {"beta": {"minpoly": [-3, 1]}, "digits": [0, 1], "precision": 0},
     {"beta": {"minpoly": [-3, 1]}, "digits": [0, 1], "precision": -5},
+    {"beta": {"minpoly": [-3, 1]}, "digits": [0, 1], "precision": 2001},
     [{"beta": {"minpoly": [-3, 1]}, "digits": [0, 1]}],
 ])
 def test_bad_config_values(tmp_path, capsys, doc):

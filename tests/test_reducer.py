@@ -7,13 +7,14 @@ from itertools import product as iproduct
 import pytest
 
 from betauto import automata as au
+from betauto import reducer
 from betauto.automata import PairLetter
 from betauto.numfield import fe_add
 from betauto.relations import build_relation_automaton, verify_relation
 from betauto.structure import build_reduced_automaton
 from betauto.reducer import ReducerTable
 
-from conftest import load_context, random_relation_automata
+from conftest import coreachable_pairs, load_context, random_relation_automata
 
 
 def make_table(name, order="lex"):
@@ -110,9 +111,9 @@ def test_reduce_is_order_least_equivalent(order):
 
 def test_cache_reuse(monkeypatch):
     live_passes = []
-    live_pairs = ReducerTable._live_pairs
-    monkeypatch.setattr(ReducerTable, "_live_pairs",
-                        lambda self: live_passes.append(1) or live_pairs(self))
+    live_pairs = reducer.live_pairs
+    monkeypatch.setattr(reducer, "live_pairs",
+                        lambda *args: live_passes.append(1) or live_pairs(*args))
     _, _, _, t = make_table("intro")
     # neither the table nor an equivalence test builds the live set
     assert t.equivalent("110", "033")
@@ -131,23 +132,6 @@ def test_cache_reuse(monkeypatch):
     assert len(live_passes) == 1
 
 
-def coreachable_pairs(rel, reduced):
-    """Pair indices r * n_reduced + s from which some input word leads the
-    relation automaton (input on the left, output on the right) and the
-    reduced automaton (reading the output) into a final pair: a plain
-    fixpoint over the transition sets."""
-    live = {(r, s) for r in rel.automaton.finals for s in reduced.finals}
-    grown = True
-    while grown:
-        grown = False
-        for r, letter, r2 in rel.automaton.transitions:
-            for s, y, s2 in reduced.transitions:
-                if y == letter.right and (r2, s2) in live and (r, s) not in live:
-                    live.add((r, s))
-                    grown = True
-    return {r * reduced.n_states + s for r, s in live}
-
-
 def test_cached_subsets_hold_live_pairs_only():
     cases = [(name, build_relation_automaton(load_context(name)))
              for name in ["pisot_x3-x-1", "kenyon_3_8"]]
@@ -161,7 +145,7 @@ def test_cached_subsets_hold_live_pairs_only():
         for _ in range(40):
             w = [rng.choice(names) for _ in range(rng.randint(1, 30))]
             assert t.equivalent(w, t.reduce(w))
-        live = coreachable_pairs(rel, reduced)
+        live = coreachable_pairs(reduced, rel.automaton, 2)
         assert t._cache, case
         for subset in t._cache.values():
             assert subset <= live, case
