@@ -10,6 +10,7 @@ polynomial of the adjacency count matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from sympy import QQ, ZZ, nextprime
@@ -80,18 +81,29 @@ class Automaton:
         return self._delta
 
     def ddelta(self) -> list:
-        """Deterministic view of ``delta()``: the target, or -1; ``ValueError``
-        when a state has two targets on one letter."""
+        """Deterministic transition table, built once from the transitions and
+        shared: ``ddelta()[p][i]`` is the target of state p on
+        ``alphabet[i]``, or -1; ``ValueError`` when a state has two targets on
+        one letter."""
         if self._ddelta is None:
-            if any(cell and len(cell) > 1 for row in self.delta() for cell in row):
-                raise ValueError("automaton is not deterministic")
-            self._ddelta = [[min(cell) if cell else -1 for cell in row] for row in self.delta()]
+            table = [[-1] * len(self.alphabet) for _ in range(self.n_states)]
+            for (p, x, q) in self.transitions:
+                row, i = table[p], self._letter_index[x]
+                if row[i] >= 0:
+                    raise ValueError("automaton is not deterministic")
+                row[i] = q
+            self._ddelta = table
         return self._ddelta
 
     @property
     def deterministic(self) -> bool:
-        return len(self.initials) == 1 and not any(
-            cell and len(cell) > 1 for row in self.delta() for cell in row)
+        if len(self.initials) != 1:
+            return False
+        try:
+            self.ddelta()
+        except ValueError:
+            return False
+        return True
 
     def __repr__(self):
         return (f"Automaton({self.n_states} states, {len(self.alphabet)} letters, "
@@ -122,13 +134,16 @@ def reach(sources, adj) -> set:
 
 
 def trim(a: Automaton) -> Automaton:
-    """Restrict to states on some path from an initial to a final state."""
-    fwd = {p: set() for p in range(a.n_states)}
-    bwd = {p: set() for p in range(a.n_states)}
+    """Restrict to states on some path from an initial to a final state;
+    ``a`` itself when every state is kept."""
+    fwd = [[] for _ in range(a.n_states)]
+    bwd = [[] for _ in range(a.n_states)]
     for (p, _, q) in a.transitions:
-        fwd[p].add(q)
-        bwd[q].add(p)
+        fwd[p].append(q)
+        bwd[q].append(p)
     keep = sorted(reach(a.initials, fwd) & reach(a.finals, bwd))
+    if len(keep) == a.n_states:
+        return a
     idx = {s: i for i, s in enumerate(keep)}
     return Automaton(
         a.alphabet, len(keep),
@@ -143,22 +158,18 @@ def determinize(a: Automaton) -> Automaton:
     start = frozenset(a.initials)
     if not start:
         return Automaton(a.alphabet, 0, [], [], [])
-    tgt = a.delta()
+    # cols[i][p]: the targets of p on letter i
+    cols = [[cell or () for cell in col] for col in zip(*a.delta())]
     order = {start: 0}
     subsets = [start]
     transitions = []
     head = 0
     while head < len(subsets):
         s = subsets[head]
-        for i, x in enumerate(a.alphabet):
-            acc = set()
-            for p in s:
-                cell = tgt[p][i]
-                if cell:
-                    acc |= cell
-            if not acc:
+        for x, col in zip(a.alphabet, cols):
+            t = frozenset().union(*map(col.__getitem__, s))
+            if not t:
                 continue
-            t = frozenset(acc)
             j = order.get(t)
             if j is None:
                 j = order[t] = len(order)
@@ -201,13 +212,40 @@ def _canonical_relabel(a: Automaton) -> Automaton:
 
 def minimize(a: Automaton) -> Automaton:
     """Canonical minimal partial DFA; language-equal inputs give identical
-    results.  Brzozowski's double reversal: determinizing the reversal of an
-    accessible DFA gives the minimal DFA of the reversed language, and it
-    avoids the forward subset blowup on the relation-projection languages
-    handled here.  The last subset construction numbers states in BFS order
-    from the initial state in alphabet order, which is already the canonical
-    numbering of ``_canonical_relabel``."""
-    return determinize(transpose(determinize(transpose(trim(a)))))
+    results, labels aside.
+
+    Trim, determinize when the result is not deterministic (the subsets of
+    a trimmed automaton are all co-accessible), then Moore refinement: a
+    state's class is refined by the classes of its successors, one C-level
+    pass per round, until a round splits nothing.  Missing edges go to a
+    sink at index n, which ``-1`` also reaches by list indexing.  A class is
+    named by its first state and takes that state's label; the quotient is
+    numbered by ``_canonical_relabel``."""
+    a = trim(a)
+    if a.n_states and not a.deterministic:
+        a = determinize(a)
+    n = a.n_states
+    if n == 0:
+        return a
+    d = a.ddelta()
+    succ = [itemgetter(*col, -1) for col in zip(*d)]
+    cls = [s in a.finals for s in range(n)] + [False]
+    count = len(set(cls))
+    while True:
+        ids = {}
+        cls = list(map(ids.setdefault, zip(cls, *[f(cls) for f in succ]), range(n + 1)))
+        if len(ids) == count:
+            break
+        count = len(ids)
+    # every trimmed state accepts some word, so none shares the sink's class
+    reps = sorted(set(cls[:n]))
+    idx = {c: i for i, c in enumerate(reps)}
+    return _canonical_relabel(Automaton(
+        a.alphabet, len(reps),
+        [(i, x, idx[cls[q]]) for i, c in enumerate(reps)
+         for x, q in zip(a.alphabet, d[c]) if q >= 0],
+        [idx[cls[s]] for s in a.initials], {idx[cls[s]] for s in a.finals},
+        [a.labels[c] for c in reps]))
 
 
 def complement(a: Automaton) -> Automaton:
@@ -216,7 +254,9 @@ def complement(a: Automaton) -> Automaton:
 
     Swapping the finals of a complete DFA keeps its states pairwise
     distinguishable, so a minimal input stays minimal: trimming drops only
-    the states that accepted every word, and a minimal DFA has at most one."""
+    the states that accepted every word, and a minimal DFA has at most one.
+    The output of ``minimize`` is deterministic, so ``complement(minimize(x))``
+    is canonical and runs no subset construction of its own."""
     d = a if a.deterministic else determinize(a)
     sink = d.n_states
     if sink == 0:
@@ -523,7 +563,11 @@ def is_codeterministic(a: Automaton) -> bool:
 
 
 def equivalent(a: Automaton, b: Automaton) -> bool:
-    """Language equality via identity of canonical minimal forms."""
+    """Language equality via identity of canonical minimal forms.  The
+    canonical numbering follows the alphabet order, so when both alphabets
+    hold the same letters ``b`` is read in ``a``'s order."""
+    if b.alphabet != a.alphabet and set(b.alphabet) == set(a.alphabet):
+        b = Automaton(a.alphabet, b.n_states, b.transitions, b.initials, b.finals)
     ma, mb = minimize(a), minimize(b)
     return (ma.n_states == mb.n_states and ma.initials == mb.initials
             and ma.finals == mb.finals and ma.transitions == mb.transitions)

@@ -54,76 +54,78 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     """Minimal automaton of the pairs (u, v) of reduced words with
     v equivalent to u followed by the digit ``g``.
 
-    One breadth-first search over triples (u-state, v-state, relation state)
-    accepts the language of
-    ``intersect(product(append_letter(reduced, g), reduced), rel.automaton)``
-    without building the product.  The u-component runs
-    ``append_letter(reduced, g)``: ``reduced`` plus the state ``+``, entered
-    on ``g`` from a final state, which has no outgoing edges.  Letters are
-    scanned in alphabet order and each state label is a function of its
-    triple, so the output does not depend on the string-hash seed.
+    The language is that of
+    ``intersect(product(append_letter(reduced, g), reduced), rel.automaton)``,
+    whose u-component is ``reduced`` plus the state ``+``, entered on ``g``
+    from a final state, with no outgoing edges.  That is the only
+    nondeterminism, so one breadth-first search over the states
+    (u or -1, plus-flag, v, r) is the subset construction of the triple
+    automaton: u is the ``reduced`` state, if any, and the flag says whether
+    ``+`` is in the subset too.  A search state is final when its flag is
+    set and v and r are final.  Letters are scanned in alphabet order and
+    each state label is a function of the state, so the output does not
+    depend on the string-hash seed.
 
-    A successor is enqueued only when its (v, relation) pair can still reach
-    (final, final) and its (u, relation) pair can still reach (``+``, final);
-    ``live_pairs`` computes both sets, one backward search each.  Both are
-    necessary for the triple to reach a final triple, so no co-accessible
-    triple is lost.  Every predecessor of a co-accessible triple is
-    co-accessible too, so those triples are found in the same order as by
-    the unfiltered search, and ``trim`` inside ``minimize`` returns the same
-    automaton, labels included."""
+    A step keeps the pair (v, r) only when it can still reach
+    (final, final), and u only when (u, r) can still reach (``+``, final);
+    ``live_pairs`` computes both sets, one backward search each.  ``+`` is
+    kept when r is final.  A step that keeps neither u nor ``+`` is dropped.
+    Each filter only removes triples from which no final triple is
+    reachable, so the language is unchanged, and ``minimize`` trims what
+    the filters let through."""
     sigma = reduced.alphabet
     # (v, r) pairs that reach F_red x F_rel, at r * n_red + v; this also
     # checks that the relation letters are the pairs of ``sigma``
     live_vr = live_pairs(reduced, rel.automaton, 2)
     if g not in sigma:
         raise ValueError(f"unknown digit {g!r}")
-    with_g = append_letter(reduced, g)
     # (u, r) pairs that reach + x F_rel, at r * (n_red + 1) + u
-    live_ur = live_pairs(with_g, rel.automaton, 1)
+    live_ur = live_pairs(append_letter(reduced, g), rel.automaton, 1)
     alphabet = rel.automaton.alphabet
     k = len(sigma)
+    gi = sigma.index(g)
     rel_finals = rel.automaton.finals
-    plus = n_red = reduced.n_states  # the appended state
-    n_u = plus + 1
-    moves, next_red = with_g.delta(), reduced.ddelta()
+    red_finals = reduced.finals
+    n_red = reduced.n_states
+    n_u = n_red + 1
+    next_red = reduced.ddelta()
+    if len(reduced.initials) > 1 or len(rel.automaton.initials) > 1:
+        raise ValueError("automaton is not deterministic")
     # rel_out[r] lists the edges (x, y, r2) leaving r, in alphabet order
     rel_out = [[(*divmod(xy, k), r2) for xy, r2 in enumerate(row) if r2 >= 0]
                for row in rel.automaton.ddelta()]
 
-    starts = [(u, v, r) for u in sorted(reduced.initials)
-              for v in sorted(reduced.initials)
-              for r in sorted(rel.automaton.initials)]
-    order = {s: i for i, s in enumerate(starts)}
-    queue = list(starts)
+    queue = [(u, False, u, r) for u in reduced.initials for r in rel.automaton.initials]
+    order = {s: i for i, s in enumerate(queue)}
     transitions = []
-    head = 0
-    while head < len(queue):
-        u, v, r = queue[head]
-        src = head
-        head += 1
-        if u == plus:
-            continue
-        mu, nv = moves[u], next_red[v]
+    for src, (u, _, v, r) in enumerate(queue):
+        if u < 0:
+            continue  # only + is left, and it has no outgoing edges
+        nu, nv = next_red[u], next_red[v]
+        u_final = u in red_finals
         for (x, y, r2) in rel_out[r]:
             v2 = nv[y]
             if v2 < 0 or not live_vr[r2 * n_red + v2]:
                 continue
-            letter = alphabet[x * k + y]
-            for u2 in mu[x] or ():
-                if not live_ur[r2 * n_u + u2]:
-                    continue
-                t = (u2, v2, r2)
-                j = order.get(t)
-                if j is None:
-                    j = order[t] = len(queue)
-                    queue.append(t)
-                transitions.append((src, letter, j))
+            u2 = nu[x]
+            if u2 >= 0 and not live_ur[r2 * n_u + u2]:
+                u2 = -1
+            plus = x == gi and u_final and r2 in rel_finals
+            if u2 < 0 and not plus:
+                continue
+            t = (u2, plus, v2, r2)
+            j = order.get(t)
+            if j is None:
+                j = order[t] = len(queue)
+                queue.append(t)
+            transitions.append((src, alphabet[x * k + y], j))
     rel_labels = rel.automaton.labels
-    finals = [i for i, (u, v, r) in enumerate(queue)
-              if u == plus and v in reduced.finals and r in rel_finals]
-    labels = [f"{'+' if u == plus else u},{v}|{rel_labels[r]}" for (u, v, r) in queue]
-    return minimize(Automaton(alphabet, len(queue), transitions,
-                              range(len(starts)), finals, labels))
+    finals = [i for i, (u, plus, v, r) in enumerate(queue)
+              if plus and v in red_finals and r in rel_finals]
+    labels = [f"{'' if u < 0 else u}{'+' if plus else ''},{v}|{rel_labels[r]}"
+              for (u, plus, v, r) in queue]
+    return minimize(Automaton(alphabet, len(queue), transitions, [0] if queue else [],
+                              finals, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from sympy import Poly, Symbol
 
-from betauto.automata import Automaton
+from betauto.automata import Automaton, determinize, transpose, trim
 from betauto.numfield import NumFieldError, context_from_config, make_context
 from betauto.relations import CapExceeded, build_relation_automaton
 
@@ -95,6 +95,21 @@ def random_automaton(rng: random.Random, max_states: int = 5, alphabet=("a", "b"
     initials = {s for s in range(n) if rng.random() < 0.4} or {0}
     finals = {s for s in range(n) if rng.random() < 0.4}
     return Automaton(alphabet, n, transitions, initials, finals)
+
+
+def brzozowski(a: Automaton) -> Automaton:
+    """Reference minimizer: Brzozowski's double reversal.  Determinizing the
+    reversal of an accessible automaton gives the minimal DFA of the reversed
+    language, and the last subset construction numbers its states in BFS
+    order from the initial state in alphabet order, the canonical numbering
+    of ``automata.minimize``."""
+    return determinize(transpose(determinize(transpose(trim(a)))))
+
+
+def same_dfa(m, ref) -> bool:
+    """Identical canonical DFAs, labels aside."""
+    return (m.n_states, m.initials, m.finals, m.transitions) == \
+        (ref.n_states, ref.initials, ref.finals, ref.transitions)
 
 
 def coreachable_pairs(a, rel, side):

@@ -12,7 +12,14 @@ from betauto.automata import Automaton, PairLetter
 from betauto.relations import build_relation_automaton
 from betauto.structure import build_reduced_automaton
 
-from conftest import coreachable_pairs, load_context, random_automaton, random_relation_automata
+from conftest import (
+    brzozowski,
+    coreachable_pairs,
+    load_context,
+    random_automaton,
+    random_relation_automata,
+    same_dfa,
+)
 
 
 SIGMA = ("a", "b")
@@ -61,6 +68,41 @@ def test_minimize_canonical_equality():
     assert m1.transitions == m2.transitions and m1.finals == m2.finals
     assert au.equivalent(a1, a2)
     assert not au.equivalent(a1, au.complement(a1))
+
+
+def test_equivalent_ignores_alphabet_order():
+    # the canonical numbering follows the alphabet order: 'a' first numbers
+    # the final state 1, 'b' first numbers it 2
+    tr = [(0, "a", 1), (0, "b", 2), (2, "b", 1)]
+    ab = Automaton(("a", "b"), 3, tr, [0], [1])
+    ba = Automaton(("b", "a"), 3, tr, [0], [1])
+    assert au.equivalent(ab, ba) and au.equivalent(ba, ab)
+    assert not au.equivalent(ab, Automaton(("b", "a"), 3, tr[:2], [0], [1]))
+
+
+def reducible_words(rel, order):
+    """The trimmed NFA of the reducible words that ``build_reduced_automaton``
+    minimizes."""
+    names = rel.context.digit_names
+    ranked = names if order == "lex" else names[::-1]
+    smaller = au.intersect(au.lex_pair_automaton(ranked), rel.automaton)
+    return au.project(smaller, side=2, alphabet=tuple(names))
+
+
+def test_minimize_matches_brzozowski():
+    rng = random.Random(20261018)
+    cases = [random_automaton(rng, max_states=6) for _ in range(300)]
+    assert any(not lang(a) for a in cases)
+    assert any(len(a.initials) > 1 for a in cases)
+    rels = [build_relation_automaton(load_context(name), force=True)
+            for name in ("intro", "kenyon_3_8", "pisot_x3-x-1")]
+    rels += [rel for _, rel in random_relation_automata()]
+    assert len(rels) >= 13
+    cases += [reducible_words(rel, order) for rel in rels for order in ("lex", "revlex")]
+    for a in cases:
+        m, ref = au.minimize(a), brzozowski(a)
+        assert same_dfa(m, ref), a
+        assert m.alphabet == a.alphabet and len(m.labels) == m.n_states
 
 
 def test_minimize_empty_language():
