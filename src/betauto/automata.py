@@ -9,6 +9,7 @@ polynomial of the adjacency count matrix.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -605,17 +606,24 @@ def from_json(doc: dict) -> Automaton:
         raise ValueError(f"malformed automaton document: {e}") from e
 
 
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def to_dot(a: Automaton, name: str = "A") -> str:
     """DOT output; initial states bold, final states doubled, one edge per
-    state pair with comma-joined letter labels."""
+    state pair with its letters joined by " ; ".  The graph name is quoted
+    unless it is a plain DOT identifier (``mult_-1`` is not)."""
+    if not _DOT_ID.fullmatch(name):
+        name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for s in range(a.n_states):
         shape = "doublecircle" if s in a.finals else "circle"
         style = ', style=bold' if s in a.initials else ""
         lines.append(f'  {s} [label="{a.labels[s]}", shape={shape}{style}];')
+    letter = {x: str(x) for x in a.alphabet}
     grouped = {}
-    for (p, x, q) in sorted(a.transitions, key=lambda t: (t[0], t[2], str(t[1]))):
-        grouped.setdefault((p, q), []).append(str(x))
+    for (p, q, x) in sorted((p, q, letter[x]) for (p, x, q) in a.transitions):
+        grouped.setdefault((p, q), []).append(x)
     for (p, q), letters in grouped.items():
         lbl = " ; ".join(letters)
         lines.append(f'  {p} -> {q} [label="{lbl}"];')

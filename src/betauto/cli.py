@@ -52,6 +52,33 @@ def _dump_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _json_list(items: list) -> str:
+    """Formatted items as ``json.dumps(indent=2)`` lays out a list that is the
+    value of a top-level key."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _write_automaton(out: Path, stem: str, a: au.Automaton) -> None:
+    """Write ``stem.json`` and ``stem.dot``.  The JSON bytes equal
+    ``json.dumps(au.to_json(a), indent=2, sort_keys=True)`` plus a newline;
+    they are formatted here, row by row, because ``json`` leaves its C encoder
+    for the pure-Python one whenever ``indent`` is set."""
+    doc = au.to_json(a)
+    esc = json.encoder.encode_basestring_ascii
+    fields = {
+        "alphabet": [esc(x) for x in doc["alphabet"]],
+        "finals": list(map(str, doc["finals"])),
+        "initials": list(map(str, doc["initials"])),
+        "states": [f'{{\n      "label": {esc(s["label"])}\n    }}'
+                   for s in doc["states"]],
+        "transitions": [f"[\n      {p},\n      {i},\n      {q}\n    ]"
+                        for p, i, q in doc["transitions"]],
+    }
+    body = ",\n  ".join(f'"{k}": {_json_list(v)}' for k, v in sorted(fields.items()))
+    (out / f"{stem}.json").write_text("{\n  " + body + "\n}\n")
+    (out / f"{stem}.dot").write_text(au.to_dot(a, stem) + "\n")
+
+
 def _emit(doc, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -137,8 +164,7 @@ def cmd_relations(args) -> int:
         "free": is_free(rel),
         "stats": rel.stats,
     })
-    _dump_json(out / "relations.json", au.to_json(rel.automaton))
-    (out / "relations.dot").write_text(au.to_dot(rel.automaton, "relations") + "\n")
+    _write_automaton(out, "relations", rel.automaton)
     _dump_json(out / "summary.json", summary)
     _emit(summary, args.json,
           f"states={rel.n_states} free={summary['free']}")
@@ -163,12 +189,9 @@ def cmd_structure(args) -> int:
         print(f"cannot build structure: {e}", file=sys.stderr)
         return EXIT_BLOCKED
     reduced = build_reduced_automaton(rel, args.order)
-    _dump_json(out / "reduced.json", au.to_json(reduced))
-    (out / "reduced.dot").write_text(au.to_dot(reduced, "reduced") + "\n")
+    _write_automaton(out, "reduced", reduced)
     for g in ctx.digit_names:
-        m = build_multiplier(rel, reduced, g)
-        _dump_json(out / f"mult_{g}.json", au.to_json(m))
-        (out / f"mult_{g}.dot").write_text(au.to_dot(m, f"mult_{g}") + "\n")
+        _write_automaton(out, f"mult_{g}", build_multiplier(rel, reduced, g))
     report = growth(reduced, N=args.N, candidate_pi=candidate)
     doc = report.to_json()
     _dump_json(out / "growth.json", doc)

@@ -341,6 +341,16 @@ def test_to_dot():
     assert '"a ; b"' in dot  # grouped edge labels
 
 
+@pytest.mark.parametrize("name, header", [
+    ("_T9", "digraph _T9 {"),
+    ("mult_-1", 'digraph "mult_-1" {'),
+    ("9T", 'digraph "9T" {'),
+    ('a"b\\c', 'digraph "a\\"b\\\\c" {'),
+])
+def test_to_dot_quotes_a_name_that_is_no_identifier(name, header):
+    assert au.to_dot(dfa([], [0], 1), name).startswith(header + "\n")
+
+
 def test_invalid_construction():
     with pytest.raises(ValueError):
         Automaton(SIGMA, 1, [(0, "a", 5)], [0], [])
