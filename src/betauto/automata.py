@@ -38,6 +38,15 @@ class AlphabetMismatch(ValueError):
     pass
 
 
+class CapExceeded(RuntimeError):
+    """A state, depth or subset cap was hit before a construction closed;
+    ``stats`` holds its partial counts."""
+
+    def __init__(self, message: str, stats: dict | None = None):
+        super().__init__(message)
+        self.stats = stats or {}
+
+
 def pair_alphabet(left: tuple, right: tuple | None = None) -> tuple:
     """The pair letters (x, y), x in ``left`` and y in ``right`` (default
     ``left``): (left[i], right[j]) has index i * len(right) + j."""
@@ -154,8 +163,9 @@ def trim(a: Automaton) -> Automaton:
         [a.labels[s] for s in keep])
 
 
-def determinize(a: Automaton) -> Automaton:
-    """Subset construction; states are reachable nonempty subsets in BFS order."""
+def determinize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
+    """Subset construction; states are reachable nonempty subsets in BFS order.
+    Raises ``CapExceeded`` when it would make more than ``max_states``."""
     start = frozenset(a.initials)
     if not start:
         return Automaton(a.alphabet, 0, [], [], [])
@@ -173,7 +183,14 @@ def determinize(a: Automaton) -> Automaton:
                 continue
             j = order.get(t)
             if j is None:
-                j = order[t] = len(order)
+                j = len(order)
+                if j >= max_states:
+                    raise CapExceeded(
+                        f"state cap {max_states} exceeded by the subset construction "
+                        f"(determinize of a {a.n_states}-state automaton)",
+                        {"construction": "determinize", "subsets": j,
+                         "input_states": a.n_states})
+                order[t] = j
                 subsets.append(t)
             transitions.append((head, x, j))
         head += 1
@@ -211,7 +228,7 @@ def _canonical_relabel(a: Automaton) -> Automaton:
         [0], sorted(order[s] for s in a.finals), labels)
 
 
-def minimize(a: Automaton) -> Automaton:
+def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     """Canonical minimal partial DFA; language-equal inputs give identical
     results, labels aside.
 
@@ -221,10 +238,11 @@ def minimize(a: Automaton) -> Automaton:
     pass per round, until a round splits nothing.  Missing edges go to a
     sink at index n, which ``-1`` also reaches by list indexing.  A class is
     named by its first state and takes that state's label; the quotient is
-    numbered by ``_canonical_relabel``."""
+    numbered by ``_canonical_relabel``.  ``max_states`` caps the subset
+    construction."""
     a = trim(a)
     if a.n_states and not a.deterministic:
-        a = determinize(a)
+        a = determinize(a, max_states)
     n = a.n_states
     if n == 0:
         return a

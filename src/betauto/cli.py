@@ -171,6 +171,13 @@ def cmd_relations(args) -> int:
     return EXIT_OK
 
 
+def _structure_parts(ctx, args):
+    """The relation and reduced automata, both under ``--max-states``."""
+    rel = _build_rel(ctx, args)
+    reduced = build_reduced_automaton(rel, args.order, args.max_states)
+    return rel, reduced
+
+
 def cmd_structure(args) -> int:
     candidate = None
     if args.candidate_pi:
@@ -184,11 +191,10 @@ def cmd_structure(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        rel = _build_rel(ctx, args)
+        rel, reduced = _structure_parts(ctx, args)
     except (Blocked, CapExceeded) as e:
         print(f"cannot build structure: {e}", file=sys.stderr)
         return EXIT_BLOCKED
-    reduced = build_reduced_automaton(rel, args.order)
     _write_automaton(out, "reduced", reduced)
     for g in ctx.digit_names:
         _write_automaton(out, f"mult_{g}", build_multiplier(rel, reduced, g))
@@ -203,12 +209,6 @@ def cmd_structure(args) -> int:
     if report.pi_check is not None and not report.pi_check["ok"]:
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _structure_parts(ctx, args):
-    rel = _build_rel(ctx, args)
-    reduced = build_reduced_automaton(rel, args.order)
-    return rel, reduced
 
 
 def cmd_reduce(args) -> int:

@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import add, mul, sub
 
 from . import numfield as nf
-from .automata import Automaton, pair_alphabet, reach, trim
+from .automata import Automaton, CapExceeded, pair_alphabet, reach, trim
 from .numfield import (
     _SLOP,
     ALGEBRAIC,
@@ -31,14 +31,6 @@ from .numfield import (
     poly_deg,
     poly_trim,
 )
-
-
-class CapExceeded(RuntimeError):
-    """A state or depth cap was hit before the exploration closed."""
-
-    def __init__(self, message: str, stats: dict | None = None):
-        super().__init__(message)
-        self.stats = stats or {}
 
 
 class Blocked(RuntimeError):
@@ -273,13 +265,15 @@ def kenyon_criterion(p: int, q: int) -> bool:
 # direct verification
 
 
-def _digit_index(ctx: BetaContext, g) -> int:
+def digit_index(names: tuple, g) -> int:
+    """Position of the digit ``g`` in ``names``: a non-bool int is the
+    position itself, anything else is looked up by its ``str()``."""
     if isinstance(g, int) and not isinstance(g, bool):
-        if not 0 <= g < len(ctx.digits):
+        if not 0 <= g < len(names):
             raise ValueError(f"digit index {g} out of range")
         return g
     try:
-        return ctx.digit_names.index(str(g))
+        return names.index(str(g))
     except ValueError:
         raise ValueError(f"unknown digit {g!r}") from None
 
@@ -287,8 +281,8 @@ def _digit_index(ctx: BetaContext, g) -> int:
 def verify_relation(ctx: BetaContext, u, v) -> bool:
     """Exact check that the two equal-length digit words define the same map
     (digits given by index or by display name)."""
-    u = [_digit_index(ctx, g) for g in u]
-    v = [_digit_index(ctx, g) for g in v]
+    u = [digit_index(ctx.digit_names, g) for g in u]
+    v = [digit_index(ctx.digit_names, g) for g in v]
     if len(u) != len(v):
         raise ValueError("words must have equal length")
     val = ctx.zero()

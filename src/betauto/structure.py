@@ -30,13 +30,16 @@ from .numfield import BetaContext, FieldElem, fe_add, poly_divmod, poly_trim
 from .relations import RelAutomaton
 
 
-def build_reduced_automaton(rel: RelAutomaton, order: str = "lex") -> Automaton:
+def build_reduced_automaton(rel: RelAutomaton, order: str = "lex",
+                            max_states: int = 1_000_000) -> Automaton:
     """Minimal DFA of the reduced words.
 
     ``order`` ranks digits by their position in the digit list (``lex``) or
     by the reverse position (``revlex``).  A word is removed when some
     order-smaller word of the same length defines the same map, i.e. when it
     is the second component of an accepted pair of (smaller, equivalent).
+    The subset construction of the reducible words can grow exponentially;
+    past ``max_states`` subsets it raises ``CapExceeded``.
     """
     names = list(rel.context.digit_names)
     if order == "lex":
@@ -47,7 +50,7 @@ def build_reduced_automaton(rel: RelAutomaton, order: str = "lex") -> Automaton:
         raise ValueError(f"unknown order {order!r} (expected 'lex' or 'revlex')")
     smaller = intersect(lex_pair_automaton(ranked), rel.automaton)
     reducible = project(smaller, side=2, alphabet=tuple(names))
-    return complement(minimize(reducible))
+    return complement(minimize(reducible, max_states))
 
 
 def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:

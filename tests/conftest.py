@@ -87,6 +87,44 @@ def random_relation_automata():
             continue
 
 
+def random_nonfree_contexts(seed: int = 29, count: int = 60):
+    """Seeded contexts that are non-free by construction.
+
+    Draws a random irreducible monic base beta^d = c_{d-1} beta^(d-1) + ...
+    + c_0 (degree 2..4, |c_i| <= 3) and takes the digits {0, 1} and the c_i.
+    Then 1 0^d and 0 c_{d-1} ... c_0 define the same map.  Returns the list
+    of ((c_{d-1}, ..., c_0), relation automaton) for the distinct contexts
+    that are not blocked and close within 50 relation states, and the number
+    of distinct contexts skipped, by reason."""
+    rng = random.Random(seed)
+    x = Symbol("x")
+    cases, seen, skipped = [], set(), {"blocked": 0, "capped": 0}
+    for _ in range(count):
+        while True:
+            d = rng.randint(2, 4)
+            c = [rng.randint(-3, 3) for _ in range(d)]  # c[i] is c_i
+            minpoly = [-ci for ci in c] + [1]
+            if Poly(minpoly[::-1], x).is_irreducible:
+                break
+        digits = [0, 1] + [ci for ci in dict.fromkeys(reversed(c)) if ci not in (0, 1)]
+        if (tuple(minpoly), tuple(digits)) in seen:
+            continue
+        seen.add((tuple(minpoly), tuple(digits)))
+        ctx = make_context(minpoly, digits)
+        if ctx.blocked:
+            skipped["blocked"] += 1
+            continue
+        try:
+            cases.append((tuple(reversed(c)), build_relation_automaton(ctx, max_states=50)))
+        except CapExceeded:
+            skipped["capped"] += 1
+    return cases, skipped
+
+
+# extra lines for the terminal summary, e.g. how many random contexts a test skipped
+REPORT = []
+
+
 def random_automaton(rng: random.Random, max_states: int = 5, alphabet=("a", "b")) -> Automaton:
     n = rng.randint(1, max_states)
     transitions = set()
@@ -191,12 +229,14 @@ SALEM_RHS = [2, 1, -5, 2]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Echo the one-line acceptance verdicts where capture cannot hide them."""
+    """Echo the one-line acceptance verdicts and the ``REPORT`` lines where
+    capture cannot hide them."""
     try:
         from test_acceptance import RESULTS
     except ImportError:
-        return
-    if RESULTS:
-        terminalreporter.section("acceptance criteria")
-        for line in RESULTS:
-            terminalreporter.write_line(line)
+        RESULTS = []
+    for title, lines in (("acceptance criteria", RESULTS), ("random contexts", REPORT)):
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

@@ -9,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from betauto import automata as au
 from betauto.automata import Automaton, PairLetter
+from betauto import relations
 from betauto.relations import build_relation_automaton
 from betauto.structure import build_reduced_automaton
 
@@ -54,6 +55,22 @@ def test_accepts_and_determinize():
     d = au.determinize(nfa)
     assert d.deterministic
     assert lang(d) == lang(nfa)
+
+
+def test_subset_construction_cap():
+    # words whose 4th letter from the end is 'a': 2^4 reachable subsets
+    nfa = Automaton(SIGMA, 5,
+                    [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
+                    + [(i, x, i + 1) for i in range(1, 4) for x in SIGMA],
+                    [0], [4])
+    assert au.determinize(nfa, max_states=16).n_states == 16
+    for build in (au.determinize, au.minimize):
+        with pytest.raises(au.CapExceeded) as e:
+            build(nfa, max_states=15)
+        assert e.value.stats == {"construction": "determinize", "subsets": 15,
+                                 "input_states": 5}
+        assert "determinize" in str(e.value)
+    assert relations.CapExceeded is au.CapExceeded
 
 
 def test_minimize_canonical_equality():

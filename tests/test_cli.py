@@ -172,6 +172,39 @@ def test_structure_quotes_dot_name_of_negative_digit(tmp_path, capsys):
     assert (tmp_path / "out" / "mult_1.dot").read_text().startswith("digraph mult_1 {\n")
 
 
+# x^3 - x^2 + 2x - 3 with digits {0, -3, 2}: the relation automaton closes,
+# but the subset construction of its reducible words grows past 20,000
+# subsets within a fraction of a second and without bound after that
+BLOWUP_CONFIG = {"beta": {"minpoly": [-3, 2, -1, 1]}, "digits": [0, -3, 2]}
+
+
+def test_structure_caps_the_subset_construction(tmp_path):
+    config = tmp_path / "blowup.json"
+    config.write_text(json.dumps(BLOWUP_CONFIG))
+    proc = subprocess.run(
+        [sys.executable, "-m", "betauto.cli", "structure", "--config", str(config),
+         "--out", str(tmp_path / "out"), "--max-states", "20000"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot build structure: state cap 20000 exceeded")
+    assert "determinize" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("reduce", ["0"], "cannot reduce"), ("oracle", [], "cannot run oracle")])
+def test_word_commands_cap_the_subset_construction(tmp_path, capsys, command,
+                                                    extra, message):
+    config = tmp_path / "blowup.json"
+    config.write_text(json.dumps(BLOWUP_CONFIG))
+    code, out, err = run(capsys, command, "--config", config, "--max-states", 5000,
+                         *extra)
+    assert code == 2 and out == ""
+    assert err.startswith(f"{message}: state cap 5000 exceeded")
+    assert "determinize" in err and len(err.splitlines()) == 1
+
+
 # SHA-256 of every file that `structure --order lex -N 20` writes for
 # kenyon_3_8 and that `relations` writes for intro, recorded before the JSON
 # writer replaced json.dumps: the benchmark's digest gate re-serialises JSON

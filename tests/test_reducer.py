@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from enum import IntEnum
 from itertools import product as iproduct
 
 import pytest
@@ -14,7 +15,13 @@ from betauto.relations import build_relation_automaton, verify_relation
 from betauto.structure import build_reduced_automaton
 from betauto.reducer import ReducerTable
 
-from conftest import coreachable_pairs, load_context, random_relation_automata
+import conftest
+from conftest import (
+    coreachable_pairs,
+    load_context,
+    random_nonfree_contexts,
+    random_relation_automata,
+)
 
 
 def make_table(name, order="lex"):
@@ -109,27 +116,66 @@ def test_reduce_is_order_least_equivalent(order):
     assert built >= 10
 
 
+def test_reducer_on_random_nonfree_contexts():
+    cases, skipped = random_nonfree_contexts()
+    conftest.REPORT.append(
+        f"reducer on random non-free contexts: {len(cases)} checked, "
+        f"{skipped['blocked']} blocked and {skipped['capped']} over 50 relation "
+        f"states skipped")
+    assert len(cases) >= 10
+    for c, rel in cases:
+        ctx = rel.context
+        names = ctx.digit_names
+        # beta^d = c_{d-1} beta^(d-1) + ... + c_0 is the relation 1 0^d = 0 c
+        u = ["1"] + ["0"] * len(c)
+        v = ["0"] + [str(ci) for ci in c]
+        assert au.accepts(rel.automaton, [PairLetter(a, b) for a, b in zip(u, v)]), c
+        assert verify_relation(ctx, u, v), c
+        for order in ("lex", "revlex"):
+            assert_order_least(ctx, rel, order)
+        reduced = build_reduced_automaton(rel, "lex")
+        t = ReducerTable(rel, reduced)
+        assert t.reduce(v) == t.reduce(u)
+        rng = random.Random(31)
+        for _ in range(60):
+            w = [rng.choice(names) for _ in range(rng.randint(0, 12))]
+            r = t.reduce(w)
+            assert len(r) == len(w) and t.reduce(r) == r, c
+            x = list(r) if rng.random() < 0.5 else [rng.choice(names) for _ in w]
+            assert t.equivalent(w, x) == verify_relation(ctx, w, x), c
+
+
 def test_cache_reuse(monkeypatch):
     live_passes = []
     live_pairs = reducer.live_pairs
     monkeypatch.setattr(reducer, "live_pairs",
                         lambda *args: live_passes.append(1) or live_pairs(*args))
     _, _, _, t = make_table("intro")
+
+    def interned():
+        """(subsets interned, subset steps computed)"""
+        return len(t._sets), sum(j >= 0 for row in t._next for j in row)
+
     # neither the table nor an equivalence test builds the live set
     assert t.equivalent("110", "033")
     assert t.reduce("") == ()
     assert t._live is None and not live_passes
-    # the first reduction builds it once; a warm one adds no cache entry
+    assert interned() == (1, 0)
+    # the first reduction builds it once; a warm one interns no new subset
     assert t.reduce("1111") == t.reduce("1111")
     assert len(live_passes) == 1
-    n_cached = len(t._cache)
+    seen = interned()
     t.reduce("1111")
+    assert interned() == seen
     t.reduce("0311")
-    assert len(t._cache) > n_cached
-    n_cached = len(t._cache)
+    assert interned()[1] > seen[1]
+    seen = interned()
     t.reduce("0311")
-    assert len(t._cache) == n_cached
+    assert interned() == seen
     assert len(live_passes) == 1
+    # ids and subsets correspond one to one
+    assert all(t._sid[subset] == i for i, subset in enumerate(t._sets))
+    assert len(t._sid) == len(t._sets) == len(t._next)
 
 
 def test_cached_subsets_hold_live_pairs_only():
@@ -146,9 +192,88 @@ def test_cached_subsets_hold_live_pairs_only():
             w = [rng.choice(names) for _ in range(rng.randint(1, 30))]
             assert t.equivalent(w, t.reduce(w))
         live = coreachable_pairs(reduced, rel.automaton, 2)
-        assert t._cache, case
-        for subset in t._cache.values():
-            assert subset <= live, case
+        # every subset a step produced (the start subset need not be live)
+        stepped = {j for row in t._next for j in row if j >= 0}
+        assert stepped, case
+        for j in stepped:
+            assert t._sets[j] <= live, case
+
+
+def old_digit_rule(names, g):
+    """The per-letter rule, written out: a non-bool int is a position, any
+    other letter is looked up by its str()."""
+    if isinstance(g, int) and not isinstance(g, bool):
+        if 0 <= g < len(names):
+            return g
+        raise ValueError(g)
+    if str(g) in names:
+        return names.index(str(g))
+    raise ValueError(g)
+
+
+class Named:
+    """A letter that is no str but whose str() is a digit name."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __str__(self):
+        return self.name
+
+
+class Alias(str):
+    """A str whose value and str() differ."""
+
+    def __str__(self):
+        return "8"
+
+
+class Position(IntEnum):
+    FIRST = 0
+    LAST = 2
+    PAST = 3
+
+
+def test_decoder_follows_the_digit_rule():
+    ctx, _, _, t = make_table("kenyon_3_8")
+    names = ctx.digit_names
+    assert names == ("0", "3", "8")  # names are not the positions
+    words = [
+        "038", "830", "", "3", "1", "12",
+        ["0", "3", "8"], ("8", "3"), [0, 1, 2], (2, 2, 0), ["3", 2, "0"],
+        [True], [False, "0"], [1.0], ["0", 2.0], [Position.LAST, "3"],
+        [Position.FIRST], [Position.PAST], [3], [-1], [8], ["0", 10 ** 30],
+        ["5"], ["3", "1"], [Named("8"), "0"], [Named("9")], [Alias("3")],
+        [Alias("0"), 1], [None], [b"3"],
+    ]
+    for word in words:
+        try:
+            expect = [old_digit_rule(names, g) for g in word]
+        except ValueError:
+            expect = None
+        for spelled in (word, iter(word)):
+            if expect is None:
+                with pytest.raises(ValueError):
+                    t._letters(spelled)
+            else:
+                assert t._letters(spelled) == expect, word
+        if expect is None:
+            with pytest.raises(ValueError):
+                t.reduce(word)
+            with pytest.raises(ValueError):
+                t.equivalent(word, word)
+            with pytest.raises(ValueError):
+                verify_relation(ctx, word, word)
+        else:
+            assert t.reduce(word) == t.reduce(expect)
+            assert t.equivalent(word, expect)
+            assert verify_relation(ctx, word, expect)
+    # what a dict lookup alone would get wrong
+    assert t._letters([Alias("3")]) == [2]
+    with pytest.raises(ValueError):
+        t._letters([True])
+    with pytest.raises(ValueError):
+        t._letters([1.0])
 
 
 def test_table_rejects_mismatched_automata():
