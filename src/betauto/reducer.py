@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .automata import Automaton, live_pairs, pair_alphabet, transpose
+from .automata import Automaton, live_pairs, pair_alphabet
 from .automata import accepts  # noqa: F401  (the benchmark tracer wraps reducer.accepts)
 from .relations import RelAutomaton, digit_index
 
@@ -50,6 +50,17 @@ from .relations import RelAutomaton, digit_index
 # subclass, an object named by its str()) takes the per-letter rule, since it
 # can hash and compare equal to a key it must not decode to
 _PLAIN = frozenset({str, int})
+
+
+def _predecessors(table: list) -> list:
+    """``pred[q][i]``: the states p with ``table[p][i] == q``, in increasing
+    order, for a deterministic table with -1 for a missing edge."""
+    pred = [[[] for _ in row] for row in table]
+    for p, row in enumerate(table):
+        for i, q in enumerate(row):
+            if q >= 0:
+                pred[q][i].append(p)
+    return pred
 
 
 class ReducerTable:
@@ -81,9 +92,8 @@ class ReducerTable:
         # the relation letter (names[a], names[b]) has index a * k + b
         self._rel_next = rel.automaton.ddelta()
         self._red_next = reduced.ddelta()
-        self._rel_pred, self._red_pred = (
-            [[sorted(cell or ()) for cell in row] for row in transpose(aut).delta()]
-            for aut in (rel.automaton, reduced))
+        self._rel_pred = _predecessors(self._rel_next)
+        self._red_pred = _predecessors(self._red_next)
 
         (self.rel_init,) = rel.automaton.initials
         (self.red_init,) = reduced.initials

@@ -5,7 +5,14 @@ from pathlib import Path
 
 from sympy import Poly, Symbol
 
-from betauto.automata import Automaton, determinize, transpose, trim
+from betauto.automata import (
+    Automaton,
+    intersect,
+    lex_pair_automaton,
+    project,
+    transpose,
+    trim,
+)
 from betauto.numfield import NumFieldError, context_from_config, make_context
 from betauto.relations import CapExceeded, build_relation_automaton
 
@@ -135,13 +142,48 @@ def random_automaton(rng: random.Random, max_states: int = 5, alphabet=("a", "b"
     return Automaton(alphabet, n, transitions, initials, finals)
 
 
+def subset_construction(a: Automaton) -> Automaton:
+    """Plain subset construction, with no pruning: the reachable nonempty
+    subsets of states in breadth-first order from the initial subset,
+    letters in alphabet order.  It reads ``a.transitions`` only, so it
+    shares no code with ``automata.determinize``."""
+    succ = {}
+    for (p, x, q) in a.transitions:
+        succ.setdefault((p, x), set()).add(q)
+    start = frozenset(a.initials)
+    if not start:
+        return Automaton(a.alphabet, 0, [], [], [])
+    order = {start: 0}
+    subsets = [start]
+    transitions = []
+    for i, s in enumerate(subsets):
+        for x in a.alphabet:
+            t = frozenset().union(*(succ.get((p, x), ()) for p in s))
+            if t:
+                if t not in order:
+                    order[t] = len(subsets)
+                    subsets.append(t)
+                transitions.append((i, x, order[t]))
+    finals = [i for i, s in enumerate(subsets) if s & a.finals]
+    return Automaton(a.alphabet, len(subsets), transitions, [0], finals)
+
+
 def brzozowski(a: Automaton) -> Automaton:
     """Reference minimizer: Brzozowski's double reversal.  Determinizing the
     reversal of an accessible automaton gives the minimal DFA of the reversed
     language, and the last subset construction numbers its states in BFS
     order from the initial state in alphabet order, the canonical numbering
     of ``automata.minimize``."""
-    return determinize(transpose(determinize(transpose(trim(a)))))
+    return subset_construction(transpose(subset_construction(transpose(trim(a)))))
+
+
+def reducible_words(rel, order):
+    """The NFA of the reducible words that ``build_reduced_automaton``
+    minimizes."""
+    names = rel.context.digit_names
+    ranked = names if order == "lex" else names[::-1]
+    smaller = intersect(lex_pair_automaton(ranked), rel.automaton)
+    return project(smaller, side=2, alphabet=tuple(names))
 
 
 def same_dfa(m, ref) -> bool:

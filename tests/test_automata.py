@@ -18,7 +18,9 @@ from conftest import (
     coreachable_pairs,
     load_context,
     random_automaton,
+    random_nonfree_contexts,
     random_relation_automata,
+    reducible_words,
     same_dfa,
 )
 
@@ -97,15 +99,6 @@ def test_equivalent_ignores_alphabet_order():
     assert not au.equivalent(ab, Automaton(("b", "a"), 3, tr[:2], [0], [1]))
 
 
-def reducible_words(rel, order):
-    """The trimmed NFA of the reducible words that ``build_reduced_automaton``
-    minimizes."""
-    names = rel.context.digit_names
-    ranked = names if order == "lex" else names[::-1]
-    smaller = au.intersect(au.lex_pair_automaton(ranked), rel.automaton)
-    return au.project(smaller, side=2, alphabet=tuple(names))
-
-
 def test_minimize_matches_brzozowski():
     rng = random.Random(20261018)
     cases = [random_automaton(rng, max_states=6) for _ in range(300)]
@@ -114,12 +107,59 @@ def test_minimize_matches_brzozowski():
     rels = [build_relation_automaton(load_context(name), force=True)
             for name in ("intro", "kenyon_3_8", "pisot_x3-x-1")]
     rels += [rel for _, rel in random_relation_automata()]
-    assert len(rels) >= 13
+    rels += [rel for _, rel in random_nonfree_contexts()[0]]
+    assert len(rels) >= 23
     cases += [reducible_words(rel, order) for rel in rels for order in ("lex", "revlex")]
     for a in cases:
         m, ref = au.minimize(a), brzozowski(a)
         assert same_dfa(m, ref), a
         assert m.alphabet == a.alphabet and len(m.labels) == m.n_states
+
+
+def naive_simulation(a):
+    """The pairs (p, q) with q simulating p: from the pairs that respect
+    finality, drop a pair while some step of p has no matching step of q."""
+    steps = {}
+    for (p, x, q) in a.transitions:
+        steps.setdefault((p, x), set()).add(q)
+    sim = {(p, q) for p in range(a.n_states) for q in range(a.n_states)
+           if q in a.finals or p not in a.finals}
+    dropped = True
+    while dropped:
+        dropped = False
+        for p, q in list(sim):
+            if any(not any((p2, q2) in sim for q2 in steps.get((q, x), ()))
+                   for x in a.alphabet for p2 in steps.get((p, x), ())):
+                sim.discard((p, q))
+                dropped = True
+    return sim
+
+
+def test_simulation_is_maximal_and_sound():
+    rng = random.Random(20261019)
+    related = 0
+    for _ in range(300):
+        a = random_automaton(rng, max_states=6)
+        up = au._simulation(a)
+        got = {(p, q) for p in range(a.n_states) for q in range(a.n_states)
+               if up[p] >> q & 1}
+        assert got == naive_simulation(a), a
+        langs = [lang(Automaton(a.alphabet, a.n_states, a.transitions, [p], a.finals), 6)
+                 for p in range(a.n_states)]
+        for p, q in got:
+            assert langs[p] <= langs[q], (a, p, q)
+            related += p != q
+    assert related >= 300
+
+
+def test_determinize_keeps_maximal_states():
+    # 1 and 2 read the same words, and 0 reads fewer: subsets keep only 1
+    nfa = Automaton(SIGMA, 4, [(1, "a", 3), (2, "a", 3), (0, "a", 3), (3, "b", 3),
+                               (1, "b", 1), (2, "b", 2)],
+                    [0, 1, 2], [3], ["p", "q", "r", "f"])
+    d = au.determinize(nfa)
+    assert d.labels == ("{q}", "{f}")
+    assert lang(d, 6) == lang(nfa, 6)
 
 
 def test_minimize_empty_language():

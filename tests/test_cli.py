@@ -319,6 +319,27 @@ def test_verify_words(tmp_path, capsys):
     assert code == 1
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # one parser serves every call, and no option of a call leaks into the next
+    assert cli._parser() is cli._parser()
+    code, out, _ = run(capsys, "reduce", "--config", cfg("intro"), "--out", tmp_path,
+                       "--order", "revlex", "10")
+    assert (code, out) == (0, "10\n")
+    code, out, _ = run(capsys, "free", "--config", cfg("intro"), "--out", tmp_path)
+    assert (code, out) == (0, "non-free (kenyon:nonfree)\n")
+    code, out, _ = run(capsys, "reduce", "--config", cfg("intro"), "--out", tmp_path, "10")
+    assert (code, out) == (0, "03\n")
+    fresh = cli._parser.__wrapped__()
+    assert cli._parser().format_help() == fresh.format_help()
+    errors = []
+    for parse in (main, fresh.parse_args):
+        with pytest.raises(SystemExit) as e:
+            parse(["reduce", "10"])
+        assert e.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "--config" in errors[0]
+
+
 def test_verify_identity(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--config", cfg("salem"),
                        "--out", tmp_path,

@@ -24,6 +24,7 @@ from conftest import (
     brzozowski,
     load_context,
     random_relation_automata,
+    reducible_words,
     same_dfa,
 )
 
@@ -78,6 +79,16 @@ def test_bad_order():
     rel = build_relation_automaton(load_context("intro"))
     with pytest.raises(ValueError):
         build_reduced_automaton(rel, "colex")
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_reduced_automaton_within_a_thousand_subsets(order):
+    # the unpruned subset construction of these reducible words makes 5,984
+    # subsets; the simulation-pruned one makes 300
+    rel = build_relation_automaton(load_context("pisot_x3-x-1"), force=True)
+    red = build_reduced_automaton(rel, order, max_states=1000)
+    assert red.n_states == 138
+    assert same_dfa(red, au.complement(brzozowski(reducible_words(rel, order))))
 
 
 # --- reduced counts vs brute force ---------------------------------------------
