@@ -472,20 +472,20 @@ def append_letter(a: Automaton, letter) -> Automaton:
                      list(a.labels) + ["+"])
 
 
-def live_pairs(a: Automaton, rel: Automaton, side: int) -> bytearray:
+def live_pairs(a: Automaton, rel: Automaton) -> bytearray:
     """Bitmap over ``r * a.n_states + p`` of the pairs (p, r) from which some
     word of pair letters leads ``rel`` to a final state and leads ``a``,
-    reading component ``side`` (1 or 2) of each letter, to a final state:
-    one backward search from the (final, final) pairs."""
+    reading the right component of each letter, to a final state: one
+    backward search from the (final, final) pairs."""
     if rel.alphabet != pair_alphabet(a.alphabet):
         raise ValueError(
             f"relation letters {rel.alphabet!r} are not the pairs of {a.alphabet!r}")
     n = a.n_states
     # rel_in[r2] holds (c, r) for the relation edges r -> r2 whose letter has
-    # the letter of index c of ``a`` on ``side``
+    # the letter of index c of ``a`` on the right
     rel_in = [set() for _ in range(rel.n_states)]
     for (r, xy, r2) in rel.transitions:
-        rel_in[r2].add((a._letter_index[xy[side - 1]], r))
+        rel_in[r2].add((a._letter_index[xy[1]], r))
     # pred[q][c] lists the states of ``a`` with an edge to q on letter c
     pred = [[[] for _ in a.alphabet] for _ in range(n)]
     for (p, x, q) in a.transitions:

@@ -375,9 +375,6 @@ class FieldElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def degree(self) -> int:
-        return poly_deg(self.coeffs)
-
     def __str__(self) -> str:
         var = "X" if self.mode == TRANSCENDENTAL else "b"
         return poly_str(self.coeffs, var)

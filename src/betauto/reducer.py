@@ -12,7 +12,7 @@ drives both automata into a (final, final) pair.  The extraction walks back
 from a final pair through predecessors, which are all live, so dropping the
 other pairs changes no output; it makes the subsets, and the number of
 distinct (subset, letter) steps, several times smaller.  The live set is
-``automata.live_pairs(reduced, rel.automaton, 2)``, the bitmap over pairs
+``automata.live_pairs(reduced, rel.automaton)``, the bitmap over pairs
 that the multiplier search also uses, built on the first missing step, so
 building a table and ``equivalent`` never pay for it (10-15 ms on
 ``pisot_x3-x-1``, 179 x 138 pairs).
@@ -142,7 +142,7 @@ class ReducerTable:
         """Id of the successor of subset ``sid`` on input letter ``a``: the
         union of its pairs' live successor rows, interned on first sight."""
         if self._live is None:
-            self._live = live_pairs(self.reduced, self.rel.automaton, 2)
+            self._live = live_pairs(self.reduced, self.rel.automaton)
         subset = self._sets[sid]
         rows = self._succ[a]
         for pair in subset.difference(rows):

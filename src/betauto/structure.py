@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .automata import (
     Automaton,
-    append_letter,
     char_poly,
     complement,
     count_series,
@@ -70,27 +69,30 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     depend on the string-hash seed.
 
     A step keeps the pair (v, r) only when it can still reach
-    (final, final), and u only when (u, r) can still reach (``+``, final);
-    ``live_pairs`` computes both sets, one backward search each.  ``+`` is
-    kept when r is final.  A step that keeps neither u nor ``+`` is dropped.
-    Each filter only removes triples from which no final triple is
-    reachable, so the language is unchanged, and ``minimize`` trims what
-    the filters let through."""
+    (final, final); ``live_pairs`` computes that set in one backward search.
+    ``+`` is kept when r is final, and a step that keeps neither u nor ``+``
+    is dropped.  These filters only remove triples from which no final
+    triple is reachable, so the language is unchanged, and ``minimize``
+    trims the rest.  No filter on the u side is needed: the relation
+    automaton's only final state is 0, every diagonal letter loops on 0,
+    and ``reduced`` is trimmed.  So on a plus step (r2 = 0) the u-state
+    reaches a final state along diagonal letters and then ``+`` on (g, g);
+    on any other step a u that cannot reach (``+``, final) never sets the
+    flag, its triple is dead, and dead triples lead only to dead triples.
+    The trimmed search DFA, and so the minimal one with its labels, is the
+    same as with a u-side filter."""
     sigma = reduced.alphabet
-    # (v, r) pairs that reach F_red x F_rel, at r * n_red + v; this also
-    # checks that the relation letters are the pairs of ``sigma``
-    live_vr = live_pairs(reduced, rel.automaton, 2)
     if g not in sigma:
         raise ValueError(f"unknown digit {g!r}")
-    # (u, r) pairs that reach + x F_rel, at r * (n_red + 1) + u
-    live_ur = live_pairs(append_letter(reduced, g), rel.automaton, 1)
+    # (v, r) pairs that reach F_red x F_rel, at r * n_red + v; this also
+    # checks that the relation letters are the pairs of ``sigma``
+    live_vr = live_pairs(reduced, rel.automaton)
     alphabet = rel.automaton.alphabet
     k = len(sigma)
     gi = sigma.index(g)
     rel_finals = rel.automaton.finals
     red_finals = reduced.finals
     n_red = reduced.n_states
-    n_u = n_red + 1
     next_red = reduced.ddelta()
     if len(reduced.initials) > 1 or len(rel.automaton.initials) > 1:
         raise ValueError("automaton is not deterministic")
@@ -111,8 +113,6 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
             if v2 < 0 or not live_vr[r2 * n_red + v2]:
                 continue
             u2 = nu[x]
-            if u2 >= 0 and not live_ur[r2 * n_u + u2]:
-                u2 = -1
             plus = x == gi and u_final and r2 in rel_finals
             if u2 < 0 and not plus:
                 continue

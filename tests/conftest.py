@@ -192,9 +192,9 @@ def same_dfa(m, ref) -> bool:
         (ref.n_states, ref.initials, ref.finals, ref.transitions)
 
 
-def coreachable_pairs(a, rel, side):
+def coreachable_pairs(a, rel):
     """Pair indices r * a.n_states + p from which some word of pair letters
-    leads ``rel`` and ``a`` (reading component ``side`` of each letter) into
+    leads ``rel`` and ``a`` (reading the right component of each letter) into
     a final pair: a plain fixpoint over the transition sets."""
     live = {(r, p) for r in rel.finals for p in a.finals}
     grown = True
@@ -202,7 +202,7 @@ def coreachable_pairs(a, rel, side):
         grown = False
         for r, letter, r2 in rel.transitions:
             for p, c, p2 in a.transitions:
-                if c == letter[side - 1] and (r2, p2) in live and (r, p) not in live:
+                if c == letter[1] and (r2, p2) in live and (r, p) not in live:
                     live.add((r, p))
                     grown = True
     return {r * a.n_states + p for r, p in live}

@@ -191,7 +191,7 @@ def test_cached_subsets_hold_live_pairs_only():
         for _ in range(40):
             w = [rng.choice(names) for _ in range(rng.randint(1, 30))]
             assert t.equivalent(w, t.reduce(w))
-        live = coreachable_pairs(reduced, rel.automaton, 2)
+        live = coreachable_pairs(reduced, rel.automaton)
         # every subset a step produced (the start subset need not be live)
         stepped = {j for row in t._next for j in row if j >= 0}
         assert stepped, case

@@ -28,6 +28,7 @@ from conftest import (
     buildable_fixture_names,
     load_context,
     random_algebraic_configs,
+    random_nonfree_contexts,
 )
 
 
@@ -323,8 +324,9 @@ def test_random_pairs_against_oracle():
 
 
 def test_random_contexts_against_exact_arithmetic():
-    # verify_relation checks with FieldElem arithmetic
-    built = nontrivial = 0
+    # verify_relation checks with FieldElem arithmetic, on the seeded contexts
+    # and on those that are non-free by construction
+    rels = []
     for minpoly, digits in random_algebraic_configs(5):
         try:
             ctx = make_context(minpoly, digits)
@@ -333,16 +335,18 @@ def test_random_contexts_against_exact_arithmetic():
         if ctx.blocked:
             continue
         try:
-            rel = build_relation_automaton(ctx, max_states=5000)
+            rels.append(build_relation_automaton(ctx, max_states=5000))
         except CapExceeded:
             continue
-        built += 1
-        nontrivial += rel.n_states > 1
+    nonfree = [rel for _, rel in random_nonfree_contexts()[0]]
+    assert len(rels) >= 15 and sum(rel.n_states > 1 for rel in rels) >= 5
+    assert len(nonfree) >= 10 and all(rel.n_states > 1 for rel in nonfree)
+    for rel in rels + nonfree:
         assert all(type(c) is int for e in rel.state_elems for c in e.coeffs)
+        ctx = rel.context
         names = ctx.digit_names
         for n in range(4):
             for u in iproduct(names, repeat=n):
                 for v in iproduct(names, repeat=n):
                     assert au.accepts(rel.automaton, pair_word(u, v)) == \
-                        verify_relation(ctx, u, v), (minpoly, digits, u, v)
-    assert built >= 15 and nontrivial >= 5
+                        verify_relation(ctx, u, v), (ctx.minpoly, names, u, v)

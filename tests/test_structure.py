@@ -18,11 +18,13 @@ from betauto.structure import (
 )
 from betauto.reducer import ReducerTable
 
+import conftest
 from conftest import (
     KENYON_TABLE,
     TRANSC_TABLE,
     brzozowski,
     load_context,
+    random_nonfree_contexts,
     random_relation_automata,
     reducible_words,
     same_dfa,
@@ -104,13 +106,13 @@ def test_counts_match_bruteforce(name):
 
 
 def test_random_contexts_counts_match_bruteforce():
-    built = 0
-    for config, rel in random_relation_automata():
-        built += 1
+    cases = list(random_relation_automata())
+    nonfree = random_nonfree_contexts()[0]
+    assert len(cases) >= 10 and len(nonfree) >= 10
+    for config, rel in cases + nonfree:
         red = build_reduced_automaton(rel)
         assert au.count_series(red, 5) == \
             count_elements_bruteforce(rel.context, 5), config
-    assert built >= 10
 
 
 def test_bruteforce_cap():
@@ -174,6 +176,39 @@ def test_random_multipliers_match_product_construction():
         for order in ("lex", "revlex"):
             assert_matches_product_construction(rel, build_reduced_automaton(rel, order))
     assert built >= 10
+
+
+def test_random_nonfree_multipliers_match_product_construction():
+    cases, _ = random_nonfree_contexts()
+    checked = skipped = 0
+    for c, rel in cases:
+        for order in ("lex", "revlex"):
+            red = build_reduced_automaton(rel, order)
+            # the Brzozowski reference takes seconds past about 50 reduced states
+            if red.n_states > 50:
+                skipped += 1
+                continue
+            checked += 1
+            assert_matches_product_construction(rel, red)
+    conftest.REPORT.append(
+        f"multipliers on random non-free contexts: {checked} (context, order) runs "
+        f"checked, {skipped} over 50 reduced states skipped")
+    assert checked >= 20
+
+
+def test_multiplier_runs_one_live_search(monkeypatch):
+    calls = []
+    live_pairs = structure.live_pairs
+    monkeypatch.setattr(structure, "live_pairs",
+                        lambda a, *rest: calls.append(a) or live_pairs(a, *rest))
+    for name in ["kenyon_3_8", "pisot_x3-x-1"]:
+        ctx = load_context(name)
+        rel = build_relation_automaton(ctx)
+        red = build_reduced_automaton(rel, "lex")
+        for g in ctx.digit_names:
+            calls.clear()
+            build_multiplier(rel, red, g)
+            assert len(calls) == 1 and calls[0] is red, (name, g)
 
 
 # SHA-256 of json.dumps(to_json(m), indent=2, sort_keys=True) and of to_dot(m),
