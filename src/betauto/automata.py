@@ -77,6 +77,7 @@ class Automaton:
         if not (self.initials <= set(range(n_states)) and self.finals <= set(range(n_states))):
             raise ValueError("initial/final state out of range")
         self._delta = self._ddelta = None
+        self._pair_tables = {}  # relation automaton -> pair_tables(self, it)
 
     def delta(self) -> list:
         """Transition table, built once and shared (callers must not mutate
@@ -336,29 +337,23 @@ def _canonical_relabel(a: Automaton) -> Automaton:
         [0], sorted(order[s] for s in a.finals), labels)
 
 
-def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
-    """Canonical minimal partial DFA; language-equal inputs give identical
-    results, labels aside.
+def _minimal(alphabet, d, final, init: int, label) -> Automaton:
+    """Canonical minimal DFA of a trimmed deterministic table: ``d[p][i]``
+    is the target of state p on ``alphabet[i]`` or -1, ``final[p]`` says
+    whether p is final, ``init`` is the initial state, and every state lies
+    on a path from ``init`` to a final state.
 
-    Trim, determinize when the result is not deterministic (the subsets of
-    a trimmed automaton are all co-accessible), then Moore refinement: a
-    state's class is refined by the classes of its successors, one C-level
-    pass per round, until a round splits nothing.  Missing edges go to a
-    sink at index n, which ``-1`` also reaches by list indexing.  A class is
-    named by its first state and takes that state's label; the quotient is
-    numbered by ``_canonical_relabel``.  ``max_states`` caps the subset
-    construction.  On the 180-state reducible-word automaton of
-    ``pisot_x3-x-1`` ``determinize`` makes 300 simulation-pruned subsets
-    (5,984 unpruned), and refinement folds them into 139 classes."""
-    a = trim(a)
-    if a.n_states and not a.deterministic:
-        a = determinize(a, max_states)
-    n = a.n_states
-    if n == 0:
-        return a
-    d = a.ddelta()
+    Moore refinement: a state's class is refined by the classes of its
+    successors, one C-level pass per round, until a round splits nothing.
+    Missing edges go to a sink at index n, which ``-1`` also reaches by list
+    indexing.  A class is named by its first state and takes the label
+    ``label(state)`` of that state, built for the class representatives
+    only.  The classes are numbered by breadth-first search from the
+    initial class, letters in alphabet order, which is the canonical form
+    that ``_canonical_relabel`` gives a trimmed DFA."""
+    n = len(d)
     succ = [itemgetter(*col, -1) for col in zip(*d)]
-    cls = [s in a.finals for s in range(n)] + [False]
+    cls = list(final) + [False]
     count = len(set(cls))
     while True:
         ids = {}
@@ -366,15 +361,44 @@ def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
         if len(ids) == count:
             break
         count = len(ids)
-    # every trimmed state accepts some word, so none shares the sink's class
-    reps = sorted(set(cls[:n]))
-    idx = {c: i for i, c in enumerate(reps)}
-    return _canonical_relabel(Automaton(
-        a.alphabet, len(reps),
-        [(i, x, idx[cls[q]]) for i, c in enumerate(reps)
-         for x, q in zip(a.alphabet, d[c]) if q >= 0],
-        [idx[cls[s]] for s in a.initials], {idx[cls[s]] for s in a.finals},
-        [a.labels[c] for c in reps]))
+    # every trimmed state accepts some word, so none shares the sink's class,
+    # and every class is reached from the initial one
+    reps = [cls[init]]
+    order = {reps[0]: 0}
+    transitions = []
+    for i, c in enumerate(reps):
+        for x, q in zip(alphabet, d[c]):
+            if q >= 0:
+                t = cls[q]
+                j = order.get(t)
+                if j is None:
+                    j = order[t] = len(reps)
+                    reps.append(t)
+                transitions.append((i, x, j))
+    return Automaton(alphabet, len(reps), transitions, [0],
+                     [i for i, c in enumerate(reps) if final[c]], map(label, reps))
+
+
+def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
+    """Canonical minimal partial DFA; language-equal inputs give identical
+    results, labels aside.
+
+    Trim, determinize when the result is not deterministic (the subsets of
+    a trimmed automaton are all co-accessible), then hand the table to
+    ``_minimal``: Moore refinement and the canonical numbering, each class
+    taking the label of its first state.  ``structure.build_multiplier``
+    hands its search table to the same core.  ``max_states`` caps the
+    subset construction.  On the 180-state reducible-word automaton of
+    ``pisot_x3-x-1`` ``determinize`` makes 300 simulation-pruned subsets
+    (5,984 unpruned), and refinement folds them into 139 classes."""
+    a = trim(a)
+    if a.n_states and not a.deterministic:
+        a = determinize(a, max_states)
+    if a.n_states == 0:
+        return a
+    (init,) = a.initials
+    return _minimal(a.alphabet, a.ddelta(), [s in a.finals for s in range(a.n_states)],
+                    init, a.labels.__getitem__)
 
 
 def complement(a: Automaton) -> Automaton:
@@ -472,15 +496,40 @@ def append_letter(a: Automaton, letter) -> Automaton:
                      list(a.labels) + ["+"])
 
 
+def pair_tables(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
+    """The tables of the pair space of ``a`` and the deterministic relation
+    automaton ``rel`` (letters: the pairs of ``a.alphabet``) that no search
+    start changes.  They are computed once per relation automaton and kept
+    on ``a``, like its transition tables, so every multiplier of a structure
+    and its ``ReducerTable`` share them; callers must not mutate them.
+
+    - ``live``: the bitmap over ``r * a.n_states + p`` of the pairs (p, r)
+      from which some word of pair letters leads ``rel`` to a final state
+      and leads ``a``, reading the right component of each letter, to a
+      final state (``live_pairs``);
+    - ``out[r]``: the edges of ``rel`` leaving r, in letter order, as
+      (x, y, i, r2 * a.n_states, r2 final) for the letter of index i, the
+      pair (``a.alphabet[x]``, ``a.alphabet[y]``)."""
+    kept = a._pair_tables.get(rel)
+    if kept is None:
+        kept = a._pair_tables[rel] = _pair_search(a, rel)
+    return kept
+
+
 def live_pairs(a: Automaton, rel: Automaton) -> bytearray:
-    """Bitmap over ``r * a.n_states + p`` of the pairs (p, r) from which some
-    word of pair letters leads ``rel`` to a final state and leads ``a``,
-    reading the right component of each letter, to a final state: one
-    backward search from the (final, final) pairs."""
+    """The kept bitmap of live pairs of ``pair_tables``."""
+    return pair_tables(a, rel)[0]
+
+
+def _pair_search(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
+    """The tables of ``pair_tables``; the live pairs by one backward search
+    from the (final, final) pairs."""
     if rel.alphabet != pair_alphabet(a.alphabet):
         raise ValueError(
             f"relation letters {rel.alphabet!r} are not the pairs of {a.alphabet!r}")
-    n = a.n_states
+    n, k = a.n_states, len(a.alphabet)
+    out = [[(*divmod(i, k), i, r2 * n, r2 in rel.finals) for i, r2 in enumerate(row) if r2 >= 0]
+           for row in rel.ddelta()]
     # rel_in[r2] holds (c, r) for the relation edges r -> r2 whose letter has
     # the letter of index c of ``a`` on the right
     rel_in = [set() for _ in range(rel.n_states)]
@@ -503,7 +552,7 @@ def live_pairs(a: Automaton, rel: Automaton) -> bytearray:
                 if not live[s]:
                     live[s] = 1
                     stack.append(s)
-    return live
+    return live, out
 
 
 def project(a: Automaton, side: int, alphabet=None) -> Automaton:

@@ -13,9 +13,10 @@ from a final pair through predecessors, which are all live, so dropping the
 other pairs changes no output; it makes the subsets, and the number of
 distinct (subset, letter) steps, several times smaller.  The live set is
 ``automata.live_pairs(reduced, rel.automaton)``, the bitmap over pairs
-that the multiplier search also uses, built on the first missing step, so
-building a table and ``equivalent`` never pay for it (10-15 ms on
-``pisot_x3-x-1``, 179 x 138 pairs).
+that the multipliers of the structure also read, kept on ``reduced``.  It
+is read on the first missing step, so building a table and ``equivalent``
+never pay for it (10-15 ms on ``pisot_x3-x-1``, 179 x 138 pairs, when no
+multiplier has computed it).
 
 Each forward subset is interned once and named by an integer id (the start
 subset is 0): ``_sets`` maps an id to its subset, ``_sid`` a subset to its

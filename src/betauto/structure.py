@@ -14,15 +14,17 @@ from fractions import Fraction
 
 from .automata import (
     Automaton,
+    _minimal,
     char_poly,
     complement,
     count_series,
     intersect,
     lex_pair_automaton,
-    live_pairs,
     minimize,
+    pair_tables,
     perron_enclosure,
     project,
+    reach,
     trim,
 )
 from .numfield import BetaContext, FieldElem, fe_add, poly_divmod, poly_trim
@@ -64,71 +66,102 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     (u or -1, plus-flag, v, r) is the subset construction of the triple
     automaton: u is the ``reduced`` state, if any, and the flag says whether
     ``+`` is in the subset too.  A search state is final when its flag is
-    set and v and r are final.  Letters are scanned in alphabet order and
-    each state label is a function of the state, so the output does not
-    depend on the string-hash seed.
+    set and v and r are final.  Letters are scanned in alphabet order.
+
+    The search fills one table row per state (the target per letter index,
+    or -1) and hands the table to the minimizer core ``automata._minimal``.
+    Every search state is reachable, so trimming keeps the co-reachable
+    states, in search order.  Each class of the minimal automaton takes the
+    label of its first search state, built for the representatives only, so
+    the output does not depend on the string-hash seed.
 
     A step keeps the pair (v, r) only when it can still reach
-    (final, final); ``live_pairs`` computes that set in one backward search.
-    ``+`` is kept when r is final, and a step that keeps neither u nor ``+``
-    is dropped.  These filters only remove triples from which no final
-    triple is reachable, so the language is unchanged, and ``minimize``
-    trims the rest.  No filter on the u side is needed: the relation
-    automaton's only final state is 0, every diagonal letter loops on 0,
-    and ``reduced`` is trimmed.  So on a plus step (r2 = 0) the u-state
-    reaches a final state along diagonal letters and then ``+`` on (g, g);
-    on any other step a u that cannot reach (``+``, final) never sets the
-    flag, its triple is dead, and dead triples lead only to dead triples.
-    The trimmed search DFA, and so the minimal one with its labels, is the
-    same as with a u-side filter."""
+    (final, final): the bitmap of such pairs and the relation edge lists do
+    not depend on ``g``, so ``automata.pair_tables`` computes them once per
+    structure and keeps them on ``reduced``.  ``+`` is kept when r is final,
+    and a step that keeps neither u nor ``+`` is dropped.  These filters
+    only remove triples from which no final triple is reachable, so the
+    language is unchanged, and trimming removes the rest.  No filter on the
+    u side is needed: the relation automaton's only final state is 0, every
+    diagonal letter loops on 0, and ``reduced`` is trimmed.  So on a plus
+    step (r2 = 0) the u-state reaches a final state along diagonal letters
+    and then ``+`` on (g, g); on any other step a u that cannot reach
+    (``+``, final) never sets the flag, its triple is dead, and dead triples
+    lead only to dead triples.  The trimmed search DFA, and so the minimal
+    one with its labels, is the same as with a u-side filter."""
     sigma = reduced.alphabet
     if g not in sigma:
         raise ValueError(f"unknown digit {g!r}")
-    # (v, r) pairs that reach F_red x F_rel, at r * n_red + v; this also
-    # checks that the relation letters are the pairs of ``sigma``
-    live_vr = live_pairs(reduced, rel.automaton)
+    # this also checks that the relation letters are the pairs of ``sigma``
+    live, rel_out = pair_tables(reduced, rel.automaton)
     alphabet = rel.automaton.alphabet
-    k = len(sigma)
     gi = sigma.index(g)
-    rel_finals = rel.automaton.finals
-    red_finals = reduced.finals
     n_red = reduced.n_states
     next_red = reduced.ddelta()
     if len(reduced.initials) > 1 or len(rel.automaton.initials) > 1:
         raise ValueError("automaton is not deterministic")
-    # rel_out[r] lists the edges (x, y, r2) leaving r, in alphabet order
-    rel_out = [[(*divmod(xy, k), r2) for xy, r2 in enumerate(row) if r2 >= 0]
-               for row in rel.automaton.ddelta()]
+    # a search state is the integer (2 (u + 1) + flag) * n_pairs + r * n_red + v
+    n_pairs = rel.automaton.n_states * n_red
+    # u_key[u][x]: the key offset of the u-state reached from u on letter x
+    u_key = [[2 * (u2 + 1) * n_pairs for u2 in row] for row in next_red]
+    red_final = [u in reduced.finals for u in range(n_red)]
 
-    queue = [(u, False, u, r) for u in reduced.initials for r in rel.automaton.initials]
+    queue = [2 * (u + 1) * n_pairs + r * n_red + u
+             for u in reduced.initials for r in rel.automaton.initials]
     order = {s: i for i, s in enumerate(queue)}
-    transitions = []
-    for src, (u, _, v, r) in enumerate(queue):
-        if u < 0:
-            continue  # only + is left, and it has no outgoing edges
-        nu, nv = next_red[u], next_red[v]
-        u_final = u in red_finals
-        for (x, y, r2) in rel_out[r]:
+    rows = []  # rows[s][i]: the target of search state s on letter i, or -1
+    pred = [[] for _ in queue]  # pred[s]: the sources of the edges into s
+    finals = []
+    blank = [-1] * len(alphabet)
+    no_u = 2 * n_pairs  # the keys below hold no u-state
+    for src, key in enumerate(queue):
+        if key < no_u:
+            rows.append(blank)  # only + is left, and it has no outgoing edges
+            continue
+        row = blank.copy()
+        rows.append(row)
+        q, pair = divmod(key, n_pairs)
+        r, v = divmod(pair, n_red)
+        u = (q >> 1) - 1
+        nu, nv = u_key[u], next_red[v]
+        u_final = red_final[u]
+        for (x, y, i, r2n, r2_final) in rel_out[r]:
             v2 = nv[y]
-            if v2 < 0 or not live_vr[r2 * n_red + v2]:
+            if v2 < 0 or not live[r2n + v2]:
                 continue
-            u2 = nu[x]
-            plus = x == gi and u_final and r2 in rel_finals
-            if u2 < 0 and not plus:
-                continue
-            t = (u2, plus, v2, r2)
+            t = nu[x] + r2n + v2
+            plus = x == gi and u_final and r2_final
+            if plus:
+                t += n_pairs
+            elif t < no_u:
+                continue  # neither u nor +
             j = order.get(t)
             if j is None:
                 j = order[t] = len(queue)
                 queue.append(t)
-            transitions.append((src, alphabet[x * k + y], j))
+                pred.append([src])
+                if plus and red_final[v2]:
+                    finals.append(j)
+            else:
+                pred[j].append(src)
+            row[i] = j
+    keep = sorted(reach(finals, pred))
+    if not keep:
+        return Automaton(alphabet, 0, [], [], [])
+    # index in the trimmed table, -1 for a dead state; idx[-1] maps -1 to -1
+    idx = [-1] * (len(queue) + 1)
+    for i, s in enumerate(keep):
+        idx[s] = i
+    table = [list(map(idx.__getitem__, rows[s])) for s in keep]
+    is_final = set(finals)
     rel_labels = rel.automaton.labels
-    finals = [i for i, (u, plus, v, r) in enumerate(queue)
-              if plus and v in red_finals and r in rel_finals]
-    labels = [f"{'' if u < 0 else u}{'+' if plus else ''},{v}|{rel_labels[r]}"
-              for (u, plus, v, r) in queue]
-    return minimize(Automaton(alphabet, len(queue), transitions, [0] if queue else [],
-                              finals, labels))
+
+    def label(c):
+        q, pair = divmod(queue[keep[c]], n_pairs)
+        u, r, v = (q >> 1) - 1, *divmod(pair, n_red)
+        return f"{'' if u < 0 else u}{'+' if q & 1 else ''},{v}|{rel_labels[r]}"
+
+    return _minimal(alphabet, table, [s in is_final for s in keep], 0, label)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from betauto.automata import (
     Automaton,
     intersect,
     lex_pair_automaton,
+    live_pairs,
+    minimize,
     project,
     transpose,
     trim,
@@ -206,6 +208,55 @@ def coreachable_pairs(a, rel):
                     live.add((r, p))
                     grown = True
     return {r * a.n_states + p for r, p in live}
+
+
+def reference_multiplier(rel, reduced, g) -> Automaton:
+    """The multiplier of ``structure.build_multiplier`` by its former path:
+    the same breadth-first search over (u or -1, plus-flag, v, r) states
+    builds an ``Automaton`` of every search state, each labelled, which
+    ``automata.minimize`` trims, refines and renumbers."""
+    sigma = reduced.alphabet
+    if g not in sigma:
+        raise ValueError(f"unknown digit {g!r}")
+    live_vr = live_pairs(reduced, rel.automaton)
+    alphabet = rel.automaton.alphabet
+    k = len(sigma)
+    gi = sigma.index(g)
+    rel_finals = rel.automaton.finals
+    red_finals = reduced.finals
+    n_red = reduced.n_states
+    next_red = reduced.ddelta()
+    rel_out = [[(*divmod(xy, k), r2) for xy, r2 in enumerate(row) if r2 >= 0]
+               for row in rel.automaton.ddelta()]
+    queue = [(u, False, u, r) for u in reduced.initials for r in rel.automaton.initials]
+    order = {s: i for i, s in enumerate(queue)}
+    transitions = []
+    for src, (u, _, v, r) in enumerate(queue):
+        if u < 0:
+            continue
+        nu, nv = next_red[u], next_red[v]
+        u_final = u in red_finals
+        for (x, y, r2) in rel_out[r]:
+            v2 = nv[y]
+            if v2 < 0 or not live_vr[r2 * n_red + v2]:
+                continue
+            u2 = nu[x]
+            plus = x == gi and u_final and r2 in rel_finals
+            if u2 < 0 and not plus:
+                continue
+            t = (u2, plus, v2, r2)
+            j = order.get(t)
+            if j is None:
+                j = order[t] = len(queue)
+                queue.append(t)
+            transitions.append((src, alphabet[x * k + y], j))
+    rel_labels = rel.automaton.labels
+    finals = [i for i, (u, plus, v, r) in enumerate(queue)
+              if plus and v in red_finals and r in rel_finals]
+    labels = [f"{'' if u < 0 else u}{'+' if plus else ''},{v}|{rel_labels[r]}"
+              for (u, plus, v, r) in queue]
+    return minimize(Automaton(alphabet, len(queue), transitions, [0] if queue else [],
+                              finals, labels))
 
 
 def random_palindromic_polys(seed: int, count: int = 100):

@@ -27,6 +27,7 @@ from conftest import (
     random_nonfree_contexts,
     random_relation_automata,
     reducible_words,
+    reference_multiplier,
     same_dfa,
 )
 
@@ -161,6 +162,16 @@ def assert_matches_product_construction(rel, red):
         assert new.alphabet == old.alphabet, g
 
 
+def assert_matches_reference_path(rel, red):
+    # the table search against the search automaton minimized by ``minimize``:
+    # the same bytes, labels included
+    for g in rel.context.digit_names:
+        new, ref = build_multiplier(rel, red, g), reference_multiplier(rel, red, g)
+        assert json.dumps(au.to_json(new), indent=2, sort_keys=True) == \
+            json.dumps(au.to_json(ref), indent=2, sort_keys=True), g
+        assert au.to_dot(new, f"mult_{g}") == au.to_dot(ref, f"mult_{g}"), g
+
+
 @pytest.mark.parametrize("name", ["intro", "kenyon_3_8", "kenyon_6_7",
                                   "pisot_x3-x-1", "transc_1_over_X2+X+1",
                                   "free_x4-3x3-3x2-3x+1"])
@@ -169,12 +180,21 @@ def test_multiplier_matches_product_construction(name):
     assert_matches_product_construction(rel, build_reduced_automaton(rel))
 
 
+@pytest.mark.parametrize("name", conftest.buildable_fixture_names())
+def test_multiplier_matches_reference_path(name):
+    rel = build_relation_automaton(load_context(name), force=True)
+    for order in ("lex", "revlex"):
+        assert_matches_reference_path(rel, build_reduced_automaton(rel, order))
+
+
 def test_random_multipliers_match_product_construction():
     built = 0
     for config, rel in random_relation_automata():
         built += 1
         for order in ("lex", "revlex"):
-            assert_matches_product_construction(rel, build_reduced_automaton(rel, order))
+            red = build_reduced_automaton(rel, order)
+            assert_matches_reference_path(rel, red)
+            assert_matches_product_construction(rel, red)
     assert built >= 10
 
 
@@ -184,6 +204,7 @@ def test_random_nonfree_multipliers_match_product_construction():
     for c, rel in cases:
         for order in ("lex", "revlex"):
             red = build_reduced_automaton(rel, order)
+            assert_matches_reference_path(rel, red)
             # the Brzozowski reference takes seconds past about 50 reduced states
             if red.n_states > 50:
                 skipped += 1
@@ -191,24 +212,29 @@ def test_random_nonfree_multipliers_match_product_construction():
             checked += 1
             assert_matches_product_construction(rel, red)
     conftest.REPORT.append(
-        f"multipliers on random non-free contexts: {checked} (context, order) runs "
-        f"checked, {skipped} over 50 reduced states skipped")
+        f"multipliers on random non-free contexts: {checked + skipped} (context, order) "
+        f"runs against the reference path, {checked} against the product construction "
+        f"({skipped} over 50 reduced states skipped)")
     assert checked >= 20
 
 
 def test_multiplier_runs_one_live_search(monkeypatch):
+    # one backward search per structure: every multiplier and the reducer
+    # read the tables kept on the reduced automaton
     calls = []
-    live_pairs = structure.live_pairs
-    monkeypatch.setattr(structure, "live_pairs",
-                        lambda a, *rest: calls.append(a) or live_pairs(a, *rest))
+    search = au._pair_search
+    monkeypatch.setattr(au, "_pair_search",
+                        lambda a, rel: calls.append((a, rel)) or search(a, rel))
     for name in ["kenyon_3_8", "pisot_x3-x-1"]:
         ctx = load_context(name)
         rel = build_relation_automaton(ctx)
-        red = build_reduced_automaton(rel, "lex")
-        for g in ctx.digit_names:
+        for order in ("lex", "revlex"):
+            red = build_reduced_automaton(rel, order)
             calls.clear()
-            build_multiplier(rel, red, g)
-            assert len(calls) == 1 and calls[0] is red, (name, g)
+            for g in ctx.digit_names:
+                build_multiplier(rel, red, g)
+            ReducerTable(rel, red).reduce(ctx.digit_names * 4)
+            assert calls == [(red, rel.automaton)], (name, order)
 
 
 # SHA-256 of json.dumps(to_json(m), indent=2, sort_keys=True) and of to_dot(m),
