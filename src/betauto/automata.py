@@ -9,19 +9,18 @@ polynomial of the adjacency count matrix.
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, count
-from operator import itemgetter, or_
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, floordiv, itemgetter, ne, neg, or_
 from typing import Iterable, NamedTuple
 
-from sympy import QQ, ZZ, nextprime
-from sympy.polys.rootisolation import (
-    dup_inner_isolate_real_roots,
-    dup_inner_refine_real_root,
-)
+from sympy import ZZ, nextprime
+from sympy.polys.rootisolation import dup_inner_isolate_real_roots
 from sympy.polys.sqfreetools import dup_sqf_part
 
 from .numfield import poly_trim
@@ -697,6 +696,11 @@ def char_poly(a: Automaton) -> tuple[int, ...]:
     return tuple(x - P if x > half else x for x in polys[n])
 
 
+def _check_tol(tol) -> None:
+    if not 0 < tol < math.inf:  # also refuses nan
+        raise ValueError(f"tol must be a positive finite float, got {tol!r}")
+
+
 def perron_enclosure(cp, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the largest real root of ``cp``, the
     characteristic polynomial (constant term first) of a nonnegative matrix,
@@ -704,18 +708,21 @@ def perron_enclosure(cp, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
 
     By Perron-Frobenius the largest real root of such a polynomial is its
     spectral radius, which is >= 0, so only the positive roots of the
-    squarefree part are isolated, and only the largest one is refined."""
-    f = dup_sqf_part([ZZ(c) for c in reversed(poly_trim(cp))], ZZ)
-    while f and not f[-1]:
-        f = f[:-1]  # the zero root
+    squarefree part are isolated (sympy's continued-fraction isolation), and
+    only the largest one is refined.  The refinement, ``_refine_root``, is
+    in-repo: it repeats the steps of sympy's ``dup_inner_refine_real_root``
+    (the LMQ lower bound, then the Moebius steps) on the same integers and
+    ends on the same polynomial and Moebius map, so the enclosure, and the
+    ``lambda`` bytes written from it, are the ones sympy gives.  Its Taylor
+    shifts and bound run their inner loops at C level."""
+    _check_tol(tol)
+    f = _drop_zero_root(dup_sqf_part([ZZ(c) for c in reversed(poly_trim(cp))], ZZ))
     roots = [(g, m, _mobius_interval(m)) for g, m in dup_inner_isolate_real_roots(f, ZZ)]
     if not roots:
         return (Fraction(0), Fraction(0))
     # an exact root beats an open interval that ends at it
     g, m, _ = max(roots, key=lambda r: (r[2][1], r[2][0]))
-    eps = Fraction(tol) / 4  # exact: a positive float is a dyadic rational
-    _, m = dup_inner_refine_real_root(
-        g, m, ZZ, eps=QQ(eps.numerator, eps.denominator), mobius=True)
+    _, m = _refine_root(g, m, Fraction(tol) / 4)  # exact: tol is dyadic
     return _mobius_interval(m)
 
 
@@ -726,10 +733,128 @@ def _mobius_interval(m) -> tuple[Fraction, Fraction]:
     return tuple(sorted((Fraction(a, c), Fraction(b, d))))
 
 
+# Positive-root refinement by continued fractions (Vincent-Akritas-
+# Strzebonski), step for step as sympy 1.14's ``dup_inner_refine_real_root``
+# with ``mobius=True``: polynomials are integer lists, leading coefficient
+# first, and every intermediate value equals sympy's.
+
+
+def _refine_root(f, m, eps: Fraction):
+    """Step the Moebius map ``m`` = (a, b, c, d), whose image of (0, inf)
+    holds one positive root of ``f`` transformed by ``m``, until the interval
+    between a/c and b/d is narrower than ``eps``.  Returns the transformed
+    polynomial and the map, as sympy does."""
+    a, b, c, d = m
+    num, den = eps.numerator, eps.denominator
+    # sympy first steps until c != 0, so that a/c is finite, then while
+    # |a/c - b/d| >= eps, here in integers; an exact root has width 0
+    while not c or abs(a * d - b * c) * den >= num * abs(c * d):
+        f, a, b, c, d = _refine_step(f, a, b, c, d)
+    return f, (a, b, c, d)
+
+
+def _refine_step(f, a, b, c, d):
+    """sympy's ``dup_step_refine_real_root``: shift the polynomial by the
+    lower bound A of its positive roots, then keep the root in (1, inf) by
+    a shift by one, or in (0, 1) by reversing first.  A root that lands on
+    0 is exact and ends with a == b and c == d."""
+    k = _lmq_exponent(f)
+    if k >= 0:
+        f = _shift_pow2(f, k)
+        b, d = (a << k) + b, (c << k) + d
+        if not f[-1]:
+            return f, b, b, d, d
+    g, f = f, _shift_one(f)
+    b1, d1 = a + b, c + d
+    if not f[-1]:
+        return f, b1, b1, d1, d1
+    signs = list(map((0).__lt__, filter(None, f)))
+    if sum(map(ne, signs, signs[1:])) == 1:
+        return f, a, b1, c, d1
+    f = _shift_one(_drop_zero_root(g)[::-1])
+    if not f[-1]:
+        f.pop()
+    return f, b, b1, d, d1
+
+
+def _shift_one(f):
+    """f(x + 1), by ``dup_shift``'s additions: synthetic division by x - 1,
+    a prefix sum whose last entry is the next coefficient, from the
+    constant term up."""
+    out = []
+    for _ in range(len(f)):
+        f = list(accumulate(f))
+        out.append(f.pop())
+    out.reverse()
+    return out
+
+
+def _shift_pow2(f, k):
+    """f(x + 2**k) = F(x / 2**k) with F(y) = f(2**k (y + 1)): scale by
+    left shifts, shift by one, and scale back by exact right shifts."""
+    n = len(f) - 1
+    f = _shift_one([c << k * (n - i) for i, c in enumerate(f)])
+    return [c >> k * (n - i) for i, c in enumerate(f)]
+
+
+def _drop_zero_root(f):
+    """f without its trailing zero coefficients, that is divided by x**k
+    for its root 0 of multiplicity k (sympy's ``dup_reverse`` drops them)."""
+    while f and not f[-1]:
+        f = f[:-1]
+    return f
+
+
+def _log2s(values) -> list:
+    """``ZZ.log(v, 2)`` of each value: ``int(math.log(v, 2))``."""
+    return list(map(int, map(math.log, values, repeat(2))))
+
+
+def _lmq_exponent(f) -> int:
+    """k such that sympy's ``dup_root_lower_bound`` of the positive roots,
+    cut to an integer, is A = 2**k; -1 when A = 0.
+
+    That bound is 1 / 2**(max(P) + 1), with P the local-max-quadratic
+    (Akritas, J. UCS 15(3), 2009) exponents of the upper bound of ``f``
+    reversed.  With ``f`` signed so that its lowest nonzero coefficient is
+    positive and indices counted from its leading coefficient: for each
+    negative coefficient i, the least (t[j] + log|f_i| - log f_j) // (j - i)
+    over the positive coefficients j after it, the first such j on a tie,
+    whose t[j] (1 at first) then grows by one.  A = 0 once an exponent is
+    >= 0, so the scan stops there."""
+    g = _drop_zero_root(f)
+    if g[-1] < 0:
+        g = list(map(neg, g))
+    pos = list(compress(count(), map((0).__lt__, g)))
+    negs = list(compress(count(), map((0).__gt__, g)))
+    # starts[i]: the index in ``pos`` of the first positive after negs[i]
+    starts = list(map(bisect_right, repeat(pos), negs))
+    m = bisect_left(starts, len(pos))  # negatives with a positive after them
+    if not m:
+        return -1
+    tl = [1 - x for x in _log2s(map(g.__getitem__, pos))]  # t[j] - log f_j
+    la = _log2s(map(neg, map(g.__getitem__, negs[:m])))
+    m1 = bisect_left(starts, len(pos) - 1)
+    qs = []
+    for i, s, a in zip(negs, starts, la[:m1]):
+        q, j = min(zip(map(floordiv, map(a.__add__, tl[s:]), map((-i).__add__, pos[s:])),
+                       count(s)))
+        if q >= 0:
+            return -1
+        tl[j] += 1
+        qs.append(q)
+    # the later negatives see only the last positive, so each one picks it
+    # and its t grows by one per negative
+    top = max(chain(qs, map(floordiv, map(add, la[m1:], count(tl[-1])),
+                            map(pos[-1].__sub__, negs[m1:m]))))
+    return -1 - top if top < 0 else -1
+
+
 def dominant_eigenvalue(a: Automaton, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Perron root of the trimmed
     automaton's adjacency matrix (largest real root of its characteristic
     polynomial)."""
+    _check_tol(tol)
     t = trim(a)
     if t.n_states == 0:
         return (Fraction(0), Fraction(0))

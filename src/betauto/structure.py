@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .automata import (
     Automaton,
+    CapExceeded,
     _minimal,
     char_poly,
     complement,
@@ -54,7 +55,8 @@ def build_reduced_automaton(rel: RelAutomaton, order: str = "lex",
     return complement(minimize(reducible, max_states))
 
 
-def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
+def build_multiplier(rel: RelAutomaton, reduced: Automaton, g,
+                     max_states: int = 1_000_000) -> Automaton:
     """Minimal automaton of the pairs (u, v) of reduced words with
     v equivalent to u followed by the digit ``g``.
 
@@ -88,7 +90,10 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     and then ``+`` on (g, g); on any other step a u that cannot reach
     (``+``, final) never sets the flag, its triple is dead, and dead triples
     lead only to dead triples.  The trimmed search DFA, and so the minimal
-    one with its labels, is the same as with a u-side filter."""
+    one with its labels, is the same as with a u-side filter.
+
+    The search is capped like the reduced chain, per relation state: past
+    ``max_states * rel.n_states`` search states it raises ``CapExceeded``."""
     sigma = reduced.alphabet
     if g not in sigma:
         raise ValueError(f"unknown digit {g!r}")
@@ -112,6 +117,7 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
     rows = []  # rows[s][i]: the target of search state s on letter i, or -1
     pred = [[] for _ in queue]  # pred[s]: the sources of the edges into s
     finals = []
+    cap = max_states * rel.n_states
     blank = [-1] * len(alphabet)
     no_u = 2 * n_pairs  # the keys below hold no u-state
     for src, key in enumerate(queue):
@@ -138,6 +144,13 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g) -> Automaton:
             j = order.get(t)
             if j is None:
                 j = order[t] = len(queue)
+                if j >= cap:
+                    raise CapExceeded(
+                        f"state cap {max_states} exceeded by the multiplier search "
+                        f"for digit {g} ({cap} search states, {max_states} per "
+                        f"relation state)",
+                        {"construction": "multiplier", "digit": g,
+                         "search_states": j})
                 queue.append(t)
                 pred.append([src])
                 if plus and red_final[v2]:

@@ -1,20 +1,29 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from sympy import ZZ, Poly, Rational, Symbol
+from sympy import QQ, ZZ, Poly, Rational, Symbol
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rootisolation import (
+    dup_inner_isolate_real_roots,
+    dup_inner_refine_real_root,
+    dup_step_refine_real_root,
+)
+from sympy.polys.sqfreetools import dup_sqf_part
 
 from betauto import automata as au
 from betauto.automata import Automaton, PairLetter
 from betauto import relations
+from betauto.numfield import context_from_config
 from betauto.relations import build_relation_automaton
 from betauto.structure import build_reduced_automaton
 
 from conftest import (
     brzozowski,
+    buildable_fixture_names,
     coreachable_pairs,
     load_context,
     random_automaton,
@@ -362,11 +371,126 @@ def test_char_poly_matches_berkowitz(spectral_cases):
         assert au.char_poly(a) == _oracle_char_poly(a), au.adjacency(a)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-16])
 def test_perron_enclosure_matches_all_root_isolation(spectral_cases, tol):
     for a in spectral_cases:
         cp = _oracle_char_poly(a)
         assert au.perron_enclosure(cp, tol) == _oracle_enclosure(cp, tol), cp
+
+
+def _close_root_char_poly(n):
+    """(x - 2)(x^n - 2x^(n-1) - 1), constant term first: its Perron root lies
+    about 2^(1-n) above the root 2, so refinement takes many small steps."""
+    q = [-1] + [0] * (n - 2) + [-2, 1]
+    return tuple(x - 2 * y for x, y in zip([0] + q, q + [0]))
+
+
+@pytest.fixture(scope="module")
+def refinement_char_polys(spectral_cases):
+    """The spectral cases, the lex and revlex reduced automata of the
+    buildable fixtures and of the benchmark's base-3 digits {0, p, 17}
+    contexts, and the close-root family for n = 10..16."""
+    cps = [_oracle_char_poly(a) for a in spectral_cases]
+    contexts = [load_context(name) for name in buildable_fixture_names()]
+    contexts += [context_from_config({"beta": {"minpoly": [-3, 1]}, "digits": [0, p, 17]})
+                 for p in (2, 8, 9, 12, 15)]
+    for ctx in contexts:
+        rel = build_relation_automaton(ctx, force=True)
+        for order in ("lex", "revlex"):
+            cps.append(au.char_poly(au.trim(build_reduced_automaton(rel, order))))
+    cps += [_close_root_char_poly(n) for n in range(10, 17)]
+    return cps
+
+
+def test_close_root_family_has_close_roots():
+    for n in range(10, 17):
+        lo, hi = au.perron_enclosure(_close_root_char_poly(n), 1e-10)
+        assert 2 < lo and hi - 2 < Fraction(2, 2 ** n)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-16])
+def test_refinement_matches_sympy(refinement_char_polys, tol, monkeypatch):
+    # every refinement perron_enclosure runs must end on sympy's polynomial
+    # and Moebius map, which fix the enclosure bytes
+    refine = au._refine_root
+    runs = []
+
+    def checked(f, m, eps):
+        got = refine(f, m, eps)
+        g, want = dup_inner_refine_real_root(
+            f, m, ZZ, eps=QQ(eps.numerator, eps.denominator), mobius=True)
+        assert got == (list(g), tuple(map(int, want))), (f, m)
+        runs.append(m)
+        return got
+
+    monkeypatch.setattr(au, "_refine_root", checked)
+    for cp in refinement_char_polys:
+        au.perron_enclosure(cp, tol)
+    assert len(runs) >= 200, len(runs)
+
+
+def test_refinement_steps_match_sympy(refinement_char_polys, monkeypatch):
+    # step by step too: a step that differs can still end on the same map
+    step = au._refine_step
+    steps = []
+
+    def checked(f, *m):
+        got = step(f, *m)
+        g, want = dup_step_refine_real_root(f, m, ZZ)
+        assert got == (list(g), *map(int, want)), (f, m)
+        steps.append(m)
+        return got
+
+    monkeypatch.setattr(au, "_refine_step", checked)
+    for cp in refinement_char_polys:
+        au.perron_enclosure(cp, 1e-10)
+    assert len(steps) >= 8000, len(steps)
+
+
+def _random_squarefree_polys(seed, count):
+    """Seeded squarefree integer polynomials, leading coefficient first,
+    without the root 0: products of rational linear factors (exact roots),
+    and dense or sparse ones (zero coefficients) of mixed sizes."""
+    rng = random.Random(seed)
+    while count:
+        deg = rng.randint(1, 10)
+        if rng.random() < 0.3:
+            f = [1]
+            for _ in range(deg):
+                lin = [rng.randint(1, 8), -rng.randint(-20, 40)]
+                f = [a * lin[0] + b * lin[1] for a, b in zip(f + [0], [0] + f)]
+        else:
+            bound = rng.choice([2, 10, 1000, 10 ** 12])
+            f = [rng.randint(1, bound)] + [rng.randint(-bound, bound) for _ in range(deg)]
+            for _ in range(rng.randint(0, deg) if rng.random() < 0.3 else 0):
+                f[rng.randint(1, deg)] = 0
+        f = dup_sqf_part(f, ZZ)
+        while f and not f[-1]:
+            f = f[:-1]
+        if len(f) > 1:
+            count -= 1
+            yield f
+
+
+def test_refinement_matches_sympy_on_every_positive_root():
+    rng = random.Random(7)
+    refined = 0
+    for f in _random_squarefree_polys(20261019, 400):
+        for g, m in dup_inner_isolate_real_roots(f, ZZ):
+            eps = Fraction(rng.choice([1e-1, 3e-7, 1e-10, 1e-16])) / 4
+            want_f, want_m = dup_inner_refine_real_root(
+                g, m, ZZ, eps=QQ(eps.numerator, eps.denominator), mobius=True)
+            assert au._refine_root(g, m, eps) == (list(want_f), tuple(want_m)), (f, m)
+            refined += 1
+    assert refined >= 600, refined
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_enclosure_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be a positive finite float"):
+        au.perron_enclosure((-1, -1, 1), tol)
+    with pytest.raises(ValueError, match="tol must be a positive finite float"):
+        au.dominant_eigenvalue(dfa([(0, "a", 0)], [0], 1), tol)
 
 
 # --- serialization -----------------------------------------------------------

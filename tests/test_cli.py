@@ -192,6 +192,40 @@ def test_structure_caps_the_subset_construction(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+# x^4 - x^3 - 3x^2 - x + 2 with digits {0, -1, 1}: at --max-states 8000 the
+# lex reduced chain passes (7,976 subsets, 6,034 states), but each multiplier
+# search makes about 483k states, more than 8,000 per relation state (55)
+MULTIPLIER_BLOWUP_CONFIG = {"beta": {"minpoly": [2, -1, -3, -1, 1]},
+                            "digits": [0, -1, 1]}
+
+
+def test_structure_caps_the_multiplier_search(tmp_path):
+    config = tmp_path / "blowup.json"
+    config.write_text(json.dumps(MULTIPLIER_BLOWUP_CONFIG))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "betauto.cli", "structure", "--config", str(config),
+         "--out", str(out), "--max-states", "8000"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "cannot build structure: state cap 8000 exceeded by the multiplier "
+        "search for digit 0 (440000 search states")
+    assert len(proc.stderr.splitlines()) == 1
+    assert list(out.iterdir()) == []  # no artefact, not even reduced.json
+
+
+def test_structure_under_a_cap_that_bounds_the_multipliers(tmp_path, capsys):
+    # the installed-CLI smoke run of the CI workflow
+    code, out, _ = run(capsys, "structure", "--config", cfg("pisot_x3-x-1"),
+                       "--max-states", 1000, "--out", tmp_path)
+    assert code == 0 and out.startswith("reduced_states=138 ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "growth.json", "mult_0.dot", "mult_0.json", "mult_1.dot", "mult_1.json",
+        "reduced.dot", "reduced.json"]
+
+
 @pytest.mark.parametrize("command, extra, message", [
     ("reduce", ["0"], "cannot reduce"), ("oracle", [], "cannot run oracle")])
 def test_word_commands_cap_the_subset_construction(tmp_path, capsys, command,

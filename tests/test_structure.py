@@ -8,7 +8,7 @@ import pytest
 
 from betauto import automata as au
 from betauto import structure
-from betauto.automata import Automaton, PairLetter
+from betauto.automata import Automaton, CapExceeded, PairLetter
 from betauto.relations import build_relation_automaton
 from betauto.structure import (
     build_multiplier,
@@ -313,6 +313,19 @@ def test_multiplier_rejects_a_nondeterministic_reduced_automaton():
                       red.initials, red.finals)
     with pytest.raises(ValueError, match="not deterministic"):
         build_multiplier(rel, split, "0")
+
+
+def test_multiplier_search_is_capped_per_relation_state():
+    rel = build_relation_automaton(load_context("pisot_x3-x-1"))
+    red = build_reduced_automaton(rel)
+    for g in rel.context.digit_names:
+        with pytest.raises(CapExceeded, match=f"multiplier search for digit {g} ") as e:
+            build_multiplier(rel, red, g, max_states=1)
+        assert e.value.stats == {"construction": "multiplier", "digit": g,
+                                 "search_states": rel.n_states}
+        # the CLI's smoke run: 4,714 search states at most, under the cap
+        assert au.to_json(build_multiplier(rel, red, g, max_states=1000)) == \
+            au.to_json(build_multiplier(rel, red, g))
 
 
 # --- growth report ---------------------------------------------------------------
