@@ -4,7 +4,10 @@ States are indices with optional display labels; letters are opaque hashable
 tokens (pair letters are ``PairLetter`` named tuples).  All operations return
 new automata; nothing is mutated after construction.  Counting uses exact
 big integers, spectral data is certified via the exact characteristic
-polynomial of the adjacency count matrix.
+polynomial of the adjacency count matrix: the product over its strongly
+connected blocks of the polynomials that Newton's identities give, in exact
+integers, from the traces of the block's powers M^k, whose entries are at
+most rho^k for the block's largest row sum rho.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, floordiv, itemgetter, ne, neg, or_
+from operator import add, and_, floordiv, itemgetter, mul, ne, neg, or_, rshift
 from typing import Iterable, NamedTuple
 
-from sympy import ZZ, nextprime
+from sympy import ZZ
 from sympy.polys.rootisolation import dup_inner_isolate_real_roots
 from sympy.polys.sqfreetools import dup_sqf_part
 
@@ -629,71 +632,64 @@ def count_series(a: Automaton, n_max: int) -> list[int]:
 
 def char_poly(a: Automaton) -> tuple[int, ...]:
     """Exact characteristic polynomial det(xI - M) of the adjacency count
-    matrix, constant term first.
+    matrix, constant term first, in integer arithmetic with no modulus.
 
-    M is reduced to upper Hessenberg form by elementary similarity
-    transforms modulo one prime P, and the char-poly is read off with the
-    Hessenberg recurrence.  With rho the largest row sum, every coefficient
-    satisfies |c_k| <= C(n, k) rho^k <= (1 + rho)^n < P / 2, so the
-    symmetric residues are the exact integers.  Every pivot is a nonzero
-    residue, hence invertible modulo the prime."""
-    n = a.n_states
-    if n == 0:
-        return (1,)
-    h = adjacency(a)
-    P = nextprime(2 * (1 + max(map(sum, h))) ** n)
-    for k in range(n - 2):
-        r = next((i for i in range(k + 1, n) if h[i][k]), None)
-        if r is None:
-            continue  # column k is already in Hessenberg form
-        c = k + 1
-        if r != c:
-            h[r], h[c] = h[c], h[r]
-            for row in h:
-                row[r], row[c] = row[c], row[r]
-        pivot = h[c]
-        inv = pow(pivot[k], -1, P)
-        nz = [(j, pivot[j]) for j in range(k, n) if pivot[j]]
-        # rows i -= u_i * row c, then column c += sum of u_i * column i
-        mults = []
-        for i in range(c + 1, n):
-            row = h[i]
-            if row[k]:
-                u = row[k] * inv % P
-                for j, x in nz:
-                    row[j] = (row[j] - u * x) % P
-                mults.append((i, u))
-        if mults:
-            for row in h:
-                acc = 0
-                for i, u in mults:
-                    if row[i]:
-                        acc += u * row[i]
-                if acc:
-                    row[c] = (row[c] + acc) % P
-    # p_m = (x - h[m-1][m-1]) p_{m-1}
-    #       - sum_i h[m-i-1][m-1] * h[m-1][m-2] ... h[m-i][m-i-1] * p_{m-i-1}
-    polys = [[1]]
-    for m in range(1, n + 1):
-        prev = polys[-1]
-        d = h[m - 1][m - 1]
-        cur = [0] + prev
-        if d:
-            for j, x in enumerate(prev):
-                cur[j] -= d * x
-        t = 1
-        for i in range(1, m):
-            t = t * h[m - i][m - i - 1] % P
-            if not t:
-                break
-            e = h[m - i - 1][m - 1]
-            if e:
-                f = t * e
-                for j, x in enumerate(polys[m - i - 1]):
-                    cur[j] -= f * x
-        polys.append([x % P for x in cur])
-    half = P // 2
-    return tuple(x - P if x > half else x for x in polys[n])
+    Ordered by its strongly connected blocks, M is block triangular, so
+    det(xI - M) is the product of the blocks' polynomials; a single state
+    gives x - (its self-loop count).  For a block B of b states with
+    largest row sum rho, every entry of B^k (k <= b) is at most rho^k <=
+    rho^b, so each row of B^k packs into one int with slots of
+    (rho**b).bit_length() bits, and a step adds the packed rows of a
+    state's successors without carries between slots.  The power traces
+    p_k = tr(B^k) give the coefficients by Newton's identities,
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), each division exact."""
+    succ = [[] for _ in range(a.n_states)]
+    pred = [[] for _ in range(a.n_states)]
+    for (p, _, q) in a.transitions:
+        succ[p].append(q)
+        pred[q].append(p)
+    cp, zeros, left = [1], 0, set(range(a.n_states))
+    while left:
+        s = left.pop()
+        block = reach((s,), succ) & reach((s,), pred)
+        left -= block
+        if len(block) == 1 and s not in succ[s]:
+            zeros += 1
+            continue
+        index = {q: i for i, q in enumerate(block)}
+        cp = _poly_mul(cp, _block_char_poly([[index[q] for q in succ[p] if q in index]
+                                            for p in block]))
+    return (0,) * zeros + tuple(cp)
+
+
+def _block_char_poly(rows) -> list:
+    """Characteristic polynomial, constant term first, of the count matrix
+    of a strongly connected block given by its successor lists (a successor
+    repeats once per parallel edge)."""
+    b = len(rows)
+    width = (max(map(len, rows)) ** b).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, b * width, width)
+    power = [1 << s for s in shifts]  # row i of B^k, slot j holds B^k[i][j]
+    traces, c = [], [1]  # c: leading coefficient first
+    for k in range(1, b + 1):
+        power = [reduce(add, map(power.__getitem__, r)) for r in rows]
+        traces.append(sum(map(and_, map(rshift, power, shifts), repeat(mask))))
+        ck, rem = divmod(-sum(map(mul, c, reversed(traces))), k)
+        if rem:
+            raise ArithmeticError(f"Newton identity {k} is not exact")
+        c.append(ck)
+    c.reverse()
+    return c
+
+
+def _poly_mul(f, g) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return out
 
 
 def _check_tol(tol) -> None:
@@ -716,7 +712,9 @@ def perron_enclosure(cp, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
     ``lambda`` bytes written from it, are the ones sympy gives.  Its Taylor
     shifts and bound run their inner loops at C level."""
     _check_tol(tol)
-    f = _drop_zero_root(dup_sqf_part([ZZ(c) for c in reversed(poly_trim(cp))], ZZ))
+    # the root 0 goes before the squarefree part, which is primitive with a
+    # positive leading coefficient, so f equals that part of cp less its x
+    f = dup_sqf_part(_drop_zero_root([ZZ(c) for c in reversed(poly_trim(cp))]), ZZ)
     roots = [(g, m, _mobius_interval(m)) for g, m in dup_inner_isolate_real_roots(f, ZZ)]
     if not roots:
         return (Fraction(0), Fraction(0))

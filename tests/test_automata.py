@@ -17,7 +17,7 @@ from sympy.polys.sqfreetools import dup_sqf_part
 from betauto import automata as au
 from betauto.automata import Automaton, PairLetter
 from betauto import relations
-from betauto.numfield import context_from_config
+from betauto.numfield import context_from_config, poly_trim
 from betauto.relations import build_relation_automaton
 from betauto.structure import build_reduced_automaton
 
@@ -337,7 +337,51 @@ def _count_automata():
                                           if p < cut or q >= cut]))
     for rho in (1, 3):  # rho * I: (x - rho)^n has the largest coefficients
         cases.append(_count_automaton(12, [(s, s) for s in range(12)] * rho))
+    for runs in (1, 1, 2, 3, 3, 5, 8, 12):  # sparse, out-degree <= 3
+        cases.append(_count_automaton(*_sparse_blocks(rng, rng.randint(20, 60), runs)))
+    # singletons with self-loops beside a 2-cycle and a loopless singleton
+    cases.append(_count_automaton(5, [(0, 0), (0, 0), (0, 1), (1, 2), (2, 1), (2, 3),
+                                      (3, 3), (3, 4)]))
+    for b, rho in ((2, 3), (5, 2), (7, 3), (4, 1)):
+        # a b-cycle of rho parallel arcs: M^b = rho^b I, the slot bound
+        cases.append(_count_automaton(b, [(s, (s + 1) % b) for s in range(b)] * rho))
     return cases
+
+
+def _sparse_blocks(rng, n, runs):
+    """n states cut into ``runs`` runs of consecutive states.  Each run of two
+    or more states is a cycle, so the runs are the strongly connected blocks;
+    the other arcs stay in their run or go to a later one, at most three
+    arcs leave a state."""
+    cuts = [0] + sorted(rng.sample(range(1, n), runs - 1)) + [n]
+    edges = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        for s in range(lo, hi):
+            arcs = [(s, lo if s == hi - 1 else s + 1)] if hi - lo > 1 else []
+            for _ in range(rng.randint(0, 3 - len(arcs))):
+                arcs.append((s, rng.randrange(lo, hi if rng.random() < 0.6 else n)))
+            edges += arcs
+    return n, edges
+
+
+def _blocks(m):
+    """The strongly connected blocks of the count matrix m, by Warshall's
+    transitive closure."""
+    n = len(m)
+    r = [{s} | {t for t in range(n) if m[s][t]} for s in range(n)]
+    for k in range(n):
+        for s in range(n):
+            if k in r[s]:
+                r[s] |= r[k]
+    return {frozenset(t for t in r[s] if s in r[t]) for s in range(n)}
+
+
+def _mat_pow(m, k):
+    n = len(m)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        p = [[sum(p[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return p
 
 
 def _fixture_reduced_automata():
@@ -361,14 +405,44 @@ def test_count_automata_cover_edge_cases():
     assert any(not any(row) for m in mats for row in m)  # all-zero rows
     assert any(a.transitions and _oracle_char_poly(a) == (0,) * a.n_states + (1,)
                for a in cases)  # a nonzero nilpotent matrix
-    # column cut - 1 is zero below the subdiagonal when the reduction reaches it
+    # block triangular: columns < c vanish below row c
     assert any(all(m[i][j] == 0 for i in range(c, len(m)) for j in range(c))
                for m in mats for c in range(1, len(m) - 1))
+    blocks = [_blocks(m) for m in mats]
+    sparse = [bl for m, bl in zip(mats, blocks) if len(m) >= 20 and max(map(sum, m)) <= 3]
+    assert any(len(bl) == 1 for bl in sparse)  # one block of 20 or more states
+    assert any(sum(len(b) > 1 for b in bl) >= 3 for bl in sparse)  # several blocks
+    assert any(m[s][s] and frozenset({s}) in bl
+               for m, bl in zip(mats, blocks) for s in range(len(m)))  # a looped singleton
+    # rho parallel b-cycles: an entry of M^b is rho^b, the packed slot's bound
+    assert {(len(m), sum(m[0])) for m in mats
+            if len(m) > 1 and len(set(map(sum, m))) == 1
+            and _mat_pow(m, len(m)) == [[sum(m[0]) ** len(m) * (i == j) for j in range(len(m))]
+                                        for i in range(len(m))]} >= {(2, 3), (5, 2), (7, 3)}
+
+
+def _base3_reduced(ps):
+    """Trimmed lex reduced automata of beta = 3 with digits {0, p, 17}."""
+    for p in ps:
+        ctx = context_from_config({"beta": {"minpoly": [-3, 1]}, "digits": [0, p, 17]})
+        rel = build_relation_automaton(ctx, force=True)
+        yield au.trim(build_reduced_automaton(rel, "lex"))
 
 
 def test_char_poly_matches_berkowitz(spectral_cases):
-    for a in spectral_cases:
+    # the benchmark's five contexts and {0, 6, 17}, one block of 146 states
+    large = list(_base3_reduced((2, 8, 9, 12, 15, 6)))
+    assert max(a.n_states for a in large) == 146
+    for a in spectral_cases + large:
         assert au.char_poly(a) == _oracle_char_poly(a), au.adjacency(a)
+
+
+def test_char_poly_raises_on_an_inexact_newton_identity(monkeypatch):
+    # a 2-cycle whose first trace reads 1, not 0: 2 c_2 = -(p_2 + c_1 p_1)
+    # is then odd
+    monkeypatch.setattr(au, "rshift", lambda x, s: x >> s or 1)
+    with pytest.raises(ArithmeticError, match="Newton identity 2 is not exact"):
+        au.char_poly(_count_automaton(2, [(0, 1), (1, 0)]))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-16])
@@ -376,6 +450,39 @@ def test_perron_enclosure_matches_all_root_isolation(spectral_cases, tol):
     for a in spectral_cases:
         cp = _oracle_char_poly(a)
         assert au.perron_enclosure(cp, tol) == _oracle_enclosure(cp, tol), cp
+
+
+def _polys_with_zero_root(seed, count):
+    """Seeded integer polynomials, constant term first, with a factor x^k
+    (k = 0..6) times a product of small factors, some repeated, times a
+    content of either sign."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = [rng.choice([1, 2, -1, -3])]
+        for _ in range(rng.randint(0, 4)):
+            g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)]
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                f = [sum(f[j] * g[i - j] for j in range(len(f)) if 0 <= i - j < len(g))
+                     for i in range(len(f) + len(g) - 1)]
+        yield (0,) * rng.randint(0, 6) + tuple(f)
+
+
+def test_enclosure_drops_the_zero_root_before_the_squarefree_part(
+        refinement_char_polys, monkeypatch):
+    # perron_enclosure drops the root 0 before the squarefree part: f must be
+    # the squarefree part of the whole polynomial with the root 0 dropped after
+    seen = []
+    monkeypatch.setattr(au, "dup_inner_isolate_real_roots",
+                        lambda f, K: seen.append(list(f)) or [])
+    cps = list(refinement_char_polys) + [(0,), (0, 0, 0), ()]
+    cps += [au.char_poly(a) for a in _base3_reduced((3, 6, 14))]
+    cps += list(_polys_with_zero_root(20261020, 300))
+    assert sum(1 for cp in cps if cp and not cp[0]) >= 300
+    for cp in cps:
+        seen.clear()
+        assert au.perron_enclosure(cp) == (0, 0)
+        g = [ZZ(c) for c in reversed(poly_trim(cp))]
+        assert seen == [au._drop_zero_root(dup_sqf_part(g, ZZ))], cp
 
 
 def _close_root_char_poly(n):
