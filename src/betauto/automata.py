@@ -345,33 +345,58 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
     whether p is final, ``init`` is the initial state, and every state lies
     on a path from ``init`` to a final state.
 
-    Moore refinement: a state's class is refined by the classes of its
-    successors, one C-level pass per round, until a round splits nothing.
-    Missing edges go to a sink at index n, which ``-1`` also reaches by list
-    indexing.  A class is named by its first state and takes the label
-    ``label(state)`` of that state, built for the class representatives
-    only.  The classes are numbered by breadth-first search from the
-    initial class, letters in alphabet order, which is the canonical form
-    that ``_canonical_relabel`` gives a trimmed DFA."""
-    n = len(d)
-    succ = [itemgetter(*col, -1) for col in zip(*d)]
-    cls = list(final) + [False]
-    count = len(set(cls))
-    while True:
-        ids = {}
-        cls = list(map(ids.setdefault, zip(cls, *[f(cls) for f in succ]), range(n + 1)))
+    Moore refinement, seeded with each state's finality and the set of
+    letters it has an edge on.  The seed is sound because the table is
+    trimmed: a letter with an edge starts some accepted word, a letter
+    without one starts none, so states with different letter sets are
+    inequivalent.  The states are renumbered so that each seed block is a
+    contiguous slice, in increasing original index, and a state's signature
+    reads only its block's letters, through one ``itemgetter`` per (block,
+    letter).  A round refines block by block in place, so later blocks
+    already see the round's earlier splits, and the refinement stops when a
+    round splits nothing.  A class is named by its first member, which is
+    its least original state, and takes the label ``label(state)`` of that
+    state, built for the class representatives only.  The classes are
+    numbered by breadth-first search from the initial class, letters in
+    alphabet order, which is the canonical form that
+    ``_canonical_relabel`` gives a trimmed DFA."""
+    present = (-1).__lt__
+    seeds = {}  # (final, has an edge on letter 0, ...) -> states, ascending
+    for p, row in enumerate(d):
+        seeds.setdefault((final[p], *map(present, row)), []).append(p)
+    perm = list(chain.from_iterable(seeds.values()))  # position -> state
+    pos = [0] * len(d)  # state -> position
+    for j, p in enumerate(perm):
+        pos[p] = j
+    cls = []  # cls[j]: the first position of the class at position j
+    blocks = []  # (start, end, a getter of the successor positions per letter)
+    for key, members in seeds.items():
+        a = len(cls)
+        cls += [a] * len(members)
+        # a singleton, or a block without edges (only final states that
+        # accept the empty word alone), never splits
+        if len(members) > 1 and any(key[1:]):
+            blocks.append((a, len(cls), [
+                itemgetter(*map(pos.__getitem__, col))
+                for col in compress(zip(*map(d.__getitem__, members)), key[1:])]))
+    count = len(blocks)
+    while blocks:
+        ids = {}  # classes of distinct blocks start at distinct positions
+        for a, b, succ in blocks:
+            cls[a:b] = map(ids.setdefault, zip(cls[a:b], *[f(cls) for f in succ]),
+                           range(a, b))
         if len(ids) == count:
             break
         count = len(ids)
-    # every trimmed state accepts some word, so none shares the sink's class,
-    # and every class is reached from the initial one
-    reps = [cls[init]]
+    rep = [perm[cls[j]] for j in pos]  # state -> least state of its class
+    # every class is reached from the initial one
+    reps = [rep[init]]
     order = {reps[0]: 0}
     transitions = []
     for i, c in enumerate(reps):
         for x, q in zip(alphabet, d[c]):
             if q >= 0:
-                t = cls[q]
+                t = rep[q]
                 j = order.get(t)
                 if j is None:
                     j = order[t] = len(reps)
@@ -388,7 +413,9 @@ def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     Trim, determinize when the result is not deterministic (the subsets of
     a trimmed automaton are all co-accessible), then hand the table to
     ``_minimal``: Moore refinement and the canonical numbering, each class
-    taking the label of its first state.  ``structure.build_multiplier``
+    taking the label of its first state.  Refinement is seeded with each
+    state's finality and letter set, which a trimmed table makes sound, and
+    runs block by block in place.  ``structure.build_multiplier``
     hands its search table to the same core.  ``max_states`` caps the
     subset construction.  On the 180-state reducible-word automaton of
     ``pisot_x3-x-1`` ``determinize`` makes 300 simulation-pruned subsets
@@ -634,32 +661,67 @@ def char_poly(a: Automaton) -> tuple[int, ...]:
     """Exact characteristic polynomial det(xI - M) of the adjacency count
     matrix, constant term first, in integer arithmetic with no modulus.
 
-    Ordered by its strongly connected blocks, M is block triangular, so
-    det(xI - M) is the product of the blocks' polynomials; a single state
-    gives x - (its self-loop count).  For a block B of b states with
-    largest row sum rho, every entry of B^k (k <= b) is at most rho^k <=
-    rho^b, so each row of B^k packs into one int with slots of
+    Ordered by its strongly connected blocks (``_components``), M is block
+    triangular, so det(xI - M) is the product of the blocks' polynomials; a
+    single state gives x - (its self-loop count).  For a block B of b
+    states with largest row sum rho, every entry of B^k (k <= b) is at most
+    rho^k <= rho^b, so each row of B^k packs into one int with slots of
     (rho**b).bit_length() bits, and a step adds the packed rows of a
     state's successors without carries between slots.  The power traces
     p_k = tr(B^k) give the coefficients by Newton's identities,
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), each division exact."""
     succ = [[] for _ in range(a.n_states)]
-    pred = [[] for _ in range(a.n_states)]
     for (p, _, q) in a.transitions:
         succ[p].append(q)
-        pred[q].append(p)
-    cp, zeros, left = [1], 0, set(range(a.n_states))
-    while left:
-        s = left.pop()
-        block = reach((s,), succ) & reach((s,), pred)
-        left -= block
-        if len(block) == 1 and s not in succ[s]:
+    cp, zeros = [1], 0
+    for block in _components(succ):
+        if len(block) == 1 and block[0] not in succ[block[0]]:
             zeros += 1
             continue
         index = {q: i for i, q in enumerate(block)}
         cp = _poly_mul(cp, _block_char_poly([[index[q] for q in succ[p] if q in index]
                                             for p in block]))
     return (0,) * zeros + tuple(cp)
+
+
+def _components(succ) -> list[list[int]]:
+    """The strongly connected components of the graph ``succ`` (node -> its
+    successor nodes), by one iterative pass of Tarjan's algorithm.  While a
+    node's component is open, ``low`` holds the least preorder rank it is
+    known to reach among open nodes; once the component is out, ``n + 1``,
+    which no comparison picks."""
+    n = len(succ)
+    low = [0] * n  # 0: not visited yet
+    stack, out, rank = [], [], 0
+    for root in range(n):
+        if low[root]:
+            continue
+        rank += 1
+        low[root] = rank
+        work = [(root, rank, len(stack), iter(succ[root]))]
+        stack.append(root)
+        while work:
+            v, num, at, edges = work[-1]
+            for w in edges:
+                if not low[w]:
+                    rank += 1
+                    low[w] = rank
+                    work.append((w, rank, len(stack), iter(succ[w])))
+                    stack.append(w)
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == num:
+                    block = stack[at:]
+                    del stack[at:]
+                    for w in block:
+                        low[w] = n + 1
+                    out.append(block)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return out
 
 
 def _block_char_poly(rows) -> list:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from operator import itemgetter
 from pathlib import Path
 
 from sympy import Poly, Symbol
@@ -177,6 +178,42 @@ def brzozowski(a: Automaton) -> Automaton:
     order from the initial state in alphabet order, the canonical numbering
     of ``automata.minimize``."""
     return subset_construction(transpose(subset_construction(transpose(trim(a)))))
+
+
+def reference_minimal(alphabet, d, final, init: int, label) -> Automaton:
+    """``automata._minimal`` by plain Moore refinement over the whole table:
+    missing edges go to a sink at index n, which ``-1`` also reaches by list
+    indexing, the seed is final/non-final, and every round re-signs every
+    state from the previous round's classes through k-wide tuples.  A class
+    is named by its first state, and the classes are numbered by
+    breadth-first search from the initial class, letters in alphabet
+    order."""
+    n = len(d)
+    succ = [itemgetter(*col, -1) for col in zip(*d)]
+    cls = list(final) + [False]
+    count = len(set(cls))
+    while True:
+        ids = {}
+        cls = list(map(ids.setdefault, zip(cls, *[f(cls) for f in succ]), range(n + 1)))
+        if len(ids) == count:
+            break
+        count = len(ids)
+    # every trimmed state accepts some word, so none shares the sink's class,
+    # and every class is reached from the initial one
+    reps = [cls[init]]
+    order = {reps[0]: 0}
+    transitions = []
+    for i, c in enumerate(reps):
+        for x, q in zip(alphabet, d[c]):
+            if q >= 0:
+                t = cls[q]
+                j = order.get(t)
+                if j is None:
+                    j = order[t] = len(reps)
+                    reps.append(t)
+                transitions.append((i, x, j))
+    return Automaton(alphabet, len(reps), transitions, [0],
+                     [i for i, c in enumerate(reps) if final[c]], map(label, reps))
 
 
 def reducible_words(rel, order):

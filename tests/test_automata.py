@@ -19,7 +19,8 @@ from betauto.automata import Automaton, PairLetter
 from betauto import relations
 from betauto.numfield import context_from_config, poly_trim
 from betauto.relations import build_relation_automaton
-from betauto.structure import build_reduced_automaton
+from betauto import structure
+from betauto.structure import build_multiplier, build_reduced_automaton
 
 from conftest import (
     brzozowski,
@@ -30,6 +31,7 @@ from conftest import (
     random_nonfree_contexts,
     random_relation_automata,
     reducible_words,
+    reference_minimal,
     same_dfa,
 )
 
@@ -123,6 +125,104 @@ def test_minimize_matches_brzozowski():
         m, ref = au.minimize(a), brzozowski(a)
         assert same_dfa(m, ref), a
         assert m.alphabet == a.alphabet and len(m.labels) == m.n_states
+
+
+def _structures(rels):
+    """Build the reduced automaton and every multiplier of each relation
+    automaton, in lex and revlex order."""
+    for rel in rels:
+        for order in ("lex", "revlex"):
+            reduced = build_reduced_automaton(rel, order)
+            for g in rel.context.digit_names:
+                build_multiplier(rel, reduced, g)
+
+
+def _base3_relations(ps):
+    for p in ps:
+        ctx = context_from_config({"beta": {"minpoly": [-3, 1]}, "digits": [0, p, 17]})
+        yield build_relation_automaton(ctx, force=True)
+
+
+def _lifted_table(rng, n_classes, n, alphabet):
+    """A trimmed DFA of n states over a random DFA of n_classes states: state
+    i lies over class i % n_classes, and each edge goes to a random state
+    over the target class, so the states over one class are equivalent."""
+    base = [[rng.randrange(n_classes) if rng.random() < 0.7 else -1 for _ in alphabet]
+            for _ in range(n_classes)]
+    finals = [c for c in range(n_classes) if rng.random() < 0.3] or [0]
+    over = [list(range(c, n, n_classes)) for c in range(n_classes)]
+    transitions = [(i, x, rng.choice(over[t]))
+                   for i in range(n) for x, t in zip(alphabet, base[i % n_classes]) if t >= 0]
+    return Automaton(alphabet, n, transitions, [rng.randrange(n)],
+                     [i for i in range(n) if i % n_classes in finals])
+
+
+def _random_tables():
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(150):
+        alphabet = "abc"[:rng.randint(1, 3)]
+        n = rng.randint(1, 30)
+        transitions = [(p, x, rng.randrange(n)) for p in range(n) for x in alphabet
+                       if rng.random() < 0.6]
+        finals = [s for s in range(n) if rng.random() < 0.3]
+        cases.append(Automaton(alphabet, n, transitions, [rng.randrange(n)], finals))
+        m = rng.randint(1, 8)
+        cases.append(_lifted_table(rng, m, m * rng.randint(1, 6), alphabet))
+    return cases
+
+
+def _edge_tables():
+    n = 40
+    # the chain: state i's shortest accepted word is a^(n - 1 - i)
+    chain = Automaton("ab", n, [(i, "a", i + 1) for i in range(n - 1)]
+                      + [(i, "b", i) for i in range(0, n - 1, 3)], [0], [n - 1])
+    one = Automaton("a", 1, [], [0], [0])
+    loop = Automaton("ab", 1, [(0, "a", 0), (0, "b", 0)], [0], [0])
+    rng = random.Random(7)
+    all_final = Automaton("ab", 20, [(p, x, rng.randrange(20)) for p in range(20)
+                                     for x in "ab" if rng.random() < 0.5], [0], range(20))
+    # every state reads a and b; the classes are the residues mod 3
+    same_letters = Automaton("ab", 12, [(i, "a", (i + 1) % 12) for i in range(12)]
+                             + [(i, "b", (i + 3) % 12) for i in range(12)], [0], [0, 3, 6, 9])
+    return [chain, one, loop, all_final, same_letters]
+
+
+@pytest.mark.parametrize("case", [
+    "fixtures", "kenyon_large", "random_nonfree", "random_tables", "edge_tables"])
+def test_minimal_matches_reference(monkeypatch, case):
+    """Every table that ``_minimal`` receives gives the same transitions,
+    finals and labels as plain Moore refinement."""
+    sizes = []
+    real = au._minimal
+
+    def checked(alphabet, d, final, init, label):
+        got = real(alphabet, d, final, init, label)
+        want = reference_minimal(alphabet, d, final, init, label)
+        assert same_dfa(got, want) and got.labels == want.labels
+        sizes.append((len(d), got.n_states))
+        return got
+
+    monkeypatch.setattr(au, "_minimal", checked)
+    monkeypatch.setattr(structure, "_minimal", checked)
+    if case == "fixtures":
+        _structures(build_relation_automaton(load_context(name), force=True)
+                    for name in buildable_fixture_names())
+        assert max(sizes) >= (2976, 1191)  # a pisot_x3-x-1 multiplier
+    elif case == "kenyon_large":
+        _structures(_base3_relations((2, 8, 9, 12, 15)))
+        assert len(sizes) == 5 * 2 * 4
+    elif case == "random_nonfree":
+        _structures(rel for _, rel in random_nonfree_contexts()[0])
+        assert len(sizes) >= 12 * 2 * 3
+    elif case == "random_tables":
+        for a in _random_tables():
+            au.minimize(a)
+    else:
+        for a in _edge_tables():
+            au.minimize(a)
+        assert (40, 40) in sizes  # the chain keeps every state
+    assert any(n > m for n, m in sizes)  # some states merge
 
 
 def naive_simulation(a):
@@ -423,9 +523,7 @@ def test_count_automata_cover_edge_cases():
 
 def _base3_reduced(ps):
     """Trimmed lex reduced automata of beta = 3 with digits {0, p, 17}."""
-    for p in ps:
-        ctx = context_from_config({"beta": {"minpoly": [-3, 1]}, "digits": [0, p, 17]})
-        rel = build_relation_automaton(ctx, force=True)
+    for rel in _base3_relations(ps):
         yield au.trim(build_reduced_automaton(rel, "lex"))
 
 
@@ -435,6 +533,25 @@ def test_char_poly_matches_berkowitz(spectral_cases):
     assert max(a.n_states for a in large) == 146
     for a in spectral_cases + large:
         assert au.char_poly(a) == _oracle_char_poly(a), au.adjacency(a)
+
+
+def test_components_match_reachability():
+    # each component is the set of nodes that reach and are reached from
+    # one of its nodes; a long cycle needs no recursion
+    rng = random.Random(11)
+    graphs = [[[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+              for n in [rng.randint(0, 14) for _ in range(500)]]
+    graphs.append([[i + 1] for i in range(9999)] + [[0]])
+    for succ in graphs:
+        pred = [[] for _ in succ]
+        for p, qs in enumerate(succ):
+            for q in qs:
+                pred[q].append(p)
+        got = au._components(succ)
+        assert sorted(q for block in got for q in block) == list(range(len(succ)))
+        for block in got:
+            assert set(block) == au.reach(block[:1], succ) & au.reach(block[:1], pred)
+    assert max(map(len, got)) == 10000
 
 
 def test_char_poly_raises_on_an_inexact_newton_identity(monkeypatch):
