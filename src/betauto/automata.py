@@ -12,6 +12,7 @@ most rho^k for the block's largest row sum rho.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from bisect import bisect_left, bisect_right
@@ -23,7 +24,6 @@ from operator import add, and_, floordiv, itemgetter, mul, ne, neg, or_, rshift
 from typing import Iterable, NamedTuple
 
 from sympy import ZZ
-from sympy.polys.rootisolation import dup_inner_isolate_real_roots
 from sympy.polys.sqfreetools import dup_sqf_part
 
 from .numfield import poly_trim
@@ -766,23 +766,22 @@ def perron_enclosure(cp, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
 
     By Perron-Frobenius the largest real root of such a polynomial is its
     spectral radius, which is >= 0, so only the positive roots of the
-    squarefree part are isolated (sympy's continued-fraction isolation), and
-    only the largest one is refined.  The refinement, ``_refine_root``, is
-    in-repo: it repeats the steps of sympy's ``dup_inner_refine_real_root``
+    squarefree part (sympy's) are searched, and only the largest one is
+    isolated (``_largest_positive_root``) and refined (``_refine_root``).
+    Both are in-repo: they repeat the steps of sympy's
+    ``dup_inner_isolate_real_roots`` and ``dup_inner_refine_real_root``
     (the LMQ lower bound, then the Moebius steps) on the same integers and
-    ends on the same polynomial and Moebius map, so the enclosure, and the
-    ``lambda`` bytes written from it, are the ones sympy gives.  Its Taylor
-    shifts and bound run their inner loops at C level."""
+    end on the same polynomial and Moebius map, so the enclosure, and the
+    ``lambda`` bytes written from it, are the ones sympy gives.  Their
+    Taylor shifts and bound run their inner loops at C level."""
     _check_tol(tol)
     # the root 0 goes before the squarefree part, which is primitive with a
     # positive leading coefficient, so f equals that part of cp less its x
     f = dup_sqf_part(_drop_zero_root([ZZ(c) for c in reversed(poly_trim(cp))]), ZZ)
-    roots = [(g, m, _mobius_interval(m)) for g, m in dup_inner_isolate_real_roots(f, ZZ)]
-    if not roots:
+    root = _largest_positive_root(f)
+    if root is None:
         return (Fraction(0), Fraction(0))
-    # an exact root beats an open interval that ends at it
-    g, m, _ = max(roots, key=lambda r: (r[2][1], r[2][0]))
-    _, m = _refine_root(g, m, Fraction(tol) / 4)  # exact: tol is dyadic
+    _, m = _refine_root(*root, Fraction(tol) / 4)  # exact: tol is dyadic
     return _mobius_interval(m)
 
 
@@ -793,10 +792,112 @@ def _mobius_interval(m) -> tuple[Fraction, Fraction]:
     return tuple(sorted((Fraction(a, c), Fraction(b, d))))
 
 
-# Positive-root refinement by continued fractions (Vincent-Akritas-
-# Strzebonski), step for step as sympy 1.14's ``dup_inner_refine_real_root``
-# with ``mobius=True``: polynomials are integer lists, leading coefficient
-# first, and every intermediate value equals sympy's.
+# Positive-root isolation and refinement by continued fractions (Vincent-
+# Akritas-Strzebonski), step for step as sympy 1.14's
+# ``dup_inner_isolate_real_roots`` and ``dup_inner_refine_real_root`` with
+# ``mobius=True``: polynomials are integer lists, leading coefficient first,
+# and every intermediate value equals sympy's.
+
+
+def _largest_positive_root(f):
+    """(g, m) of the largest positive root of the squarefree ``f``, the
+    polynomial and Moebius map that sympy's ``dup_inner_isolate_real_roots``
+    gives that root, or ``None`` when ``f`` has no positive root.
+
+    sympy walks a tree of Moebius maps depth-first and isolates every
+    positive root.  Here each node takes the same steps (``_split``), but
+    the open nodes are expanded best-first by the upper end of their
+    intervals, and the search stops once no open node can outrank the best
+    root found: the one whose interval has the largest upper end, then the
+    largest lower end, so that an exact root beats an open interval that
+    ends at it.  A node's roots lie strictly inside its open interval, and
+    two nodes' intervals are nested or disjoint, so an open node whose upper
+    end is at most the best's holds no better root.  A root's (g, m) depends
+    only on its path in the tree, so it is the one sympy returns."""
+    k = _sign_variations(f)
+    if k < 2:
+        return _isolated(f, 1, 0, 0, 1) if k else None
+    best, key = None, (-1, -1)
+    heap, seq = [(-math.inf, 0, (1, 0, 0, 1), f, k)], count(1)
+    while heap and -heap[0][0] > key[0]:
+        _, _, m, f, k = heapq.heappop(heap)
+        leaves, nodes = _split(f, *m, k)
+        for g, mg in leaves:
+            lo, hi = _mobius_interval(mg)
+            if (hi, lo) > key:
+                best, key = (g, mg), (hi, lo)
+        for mn, g, kn in nodes:
+            a, b, c, d = mn
+            upper = max(Fraction(a, c), Fraction(b, d)) if c else math.inf
+            heapq.heappush(heap, (-upper, next(seq), mn, g, kn))
+    return best
+
+
+def _split(f, a, b, c, d, k):
+    """One pass of sympy's isolation loop over the node (a, b, c, d, f, k),
+    k >= 2 the sign variations of f: the roots it isolates, as (g, m), and
+    the nodes it leaves open, as (m, g, k).  Shift by the LMQ lower bound
+    A; an exact root where a shift lands on 0; split at 1 into (1, inf) and
+    (0, 1), whose counts are the sign variations of f(x + 1) and k less
+    those and the root at 1, recounted on the reversed shift when above 1;
+    a half with one variation holds one root, and one with none is left."""
+    leaves, nodes = [], []
+    e = _lmq_exponent(f)
+    if e >= 0:
+        f = _shift_pow2(f, e)
+        b, d = (a << e) + b, (c << e) + d
+        if not f[-1]:
+            leaves.append((f, (b, b, d, d)))
+            f = f[:-1]
+        k = _sign_variations(f)
+        if k < 2:
+            if k:
+                leaves.append(_isolated(f, a, b, c, d))
+            return leaves, nodes
+    f1 = _shift_one(f)
+    b1, d1 = a + b, c + d
+    if not f1[-1]:
+        leaves.append((f1, (b1, b1, d1, d1)))
+        f1 = f1[:-1]
+        k -= 1
+    k1 = _sign_variations(f1)
+    k2, f2 = k - k1, None
+    if k2 > 1:
+        f2 = _reverse_shift(f)
+        k2 = _sign_variations(f2)
+    for g, m, kg in ((f1, (a, b1, c, d1), k1), (f2, (b, b1, d, d1), k2)):
+        if kg:
+            if g is None:
+                g = _reverse_shift(f)
+            if kg == 1:
+                leaves.append(_isolated(g, *m))
+            else:
+                nodes.append((m, g, kg))
+    return leaves, nodes
+
+
+def _isolated(f, a, b, c, d):
+    """sympy's ``dup_inner_refine_real_root`` without ``eps``: step until
+    c != 0, so that a/c is finite."""
+    while not c:
+        f, a, b, c, d = _refine_step(f, a, b, c, d)
+    return f, (a, b, c, d)
+
+
+def _sign_variations(f) -> int:
+    """Sign changes between the nonzero coefficients of f (Descartes)."""
+    signs = list(map((0).__lt__, filter(None, f)))
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _reverse_shift(f):
+    """(x + 1)**n f(1 / (x + 1)) without a root at 0: sympy's
+    ``dup_shift(dup_reverse(f), 1)`` and ``dup_rshift`` when its constant
+    term is 0."""
+    f = _shift_one(_drop_zero_root(f)[::-1])
+    if not f[-1]:
+        f.pop()
+    return f
 
 
 def _refine_root(f, m, eps: Fraction):
@@ -804,11 +905,11 @@ def _refine_root(f, m, eps: Fraction):
     holds one positive root of ``f`` transformed by ``m``, until the interval
     between a/c and b/d is narrower than ``eps``.  Returns the transformed
     polynomial and the map, as sympy does."""
-    a, b, c, d = m
+    f, (a, b, c, d) = _isolated(f, *m)
     num, den = eps.numerator, eps.denominator
-    # sympy first steps until c != 0, so that a/c is finite, then while
-    # |a/c - b/d| >= eps, here in integers; an exact root has width 0
-    while not c or abs(a * d - b * c) * den >= num * abs(c * d):
+    # a step keeps c != 0 once it is; sympy steps while |a/c - b/d| >= eps,
+    # here in integers; an exact root has width 0
+    while abs(a * d - b * c) * den >= num * abs(c * d):
         f, a, b, c, d = _refine_step(f, a, b, c, d)
     return f, (a, b, c, d)
 
@@ -828,13 +929,9 @@ def _refine_step(f, a, b, c, d):
     b1, d1 = a + b, c + d
     if not f[-1]:
         return f, b1, b1, d1, d1
-    signs = list(map((0).__lt__, filter(None, f)))
-    if sum(map(ne, signs, signs[1:])) == 1:
+    if _sign_variations(f) == 1:
         return f, a, b1, c, d1
-    f = _shift_one(_drop_zero_root(g)[::-1])
-    if not f[-1]:
-        f.pop()
-    return f, b, b1, d, d1
+    return _reverse_shift(g), b, b1, d, d1
 
 
 def _shift_one(f):

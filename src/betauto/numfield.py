@@ -11,11 +11,15 @@ The numeric enclosures are only used for pruning bounds and modulus
 classification.  Whether a conjugate lies on the unit circle is decided
 exactly (``_unit_root_count``, a Sturm count); the root isolation doubles its
 precision until the disks are disjoint and exactly that many of them straddle
-modulus 1.
+modulus 1.  The roots are found by mpmath's Durand-Kerner iteration, seeded
+with the roots of the same iteration run first in floats (``_float_seeds``).
+The minimal polynomial is factored, and the Sturm count taken, by sympy's
+dense integer routines, without its ``Poly`` wrappers.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +27,10 @@ from operator import mul
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import NoConvergence, to_rational
-from sympy import Poly, Symbol, factor_list
+from mpmath.libmp import NoConvergence, from_int, to_rational
+from sympy import QQ, ZZ
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.rootisolation import dup_count_real_roots
 
 ALGEBRAIC = "algebraic"
 TRANSCENDENTAL = "transcendental"
@@ -243,6 +249,12 @@ def _root_disks(coeffs: Sequence[int], dps: int) -> list[tuple[complex, float]]:
     """All roots of the squarefree integer polynomial at ``dps`` digits, as
     disks (float centre, radius).
 
+    The roots come from mpmath's ``polyroots`` (Durand-Kerner), seeded with
+    the float roots of ``_float_seeds`` when those converged: the seeded run
+    still iterates at ``dps`` digits until every correction is below its
+    tolerance, but from a few digits short of the roots rather than from
+    scratch.  The coefficients are converted exactly, whatever their size.
+
     Uses the classical bound: every polynomial of degree d has a root within
     d*|P(z)/P'(z)| of any point z.  The radius is the larger of that bound
     evaluated exactly (``_disk_radius``) and its mpmath value with a slack
@@ -252,16 +264,20 @@ def _root_disks(coeffs: Sequence[int], dps: int) -> list[tuple[complex, float]]:
     converge at ``dps``.
     """
     d = len(coeffs) - 1
-    lead_first = [mp.mpf(int(c)) for c in reversed(coeffs)]
+    seeds = _float_seeds(coeffs)
     with mp.workdps(dps):
+        lead_first = [mp.make_mpf(from_int(int(c))) for c in reversed(coeffs)]
+        deriv = [mp.make_mpf(from_int(int(c) * i)) for i, c in
+                 zip(range(d, 0, -1), reversed(coeffs))]
+        init = None if seeds is None else [mp.mpc(z) for z in seeds]
         try:
-            roots = mp.polyroots(lead_first, maxsteps=200, extraprec=4 * dps)
+            roots = mp.polyroots(lead_first, maxsteps=200, extraprec=4 * dps, roots_init=init)
         except NoConvergence:
             return None
         out = []
         for z in roots:
             pz = mp.polyval(lead_first, z)
-            dpz = mp.polyval([c * (d - i) for i, c in enumerate(lead_first[:-1])], z)
+            dpz = mp.polyval(deriv, z)
             if dpz == 0:
                 raise NotSquarefree("repeated root encountered in root isolation")
             # the disk around the float centre also covers its rounding from z
@@ -270,6 +286,37 @@ def _root_disks(coeffs: Sequence[int], dps: int) -> list[tuple[complex, float]]:
             out.append((cen, max(math.nextafter(float(rad), math.inf),
                                  _disk_radius(coeffs, z, cen))))
     return out
+
+
+def _float_seeds(coeffs: Sequence[int]) -> list[complex] | None:
+    """Float approximations of all roots of the integer polynomial, or
+    ``None`` when they are not found.  Runs ``mp.polyroots``' Durand-Kerner
+    iteration in complex floats, from its starting points (0.4 + 0.9i)^k and
+    in its update order; it has converged once every correction in a sweep
+    is below 1e-12 of its root.  The seeds only speed up the root finder:
+    its own convergence test decides the roots.  Roots with the same
+    imaginary part, which it sorts by rounding noise, may come out in
+    another order than unseeded; no output reads that order."""
+    d = len(coeffs) - 1
+    try:
+        monic = [c / coeffs[-1] for c in reversed(coeffs)]
+        roots = [(0.4 + 0.9j) ** k for k in range(d)]
+        for _ in range(200):
+            worst = 0.0
+            for i, p in enumerate(roots):
+                x = 0j
+                for c in monic:
+                    x = x * p + c
+                for j, q in enumerate(roots):
+                    if i != j and p != q:
+                        x /= p - q
+                roots[i] = p - x
+                worst = max(worst, abs(x) / abs(roots[i]))
+            if worst < 1e-12:
+                return roots if all(map(cmath.isfinite, roots)) else None
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
 
 
 def is_self_reciprocal(coeffs: Sequence[int]) -> bool:
@@ -302,7 +349,7 @@ def _unit_root_count(minpoly: Sequence[int]) -> int:
             q[i] += c[m + k] * a
         prev, cur = cur, [a - (prev[i] if i < len(prev) else 0)
                           for i, a in enumerate([0] + cur)]
-    return 2 * Poly(q[::-1], Symbol("y")).count_roots(-2, 2)
+    return 2 * dup_count_real_roots(q[::-1], ZZ, QQ(-2), QQ(2))
 
 
 def _embeddings(minpoly: tuple, precision: int) -> tuple[int, tuple]:
@@ -510,12 +557,16 @@ class BetaContext:
 
 def mahler_measure(ctx: BetaContext) -> tuple[float, float]:
     """Enclosure of |lead| * prod of conjugate moduli exceeding 1, for the
-    base as supplied by the user (before any inversion)."""
+    base as supplied by the user (before any inversion).  The moduli are
+    multiplied in increasing order, so the rounding does not depend on the
+    order of the embeddings, which the root finder leaves to chance for
+    roots with the same imaginary part."""
     if ctx.mode != ALGEBRAIC:
         raise ModeMismatch("Mahler measure needs an algebraic base")
     lead = abs(ctx.user_minpoly[-1])
     f = float(lead)
     lo, hi = (f, f) if f == lead else (_down(f), _up(f))
+    moduli = []
     for e in ctx.embeddings:
         alo, ahi = e.abs_interval()
         if ctx.inverted:
@@ -525,6 +576,8 @@ def mahler_measure(ctx: BetaContext) -> tuple[float, float]:
             alo, ahi = _down(1.0 / ahi), _up(1.0 / alo)
         elif e.cls != EXPANDING:
             continue
+        moduli.append((alo, ahi))
+    for alo, ahi in sorted(moduli):
         lo, hi = _down(lo * alo), _up(hi * ahi)
     return lo, hi
 
@@ -542,7 +595,7 @@ def _normalize_minpoly(coeffs: Sequence[int]) -> tuple:
         c = tuple(x // g for x in c)
     if c[-1] < 0:
         c = tuple(-x for x in c)
-    factors = factor_list(Poly(list(reversed(c)), Symbol("x")))[1]
+    factors = dup_factor_list(list(reversed(c)), ZZ)[1]
     if any(k > 1 for _, k in factors):
         raise NotSquarefree(f"{poly_str(c)} is not squarefree")
     if len(factors) > 1:

@@ -159,6 +159,7 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g,
                 pred[j].append(src)
             row[i] = j
     keep = sorted(reach(finals, pred))
+    del order, pred
     if not keep:
         return Automaton(alphabet, 0, [], [], [])
     # index in the trimmed table, -1 for a dead state; idx[-1] maps -1 to -1
@@ -167,14 +168,19 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g,
         idx[s] = i
     table = [list(map(idx.__getitem__, rows[s])) for s in keep]
     is_final = set(finals)
+    final = [s in is_final for s in keep]
+    # the search keys of the kept states are all ``label`` reads: release
+    # the search before the minimizer runs
+    keys = list(map(queue.__getitem__, keep))
+    del queue, rows, idx, keep
     rel_labels = rel.automaton.labels
 
     def label(c):
-        q, pair = divmod(queue[keep[c]], n_pairs)
+        q, pair = divmod(keys[c], n_pairs)
         u, r, v = (q >> 1) - 1, *divmod(pair, n_red)
         return f"{'' if u < 0 else u}{'+' if q & 1 else ''},{v}|{rel_labels[r]}"
 
-    return _minimal(alphabet, table, [s in is_final for s in keep], 0, label)
+    return _minimal(alphabet, table, final, 0, label)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@ import random
 from operator import itemgetter
 from pathlib import Path
 
-from sympy import Poly, Symbol
+import mpmath as mp
+from mpmath.libmp import NoConvergence, from_int
+from sympy import ZZ, Poly, Symbol
+from sympy.polys.rootisolation import dup_inner_isolate_real_roots
 
 from betauto.automata import (
     Automaton,
+    _mobius_interval,
     intersect,
     lex_pair_automaton,
     live_pairs,
@@ -16,7 +20,13 @@ from betauto.automata import (
     transpose,
     trim,
 )
-from betauto.numfield import NumFieldError, context_from_config, make_context
+from betauto.numfield import (
+    NotSquarefree,
+    NumFieldError,
+    _disk_radius,
+    context_from_config,
+    make_context,
+)
 from betauto.relations import CapExceeded, build_relation_automaton
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "betauto" / "fixtures"
@@ -310,6 +320,43 @@ def random_palindromic_polys(seed: int, count: int = 100):
             if Poly(poly[::-1], x).is_irreducible:
                 break
         yield poly
+
+
+def reference_root_disks(coeffs, dps: int):
+    """``numfield._root_disks`` by its former path: ``mp.polyroots`` from
+    mpmath's own starting points, with no seeds, the coefficients converted
+    exactly and the same disks around the roots it returns."""
+    d = len(coeffs) - 1
+    with mp.workdps(dps):
+        lead_first = [mp.make_mpf(from_int(int(c))) for c in reversed(coeffs)]
+        try:
+            roots = mp.polyroots(lead_first, maxsteps=200, extraprec=4 * dps)
+        except NoConvergence:
+            return None
+        out = []
+        for z in roots:
+            pz = mp.polyval(lead_first, z)
+            dpz = mp.polyval([c * (d - i) for i, c in enumerate(lead_first[:-1])], z)
+            if dpz == 0:
+                raise NotSquarefree("repeated root encountered in root isolation")
+            cen = complex(z)
+            rad = d * abs(pz / dpz) * 1.001 + mp.mpf(10) ** (5 - dps) + abs(z - cen)
+            out.append((cen, max(math.nextafter(float(rad), math.inf),
+                                 _disk_radius(coeffs, z, cen))))
+    return out
+
+
+def reference_largest_positive_root(f):
+    """``automata._largest_positive_root`` by its former path: sympy isolates
+    every positive root of the squarefree ``f`` (leading coefficient first)
+    and the one whose interval has the largest upper end, then the largest
+    lower end, is kept, as (g, m) with integer lists; ``None`` when there is
+    no positive root."""
+    roots = dup_inner_isolate_real_roots(f, ZZ)
+    if not roots:
+        return None
+    g, m = max(roots, key=lambda r: _mobius_interval(r[1])[::-1])
+    return list(g), tuple(map(int, m))
 
 
 # growth table: (p, q) -> (printed lambda, minimal polynomial, constant first)

@@ -31,6 +31,7 @@ from conftest import (
     random_nonfree_contexts,
     random_relation_automata,
     reducible_words,
+    reference_largest_positive_root,
     reference_minimal,
     same_dfa,
 )
@@ -589,8 +590,8 @@ def test_enclosure_drops_the_zero_root_before_the_squarefree_part(
     # perron_enclosure drops the root 0 before the squarefree part: f must be
     # the squarefree part of the whole polynomial with the root 0 dropped after
     seen = []
-    monkeypatch.setattr(au, "dup_inner_isolate_real_roots",
-                        lambda f, K: seen.append(list(f)) or [])
+    monkeypatch.setattr(au, "_largest_positive_root",
+                        lambda f: seen.append(list(f)) or None)
     cps = list(refinement_char_polys) + [(0,), (0, 0, 0), ()]
     cps += [au.char_poly(a) for a in _base3_reduced((3, 6, 14))]
     cps += list(_polys_with_zero_root(20261020, 300))
@@ -707,6 +708,51 @@ def test_refinement_matches_sympy_on_every_positive_root():
             assert au._refine_root(g, m, eps) == (list(want_f), tuple(want_m)), (f, m)
             refined += 1
     assert refined >= 600, refined
+
+
+def _squarefree_part(cp):
+    """The polynomial whose positive roots ``perron_enclosure`` isolates:
+    the squarefree part of ``cp`` (constant term first) less its root 0,
+    leading coefficient first."""
+    return dup_sqf_part(au._drop_zero_root([ZZ(c) for c in reversed(poly_trim(cp))]), ZZ)
+
+
+def _split_point_polys(seed, count):
+    """Seeded products of distinct rational linear factors q x - p (leading
+    coefficient first) whose roots sit where the isolation's shifts land:
+    powers of 2, the sums of powers of 2 that the shifts by one reach, and
+    their reciprocals, times x^2 - 2 in every other product."""
+    rng = random.Random(seed)
+    roots = [Fraction(p, q) for p in (1, 2, 3, 4, 5, 6, 8, 9, 16, 17, 33)
+             for q in (1, 2, 3, 4)]
+    for i in range(count):
+        f = [1, 0, -2] if i % 2 else [1]
+        for r in rng.sample(roots, rng.randint(1, 6)):
+            lin = [r.denominator, -r.numerator]
+            f = [a * lin[0] + b * lin[1] for a, b in zip(f + [0], [0] + f)]
+        yield dup_sqf_part(f, ZZ)
+
+
+def test_largest_positive_root_matches_sympy(refinement_char_polys):
+    # the best-first search stops early, yet isolates the largest root by
+    # sympy's steps: the same polynomial and Moebius map
+    polys = [_squarefree_part(cp) for cp in refinement_char_polys]
+    polys += [_squarefree_part(_close_root_char_poly(n)) for n in range(14, 21)]
+    for _, rel in random_nonfree_contexts()[0]:
+        for order in ("lex", "revlex"):
+            reduced = au.trim(build_reduced_automaton(rel, order))
+            polys.append(_squarefree_part(au.char_poly(reduced)))
+    polys += _random_squarefree_polys(20261024, 400)
+    polys += _split_point_polys(20261025, 200)
+    exact = 0
+    for f in polys:
+        got = au._largest_positive_root(f)
+        if got is not None:
+            got = (list(got[0]), tuple(got[1]))
+        want = reference_largest_positive_root(f)
+        assert got == want, f
+        exact += want is not None and want[1][0] == want[1][1]
+    assert len(polys) >= 850 and exact >= 200, (len(polys), exact)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])

@@ -1,7 +1,10 @@
+import json
 import math
 import random
-from dataclasses import FrozenInstanceError
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath as mp
 import pytest
@@ -36,7 +39,14 @@ from betauto.numfield import (
     poly_trim,
 )
 
-from conftest import load_context, random_palindromic_polys
+from betauto.cli import main
+from conftest import (
+    FIXTURES,
+    load_context,
+    random_algebraic_configs,
+    random_palindromic_polys,
+    reference_root_disks,
+)
 
 
 # --- polynomial helpers ------------------------------------------------------
@@ -288,6 +298,93 @@ def test_power_rows_reject_wide_enclosures():
     assert weights[0] == _SLOP + 1e-15
 
 
+# --- seeded root finding -----------------------------------------------------
+
+
+def _seeded_bases(seed: int, count: int):
+    """Seeded irreducible integer polynomials (constant first) of degree
+    1..12 with coefficients in [-5, 5]: monic ones, and about a third with
+    a leading coefficient of 2..5 in size and a unit constant term, which
+    ``make_context`` inverts."""
+    rng = random.Random(seed)
+    x = Symbol("x")
+    while count:
+        c = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12) + 1)]
+        if rng.random() < 0.3:
+            c[0], c[-1] = rng.choice((-1, 1)), rng.choice((-1, 1)) * rng.randint(2, 5)
+        else:
+            c[-1] = 1
+        if c[0] and Poly(c[::-1], x).is_irreducible:
+            count -= 1
+            yield c
+
+
+#: x^2 - 2*10^40: its roots, about 1.4*10^20, are too far from the starting
+#: points for the float iteration to converge, so no seeds are passed
+UNSEEDED_BASE = [-2 * 10 ** 40, 0, 1]
+
+
+def _context_outcome(minpoly, digits):
+    """The precision and the multiset of (embedding, power rows) of a
+    context, or the error that refuses it."""
+    try:
+        ctx = make_context(minpoly, digits)
+    except NumFieldError as e:
+        return repr(e)
+    return ctx.precision, Counter(zip(ctx.embeddings, ctx.power_rows))
+
+
+def test_seeded_contexts_match_the_unseeded_reference(monkeypatch):
+    # seeds speed the root finder up but change no enclosure: the order of
+    # the embeddings aside, every context equals the unseeded reference
+    cases = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if isinstance(doc.get("beta"), dict):
+            cases.append((doc["beta"]["minpoly"], doc["digits"]))
+    for seed in range(1, 11):
+        cases += random_algebraic_configs(seed)
+    cases += [(p, [0, 1]) for p in random_palindromic_polys(3)]
+    cases += [(p, [0, 1]) for p in _seeded_bases(20261019, 160)]
+    cases.append((UNSEEDED_BASE, [0, 1]))
+    assert sum(abs(c[-1]) > 1 for c, _ in cases) >= 40  # inverted contexts
+    assert nf._float_seeds(UNSEEDED_BASE) is None
+    for minpoly, digits in cases:
+        got = _context_outcome(minpoly, digits)
+        with monkeypatch.context() as m:
+            m.setattr(nf, "_root_disks", reference_root_disks)
+            assert got == _context_outcome(minpoly, digits), minpoly
+        assert not isinstance(got, str), (minpoly, got)
+
+
+def _holds_root(e, n: int, s: int) -> bool:
+    """Exactly: the disk of ``e`` holds n + s*sqrt(2).  With t = Re(c) - n,
+    |c - n - s*sqrt(2)|^2 <= r^2 reads L <= q*sqrt(2) for the rationals
+    L = t^2 + 2 + Im(c)^2 - r^2 and q = 2*s*t."""
+    t = Fraction(e.center.real) - n
+    big_l = t * t + 2 + Fraction(e.center.imag) ** 2 - Fraction(e.radius) ** 2
+    q = 2 * s * t
+    if q >= 0:
+        return big_l <= 0 or big_l * big_l <= 2 * q * q
+    return big_l < 0 and big_l * big_l >= 2 * q * q
+
+
+def test_coefficients_past_two_to_the_53_are_converted_exactly(tmp_path, capsys):
+    # x^2 - 2N x + N^2 - 2 with N = 2^30 has the roots N -+ sqrt(2); at 53
+    # bits N^2 - 2 rounds to N^2, which makes the root double
+    n = 2 ** 30
+    minpoly = [n * n - 2, -2 * n, 1]
+    ctx = make_context(minpoly, [0, 1])
+    assert ctx.precision == 30
+    low, high = sorted(ctx.embeddings, key=lambda e: e.center.real)
+    assert _holds_root(low, n, -1) and _holds_root(high, n, 1)
+    assert not _holds_root(low, n, 1) and not _holds_root(high, n, -1)
+    config = tmp_path / "large.json"
+    config.write_text(json.dumps({"beta": {"minpoly": minpoly}, "digits": [0, 1]}))
+    assert main(["free", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert "free" in capsys.readouterr().out
+
+
 # --- Mahler measure ----------------------------------------------------------
 
 
@@ -314,6 +411,17 @@ def test_mahler_measure_matches_reference(minpoly):
     lo, hi = mahler_measure(ctx)
     ref = _mahler_reference(minpoly)
     assert lo <= ref <= hi and hi - lo < 1e-6
+
+
+def test_mahler_measure_ignores_the_embedding_order():
+    # x^4 - 2x^3 - x^2 + 2x + 5 is symmetric about Re z = 1/2: its four
+    # roots share one |Im z|, so the root finder orders them by chance, and
+    # they have two moduli, about 1.99 and 1.12
+    ctx = make_context([5, 2, -1, -2, 1], [0, 1])
+    want = mahler_measure(ctx)
+    for order in permutations(range(4)):
+        swapped = replace(ctx, embeddings=tuple(ctx.embeddings[i] for i in order))
+        assert mahler_measure(swapped) == want, order
 
 
 def test_mahler_measure_inverted():

@@ -2,13 +2,14 @@ import copy
 import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
 
 from betauto import automata as au
 from betauto.automata import PairLetter
-from betauto.numfield import NumFieldError, fe_neg, make_context
+from betauto.numfield import NumFieldError, fe_neg, mahler_measure, make_context
 from betauto.relations import (
     Blocked,
     CapExceeded,
@@ -210,6 +211,50 @@ def test_salem_forced_caps_out():
         build_relation_automaton(ctx, max_states=3000, force=True)
     # pins the BFS order and the per-letter prune count
     assert e.value.stats == {"states": 3000, "depth": 73, "pruned": 5455}
+
+
+def _conjugate_pairs(ctx) -> list:
+    """Index pairs (i, j) of embeddings whose centres are complex conjugates."""
+    return [(i, j) for i, e in enumerate(ctx.embeddings) if e.center.imag
+            for j in range(i + 1, len(ctx.embeddings))
+            if ctx.embeddings[j].center == e.center.conjugate()]
+
+
+def _observables(ctx) -> tuple:
+    """What the embeddings decide: the relation automaton (its BFS order and
+    labels included) and its stats, or the partial stats of a capped run,
+    the quick freeness certificate, the Mahler bound and ``blocked``."""
+    try:
+        rel = build_relation_automaton(ctx, max_states=3000, force=True)
+        built = (au.to_json(rel.automaton), rel.stats)
+    except CapExceeded as e:
+        built = ("capped", e.stats)
+    return built, quick_free_sufficient(ctx), mahler_measure(ctx), ctx.blocked
+
+
+@pytest.mark.parametrize("name", [
+    "pisot_x3-x-1", "pisot_x3-x2-x-1", "pisot_x4-x3-x2-x-1", "pisot_x4-x3-x2+x-1",
+    "free_x4-3x3-3x2-3x+1", "salem",
+])
+def test_conjugate_pair_order_is_unobservable(name):
+    # the root finder's order of the two members of a conjugate pair depends
+    # on its starting points; prune and undecided are any-tests over the
+    # embeddings, so swapping the members of a pair changes no output
+    ctx = load_context(name)
+    pairs = _conjugate_pairs(ctx)
+    assert pairs
+    want = _observables(ctx)
+    for swaps in [[p] for p in pairs] + [pairs]:
+        order = list(range(len(ctx.embeddings)))
+        for i, j in swaps:
+            order[i], order[j] = j, i
+        swapped = replace(ctx, embeddings=tuple(ctx.embeddings[k] for k in order),
+                          power_rows=tuple(ctx.power_rows[k] for k in order))
+        assert swapped.embeddings != ctx.embeddings
+        assert _observables(swapped) == want, swaps
+    if name == "salem":
+        assert want[0] == ("capped", {"states": 3000, "depth": 73, "pruned": 5455})
+        assert verify_power_identity(swapped, SALEM_TERMS, SALEM_RHS)
 
 
 def _sha256(doc) -> str:
