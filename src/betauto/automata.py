@@ -15,12 +15,11 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, and_, floordiv, itemgetter, mul, ne, neg, or_, rshift
+from operator import add, and_, itemgetter, mul, ne, or_, rshift
 from typing import Iterable, NamedTuple
 
 from sympy import ZZ
@@ -657,7 +656,7 @@ def count_series(a: Automaton, n_max: int) -> list[int]:
     return out
 
 
-def char_poly(a: Automaton) -> tuple[int, ...]:
+def char_poly(a: Automaton, max_words: int | None = None) -> tuple[int, ...]:
     """Exact characteristic polynomial det(xI - M) of the adjacency count
     matrix, constant term first, in integer arithmetic with no modulus.
 
@@ -669,19 +668,31 @@ def char_poly(a: Automaton) -> tuple[int, ...]:
     (rho**b).bit_length() bits, and a step adds the packed rows of a
     state's successors without carries between slots.  The power traces
     p_k = tr(B^k) give the coefficients by Newton's identities,
-    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), each division exact."""
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), each division exact.
+
+    The b packed rows of b slots take b * b * width bits.  Past ``max_words``
+    64-bit words for one block it raises ``CapExceeded``, before any block
+    is computed."""
     succ = [[] for _ in range(a.n_states)]
     for (p, _, q) in a.transitions:
         succ[p].append(q)
-    cp, zeros = [1], 0
+    blocks, zeros = [], 0
     for block in _components(succ):
         if len(block) == 1 and block[0] not in succ[block[0]]:
             zeros += 1
             continue
         index = {q: i for i, q in enumerate(block)}
-        cp = _poly_mul(cp, _block_char_poly([[index[q] for q in succ[p] if q in index]
-                                            for p in block]))
-    return (0,) * zeros + tuple(cp)
+        blocks.append([[index[q] for q in succ[p] if q in index] for p in block])
+    if max_words is not None:
+        for rows in blocks:
+            words = -(-len(rows) ** 2 * _slot_width(rows) // 64)
+            if words > max_words:
+                raise CapExceeded(
+                    f"word cap {max_words} exceeded by char_poly: a strongly connected "
+                    f"block of {len(rows)} states packs into {words} 64-bit words",
+                    {"construction": "char_poly", "block_states": len(rows),
+                     "words": words})
+    return (0,) * zeros + tuple(reduce(_poly_mul, map(_block_char_poly, blocks), [1]))
 
 
 def _components(succ) -> list[list[int]]:
@@ -727,22 +738,32 @@ def _components(succ) -> list[list[int]]:
 def _block_char_poly(rows) -> list:
     """Characteristic polynomial, constant term first, of the count matrix
     of a strongly connected block given by its successor lists (a successor
-    repeats once per parallel edge)."""
+    repeats once per parallel edge).  Row i's diagonal slot, i slots up, is
+    read from the nearer end of the packed row: masked, then shifted down,
+    for i < (b - 1) // 2, and shifted down, then masked, for the rest."""
     b = len(rows)
-    width = (max(map(len, rows)) ** b).bit_length()
+    width = _slot_width(rows)
     mask = (1 << width) - 1
     shifts = range(0, b * width, width)
     power = [1 << s for s in shifts]  # row i of B^k, slot j holds B^k[i][j]
+    h = (b - 1) // 2
+    masks, high = [mask << s for s in shifts[:h]], shifts[h:]
     traces, c = [], [1]  # c: leading coefficient first
     for k in range(1, b + 1):
         power = [reduce(add, map(power.__getitem__, r)) for r in rows]
-        traces.append(sum(map(and_, map(rshift, power, shifts), repeat(mask))))
+        traces.append(sum(map(rshift, map(and_, power, masks), shifts))
+                      + sum(map(and_, map(rshift, power[h:], high), repeat(mask))))
         ck, rem = divmod(-sum(map(mul, c, reversed(traces))), k)
         if rem:
             raise ArithmeticError(f"Newton identity {k} is not exact")
         c.append(ck)
     c.reverse()
     return c
+
+
+def _slot_width(rows) -> int:
+    """Bits per slot of a block's packed rows: (rho**b).bit_length()."""
+    return (max(map(len, rows)) ** len(rows)).bit_length()
 
 
 def _poly_mul(f, g) -> list:
@@ -918,20 +939,24 @@ def _refine_step(f, a, b, c, d):
     """sympy's ``dup_step_refine_real_root``: shift the polynomial by the
     lower bound A of its positive roots, then keep the root in (1, inf) by
     a shift by one, or in (0, 1) by reversing first.  A root that lands on
-    0 is exact and ends with a == b and c == d."""
+    0 is exact and ends with a == b and c == d.  A refined f has one sign
+    variation, so one positive root, and a shift by one adds none: f(x + 1)
+    has one variation, sympy's test, exactly when f(0) = f[-1] and f(1) =
+    sum(f) share a sign, and f(1) = 0 is the exact root at 1.  So the branch
+    is decided first and only the kept shift is computed."""
     k = _lmq_exponent(f)
     if k >= 0:
         f = _shift_pow2(f, k)
         b, d = (a << k) + b, (c << k) + d
         if not f[-1]:
             return f, b, b, d, d
-    g, f = f, _shift_one(f)
     b1, d1 = a + b, c + d
-    if not f[-1]:
-        return f, b1, b1, d1, d1
-    if _sign_variations(f) == 1:
-        return f, a, b1, c, d1
-    return _reverse_shift(g), b, b1, d, d1
+    at_one = sum(f)
+    if not at_one:
+        return _shift_one(f), b1, b1, d1, d1
+    if (at_one > 0) == (f[-1] > 0):
+        return _shift_one(f), a, b1, c, d1
+    return _reverse_shift(f), b, b1, d, d1
 
 
 def _shift_one(f):
@@ -962,49 +987,41 @@ def _drop_zero_root(f):
     return f
 
 
-def _log2s(values) -> list:
-    """``ZZ.log(v, 2)`` of each value: ``int(math.log(v, 2))``."""
-    return list(map(int, map(math.log, values, repeat(2))))
-
-
 def _lmq_exponent(f) -> int:
     """k such that sympy's ``dup_root_lower_bound`` of the positive roots,
     cut to an integer, is A = 2**k; -1 when A = 0.
 
     That bound is 1 / 2**(max(P) + 1), with P the local-max-quadratic
     (Akritas, J. UCS 15(3), 2009) exponents of the upper bound of ``f``
-    reversed.  With ``f`` signed so that its lowest nonzero coefficient is
-    positive and indices counted from its leading coefficient: for each
-    negative coefficient i, the least (t[j] + log|f_i| - log f_j) // (j - i)
-    over the positive coefficients j after it, the first such j on a tie,
-    whose t[j] (1 at first) then grows by one.  A = 0 once an exponent is
-    >= 0, so the scan stops there."""
+    reversed, by the loops of sympy's ``dup_root_upper_bound``.  With ``f``
+    signed so that its lowest nonzero coefficient is positive and indices
+    counted from its leading coefficient: for each negative coefficient i,
+    the least (t[j] + log|f_i| - log f_j) // (j - i) over the positive
+    coefficients j after it, the first such j on a tie, whose t[j] (1 at
+    first) then grows by one.  log is sympy's int(math.log(c, 2)), once per
+    coefficient, which exceeds c.bit_length() - 1 for some c just below a
+    power of 2, such as 2**60 - 1.  A = 0 once an exponent is >= 0."""
     g = _drop_zero_root(f)
     if g[-1] < 0:
-        g = list(map(neg, g))
-    pos = list(compress(count(), map((0).__lt__, g)))
-    negs = list(compress(count(), map((0).__gt__, g)))
-    # starts[i]: the index in ``pos`` of the first positive after negs[i]
-    starts = list(map(bisect_right, repeat(pos), negs))
-    m = bisect_left(starts, len(pos))  # negatives with a positive after them
-    if not m:
-        return -1
-    tl = [1 - x for x in _log2s(map(g.__getitem__, pos))]  # t[j] - log f_j
-    la = _log2s(map(neg, map(g.__getitem__, negs[:m])))
-    m1 = bisect_left(starts, len(pos) - 1)
-    qs = []
-    for i, s, a in zip(negs, starts, la[:m1]):
-        q, j = min(zip(map(floordiv, map(a.__add__, tl[s:]), map((-i).__add__, pos[s:])),
-                       count(s)))
+        g = [-c for c in g]
+    tl = [1 - int(math.log(c, 2)) if c > 0 else 0 for c in g]  # t[j] - log f_j
+    pos = [j for j, c in enumerate(g) if c > 0]
+    qs, s = [], 0  # pos[s:]: the positive coefficients after i
+    for i, c in enumerate(g):
+        if c >= 0:
+            s += c > 0
+            continue
+        a = int(math.log(-c, 2))
+        q = math.inf  # g[-1] > 0, so every negative has a positive after it
+        for k in pos[s:]:
+            x = (tl[k] + a) // (k - i)
+            if x < q:
+                q, j = x, k
         if q >= 0:
             return -1
         tl[j] += 1
         qs.append(q)
-    # the later negatives see only the last positive, so each one picks it
-    # and its t grows by one per negative
-    top = max(chain(qs, map(floordiv, map(add, la[m1:], count(tl[-1])),
-                            map(pos[-1].__sub__, negs[m1:m]))))
-    return -1 - top if top < 0 else -1
+    return -1 - max(qs) if qs else -1
 
 
 def dominant_eigenvalue(a: Automaton, tol: float = 1e-10) -> tuple[Fraction, Fraction]:

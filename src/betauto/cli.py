@@ -193,17 +193,18 @@ def cmd_structure(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         rel, reduced = _structure_parts(ctx, args)
-        # every multiplier is built before the first write, so a capped
-        # search leaves no artefact behind
+        # every multiplier and the growth report are built before the first
+        # write, so a capped run leaves no artefact behind
         mults = {g: build_multiplier(rel, reduced, g, max_states=args.max_states)
                  for g in ctx.digit_names}
+        report = growth(reduced, N=args.N, candidate_pi=candidate,
+                        max_words=args.max_states * rel.n_states)
     except (Blocked, CapExceeded) as e:
         print(f"cannot build structure: {e}", file=sys.stderr)
         return EXIT_BLOCKED
     _write_automaton(out, "reduced", reduced)
     for g, mult in mults.items():
         _write_automaton(out, f"mult_{g}", mult)
-    report = growth(reduced, N=args.N, candidate_pi=candidate)
     doc = report.to_json()
     _dump_json(out / "growth.json", doc)
     lam = doc["lambda"]

@@ -223,10 +223,16 @@ class GrowthReport:
         return doc
 
 
-def growth(reduced: Automaton, N: int = 20, candidate_pi=None) -> GrowthReport:
+def growth(reduced: Automaton, N: int = 20, candidate_pi=None,
+           max_words: int | None = None) -> GrowthReport:
     """Growth data of the reduced automaton: exact counting series, exact
     characteristic polynomial of the trimmed adjacency matrix, and a
     certified enclosure of the growth rate (its largest real root).
+
+    ``max_words`` caps the packed rows of the largest strongly connected
+    block in ``char_poly``, in 64-bit words: past it, ``CapExceeded`` is
+    raised before any block is computed.  The CLI passes ``--max-states``
+    times the relation states, the budget of each multiplier search.
 
     When ``candidate_pi`` is given (integer coefficients, constant first) the
     report records whether it divides the characteristic polynomial exactly
@@ -237,7 +243,7 @@ def growth(reduced: Automaton, N: int = 20, candidate_pi=None) -> GrowthReport:
     enclosure is exact (lo == hi)."""
     t = trim(reduced)
     counts = count_series(reduced, N)
-    cp = char_poly(t)
+    cp = char_poly(t, max_words)
     lo, hi = perron_enclosure(cp)
     report = GrowthReport(counts, cp, lo, hi)
     if candidate_pi is not None:

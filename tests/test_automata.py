@@ -7,9 +7,11 @@ from itertools import product as iproduct
 import pytest
 from sympy import QQ, ZZ, Poly, Rational, Symbol
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.densetools import dup_eval
 from sympy.polys.rootisolation import (
     dup_inner_isolate_real_roots,
     dup_inner_refine_real_root,
+    dup_root_lower_bound,
     dup_step_refine_real_root,
 )
 from sympy.polys.sqfreetools import dup_sqf_part
@@ -655,21 +657,85 @@ def test_refinement_matches_sympy(refinement_char_polys, tol, monkeypatch):
 
 
 def test_refinement_steps_match_sympy(refinement_char_polys, monkeypatch):
-    # step by step too: a step that differs can still end on the same map
+    # step by step too: a step that differs can still end on the same map.
+    # The split-point products put exact roots where the shift by one lands,
+    # the step's exit on f(1) = 0.  Its other exact exit, f(A) = 0 after the
+    # LMQ shift by A, needs a bound A equal to a root, which LMQ never gives:
+    # its shares of the positive terms cover the negative ones with room.
     step = au._refine_step
-    steps = []
+    steps, at_one = [], []
 
     def checked(f, *m):
         got = step(f, *m)
         g, want = dup_step_refine_real_root(f, m, ZZ)
         assert got == (list(g), *map(int, want)), (f, m)
         steps.append(m)
+        if got[1] == got[2] and got[3] == got[4]:  # an exact root
+            bound = dup_root_lower_bound(f, ZZ)
+            shift = int(bound) if bound is not None and bound >= 1 else 0
+            at_one.append(dup_eval(f, shift + 1, ZZ) == 0)
         return got
 
     monkeypatch.setattr(au, "_refine_step", checked)
-    for cp in refinement_char_polys:
+    split_points = [tuple(reversed(f)) for f in _split_point_polys(20261026, 200)]
+    for cp in list(refinement_char_polys) + split_points:
         au.perron_enclosure(cp, 1e-10)
     assert len(steps) >= 8000, len(steps)
+    assert sum(at_one) >= 20, at_one
+
+
+def _lmq_polys(seed, count):
+    """Seeded integer polynomials, leading coefficient first, for the LMQ
+    bound: every fifth one has only positive coefficients (no bound), every
+    fifth a single negative one, every fifth a negative leading coefficient,
+    and the rest random signs.  Coefficients are small, above 2**1024, or
+    2**j +- 1 with j <= 2000, and some are 0, the constant term too."""
+    rng = random.Random(seed)
+
+    def coeff():
+        kind = rng.random()
+        if kind < 0.4:
+            return rng.randint(1, 40)
+        if kind < 0.6:
+            return rng.getrandbits(rng.randint(1025, 1200)) | 1 << 1024
+        return (1 << rng.randint(1, 2000)) + rng.choice((-1, 1))
+
+    for i in range(count):
+        n = rng.randint(1, 12)
+        f = [coeff() for _ in range(n + 1)]
+        if i % 5 == 1:
+            k = rng.randint(0, n)
+            f[k] = -f[k]
+        elif i % 5 > 1:
+            f = [rng.choice((-1, 1)) * c for c in f]
+            if i % 5 == 2:
+                f[0] = -abs(f[0])
+        for _ in range(rng.randint(0, n // 2)):
+            f[rng.randint(1, n)] = 0
+        yield f
+
+
+def test_lmq_exponent_matches_sympy(monkeypatch):
+    # sympy's bound is 2**k or below 1; its logs are int(math.log(c, 2)),
+    # which c.bit_length() - 1 is not: for 2**60 - 1 they give 60 and 59
+    polys = list(_lmq_polys(20261027, 1200))
+
+    def exponent(f):
+        bound = dup_root_lower_bound(f, ZZ)
+        a = int(bound) if bound is not None else 0
+        return a.bit_length() - 1
+
+    want = list(map(exponent, polys))
+    assert list(map(au._lmq_exponent, polys)) == want
+    assert sum(k >= 0 for k in want) >= 200 and sum(k < 0 for k in want) >= 200
+    assert sum(all(c >= 0 for c in f) for f in polys) >= 200
+    assert sum(f[0] < 0 for f in polys) >= 200
+    assert sum(sum(c < 0 for c in f) == 1 for f in polys) >= 200
+    assert sum(0 in f for f in polys) >= 200 and sum(f[-1] == 0 for f in polys) >= 20
+    assert sum(max(map(abs, f)) > 1 << 1024 for f in polys) >= 200
+    assert int(math.log(2 ** 60 - 1, 2)) == 60 != (2 ** 60 - 1).bit_length() - 1
+    monkeypatch.setattr(type(ZZ), "log", lambda self, a, b: int(a).bit_length() - 1)
+    assert list(map(exponent, polys)) != want
 
 
 def _random_squarefree_polys(seed, count):

@@ -216,6 +216,25 @@ def test_structure_caps_the_multiplier_search(tmp_path):
     assert list(out.iterdir()) == []  # no artefact, not even reduced.json
 
 
+def test_structure_caps_the_char_poly_blocks(tmp_path, capsys):
+    # base 3 with digits {0, 2, 17}: 17 relation states, and a lex block of
+    # 97 states whose packed rows take 22,641 64-bit words; the reduced
+    # chain and the multipliers pass both caps
+    config = tmp_path / "base3.json"
+    config.write_text(json.dumps({"beta": {"minpoly": [-3, 1]}, "digits": [0, 2, 17]}))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "structure", "--config", config, "--out", out,
+                            "--max-states", 1000)
+    assert code == 2 and stdout == ""
+    assert err == ("cannot build structure: word cap 17000 exceeded by char_poly: a "
+                   "strongly connected block of 97 states packs into 22641 64-bit words\n")
+    assert list(out.iterdir()) == []  # no artefact, not even reduced.json
+    code, stdout, _ = run(capsys, "structure", "--config", config, "--out", out,
+                          "--max-states", 1400)
+    assert code == 0 and stdout.startswith("reduced_states=97 ")
+    assert len(list(out.iterdir())) == 9
+
+
 def test_structure_under_a_cap_that_bounds_the_multipliers(tmp_path, capsys):
     # the installed-CLI smoke run of the CI workflow
     code, out, _ = run(capsys, "structure", "--config", cfg("pisot_x3-x-1"),
