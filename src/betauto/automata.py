@@ -311,33 +311,6 @@ def determinize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     return Automaton(a.alphabet, len(subsets), transitions, [0], finals, labels)
 
 
-def _canonical_relabel(a: Automaton) -> Automaton:
-    """BFS renumbering from the initial state in alphabet order (canonical
-    form for a trimmed DFA)."""
-    if a.n_states == 0:
-        return a
-    d = a.ddelta()
-    (init,) = a.initials
-    order = {init: 0}
-    queue = [init]
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        for q in d[s]:
-            if q >= 0 and q not in order:
-                order[q] = len(order)
-                queue.append(q)
-    # trimmed DFAs are initial-connected, so every state is ordered
-    labels = [None] * len(order)
-    for s, i in order.items():
-        labels[i] = a.labels[s]
-    return Automaton(
-        a.alphabet, len(order),
-        [(order[p], x, order[q]) for (p, x, q) in a.transitions],
-        [0], sorted(order[s] for s in a.finals), labels)
-
-
 def _minimal(alphabet, d, final, init: int, label) -> Automaton:
     """Canonical minimal DFA of a trimmed deterministic table: ``d[p][i]``
     is the target of state p on ``alphabet[i]`` or -1, ``final[p]`` says
@@ -357,8 +330,8 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
     its least original state, and takes the label ``label(state)`` of that
     state, built for the class representatives only.  The classes are
     numbered by breadth-first search from the initial class, letters in
-    alphabet order, which is the canonical form that
-    ``_canonical_relabel`` gives a trimmed DFA."""
+    alphabet order, so language-equal tables give identical automata, labels
+    aside."""
     present = (-1).__lt__
     seeds = {}  # (final, has an edge on letter 0, ...) -> states, ascending
     for p, row in enumerate(d):
@@ -405,23 +378,32 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
                      [i for i, c in enumerate(reps) if final[c]], map(label, reps))
 
 
+def _dfa(a: Automaton, max_states: int = 1_000_000) -> Automaton:
+    """``a`` trimmed, and determinized when the trimmed automaton is not
+    deterministic: a trimmed DFA, since the subsets of a trimmed automaton
+    are all co-accessible.  ``max_states`` caps the subset construction."""
+    a = trim(a)
+    if a.n_states and not a.deterministic:
+        a = determinize(a, max_states)
+    return a
+
+
 def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     """Canonical minimal partial DFA; language-equal inputs give identical
     results, labels aside.
 
-    Trim, determinize when the result is not deterministic (the subsets of
-    a trimmed automaton are all co-accessible), then hand the table to
-    ``_minimal``: Moore refinement and the canonical numbering, each class
-    taking the label of its first state.  Refinement is seeded with each
-    state's finality and letter set, which a trimmed table makes sound, and
-    runs block by block in place.  ``structure.build_multiplier``
-    hands its search table to the same core.  ``max_states`` caps the
-    subset construction.  On the 180-state reducible-word automaton of
-    ``pisot_x3-x-1`` ``determinize`` makes 300 simulation-pruned subsets
-    (5,984 unpruned), and refinement folds them into 139 classes."""
-    a = trim(a)
-    if a.n_states and not a.deterministic:
-        a = determinize(a, max_states)
+    Trim, determinize when the result is not deterministic (``_dfa``), then
+    hand the table to ``_minimal``: Moore refinement and the canonical
+    numbering, each class taking the label of its first state.  Refinement
+    is seeded with each state's finality and letter set, which a trimmed
+    table makes sound, and runs block by block in place.  ``complement``
+    ends in ``minimize``, and ``structure.build_multiplier`` hands its
+    search table to the same core.
+    ``max_states`` caps the subset construction.  On the 180-state
+    reducible-word automaton of ``pisot_x3-x-1`` ``determinize`` makes 300
+    simulation-pruned subsets (5,984 unpruned), and refinement folds them
+    into 139 classes."""
+    a = _dfa(a, max_states)
     if a.n_states == 0:
         return a
     (init,) = a.initials
@@ -430,18 +412,22 @@ def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
 
 
 def complement(a: Automaton) -> Automaton:
-    """Complete the DFA (``a`` itself, or its subset construction when ``a``
-    is nondeterministic) with a sink, swap finals, then trim and renumber.
+    """Canonical minimal DFA of the words over ``a.alphabet`` that ``a``
+    rejects.
 
-    Swapping the finals of a complete DFA keeps its states pairwise
-    distinguishable, so a minimal input stays minimal: trimming drops only
-    the states that accepted every word, and a minimal DFA has at most one.
-    The output of ``minimize`` is deterministic, so ``complement(minimize(x))``
-    is canonical and runs no subset construction of its own."""
-    d = a if a.deterministic else determinize(a)
+    Trim ``a`` and determinize it when the trimmed automaton is
+    nondeterministic (``_dfa``), complete the DFA with a state ``sink``,
+    swap the finals and ``minimize``.  Each class takes the label of its
+    first state, so the labels are those of ``minimize(a)``, plus ``sink``
+    when the DFA was not complete.  Trimming comes first, for a DFA too: a
+    dead state turns final in the complement and would name its class, and
+    the reducible-word DFA of a free context, whose states are all dead,
+    would complement to one state named after its first dead state.  The
+    complement of the empty language is the single state ``all``, and that
+    of the full language has no states."""
+    d = _dfa(a)
     sink = d.n_states
     if sink == 0:
-        # empty language over this alphabet: complement is the full language
         return Automaton(a.alphabet, 1, [(0, x, 0) for x in a.alphabet], [0], [0], ["all"])
     to_sink = [(s, x, sink) for s, row in enumerate(d.ddelta())
                for x, q in zip(d.alphabet, row) if q < 0]
@@ -450,8 +436,8 @@ def complement(a: Automaton) -> Automaton:
         to_sink += [(sink, x, sink) for x in d.alphabet]
         labels.append("sink")
     finals = [s for s in range(len(labels)) if s not in d.finals]
-    return _canonical_relabel(trim(Automaton(
-        d.alphabet, len(labels), list(d.transitions) + to_sink, d.initials, finals, labels)))
+    return minimize(Automaton(
+        d.alphabet, len(labels), list(d.transitions) + to_sink, d.initials, finals, labels))
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
@@ -534,7 +520,7 @@ def pair_tables(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
     - ``live``: the bitmap over ``r * a.n_states + p`` of the pairs (p, r)
       from which some word of pair letters leads ``rel`` to a final state
       and leads ``a``, reading the right component of each letter, to a
-      final state (``live_pairs``);
+      final state;
     - ``out[r]``: the edges of ``rel`` leaving r, in letter order, as
       (x, y, i, r2 * a.n_states, r2 final) for the letter of index i, the
       pair (``a.alphabet[x]``, ``a.alphabet[y]``)."""
@@ -542,11 +528,6 @@ def pair_tables(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
     if kept is None:
         kept = a._pair_tables[rel] = _pair_search(a, rel)
     return kept
-
-
-def live_pairs(a: Automaton, rel: Automaton) -> bytearray:
-    """The kept bitmap of live pairs of ``pair_tables``."""
-    return pair_tables(a, rel)[0]
 
 
 def _pair_search(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
@@ -600,17 +581,20 @@ def project(a: Automaton, side: int, alphabet=None) -> Automaton:
 
 def lex_pair_automaton(alphabet: Iterable) -> Automaton:
     """Pairs (u, v) of equal-length words with u strictly below v in the
-    lexicographic order induced by the alphabet list order."""
+    lexicographic order induced by the alphabet list order.  State ``=``
+    reads equal letters, a first pair x < y leads to the final state ``<``,
+    which reads every pair, and a first pair x > y has no edge: no word that
+    starts with it is accepted."""
     sigma = tuple(alphabet)
     rank = {x: i for i, x in enumerate(sigma)}
     pairs = pair_alphabet(sigma)
     transitions = []
     for xy in pairs:
         rx, ry = rank[xy.left], rank[xy.right]
-        transitions.append((0, xy, 0 if rx == ry else 1 if rx < ry else 2))
+        if rx <= ry:
+            transitions.append((0, xy, 0 if rx == ry else 1))
         transitions.append((1, xy, 1))
-        transitions.append((2, xy, 2))
-    return Automaton(pairs, 3, transitions, [0], [1], ["=", "<", ">"])
+    return Automaton(pairs, 2, transitions, [0], [1], ["=", "<"])
 
 
 # ---------------------------------------------------------------------------

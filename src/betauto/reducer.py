@@ -12,11 +12,11 @@ drives both automata into a (final, final) pair.  The extraction walks back
 from a final pair through predecessors, which are all live, so dropping the
 other pairs changes no output; it makes the subsets, and the number of
 distinct (subset, letter) steps, several times smaller.  The live set is
-``automata.live_pairs(reduced, rel.automaton)``, the bitmap over pairs
-that the multipliers of the structure also read, kept on ``reduced``.  It
-is read on the first missing step, so building a table and ``equivalent``
-never pay for it (10-15 ms on ``pisot_x3-x-1``, 179 x 138 pairs, when no
-multiplier has computed it).
+the bitmap over pairs that ``automata.pair_tables(reduced, rel.automaton)``
+returns first; the multipliers of the structure read it too, and it is kept
+on ``reduced``.  It is read on the first missing step, so building a table
+and ``equivalent`` never pay for it (10-15 ms on ``pisot_x3-x-1``, 179 x 138
+pairs, when no multiplier has computed it).
 
 Each forward subset is interned once and named by an integer id (the start
 subset is 0): ``_sets`` maps an id to its subset, ``_sid`` a subset to its
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .automata import Automaton, live_pairs, pair_alphabet
+from .automata import Automaton, pair_alphabet, pair_tables
 from .automata import accepts  # noqa: F401  (the benchmark tracer wraps reducer.accepts)
 from .relations import RelAutomaton, digit_index
 
@@ -143,7 +143,7 @@ class ReducerTable:
         """Id of the successor of subset ``sid`` on input letter ``a``: the
         union of its pairs' live successor rows, interned on first sight."""
         if self._live is None:
-            self._live = live_pairs(self.reduced, self.rel.automaton)
+            self._live = pair_tables(self.reduced, self.rel.automaton)[0]
         subset = self._sets[sid]
         rows = self._succ[a]
         for pair in subset.difference(rows):

@@ -15,19 +15,20 @@ from fractions import Fraction
 from .automata import (
     Automaton,
     CapExceeded,
+    _dfa,
     _minimal,
     char_poly,
     complement,
     count_series,
     intersect,
     lex_pair_automaton,
-    minimize,
     pair_tables,
     perron_enclosure,
     project,
     reach,
     trim,
 )
+from .automata import minimize  # noqa: F401  (the benchmark tracer wraps structure.minimize)
 from .numfield import BetaContext, FieldElem, fe_add, poly_divmod, poly_trim
 from .relations import RelAutomaton
 
@@ -40,8 +41,11 @@ def build_reduced_automaton(rel: RelAutomaton, order: str = "lex",
     by the reverse position (``revlex``).  A word is removed when some
     order-smaller word of the same length defines the same map, i.e. when it
     is the second component of an accepted pair of (smaller, equivalent).
-    The subset construction of the reducible words can grow exponentially;
-    past ``max_states`` subsets it raises ``CapExceeded``.
+    The reducible words are trimmed and determinized once (``_dfa``), and
+    ``complement`` completes, swaps and minimizes that DFA, so one subset
+    construction and one Moore refinement run.  The subset construction can
+    grow exponentially; past ``max_states`` subsets it raises
+    ``CapExceeded``.
     """
     names = list(rel.context.digit_names)
     if order == "lex":
@@ -52,7 +56,7 @@ def build_reduced_automaton(rel: RelAutomaton, order: str = "lex",
         raise ValueError(f"unknown order {order!r} (expected 'lex' or 'revlex')")
     smaller = intersect(lex_pair_automaton(ranked), rel.automaton)
     reducible = project(smaller, side=2, alphabet=tuple(names))
-    return complement(minimize(reducible, max_states))
+    return complement(_dfa(reducible, max_states))
 
 
 def build_multiplier(rel: RelAutomaton, reduced: Automaton, g,

@@ -14,8 +14,8 @@ from betauto.automata import (
     _mobius_interval,
     intersect,
     lex_pair_automaton,
-    live_pairs,
     minimize,
+    pair_tables,
     project,
     transpose,
     trim,
@@ -265,7 +265,7 @@ def reference_multiplier(rel, reduced, g) -> Automaton:
     sigma = reduced.alphabet
     if g not in sigma:
         raise ValueError(f"unknown digit {g!r}")
-    live_vr = live_pairs(reduced, rel.automaton)
+    live_vr = pair_tables(reduced, rel.automaton)[0]
     alphabet = rel.automaton.alphabet
     k = len(sigma)
     gi = sigma.index(g)

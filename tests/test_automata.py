@@ -289,6 +289,24 @@ def test_complement_completes():
     assert au.accepts(c, "b")
 
 
+def test_complement_of_the_empty_and_the_full_language():
+    for a in (Automaton(SIGMA, 0, [], [], []), dfa([(0, "a", 0), (0, "b", 1)], [], 2)):
+        c = au.complement(a)
+        assert (c.n_states, c.initials, c.finals, c.labels) == (1, {0}, {0}, ("all",))
+        assert c.transitions == {(0, "a", 0), (0, "b", 0)}
+    full = dfa([(0, "a", 1), (0, "b", 0), (1, "a", 1), (1, "b", 0)], [0, 1], 2)
+    assert au.complement(full).n_states == 0
+
+
+def test_complement_trims_an_untrimmed_dfa():
+    # accepts "a" only, and state 2 is dead: it must neither survive nor
+    # name the class of the words that do not start with "a"
+    a = dfa([(0, "a", 1), (0, "b", 2), (2, "a", 2), (2, "b", 2)], [1], 3)
+    c = au.complement(a)
+    assert lang(c) == lang(dfa([(0, "a", 0), (0, "b", 0)], [0], 1)) - {("a",)}
+    assert (c.n_states, c.labels) == (3, ("0", "1", "sink"))
+
+
 def test_intersect_alphabet_mismatch():
     a = dfa([], [0], 1)
     b = dfa([], [0], 1, alphabet=("x", "y"))
@@ -896,12 +914,13 @@ def test_random_language_invariants():
         m2 = au.minimize(m)
         assert (m2.n_states, m2.transitions, m2.finals) == \
             (m.n_states, m.transitions, m.finals)
-        assert lang(au.complement(a)) == full - La
-        # the complement of a minimal DFA is minimal and canonical
-        c = au.complement(m)
+        c = au.complement(a)
+        assert lang(c) == full - La
+        # every complement is minimal and canonical, labels included
         mc = au.minimize(c)
-        assert (c.n_states, c.initials, c.finals, c.transitions) == \
-            (mc.n_states, mc.initials, mc.finals, mc.transitions)
+        assert (c.n_states, c.initials, c.finals, c.transitions, c.labels) == \
+            (mc.n_states, mc.initials, mc.finals, mc.transitions, mc.labels)
+        assert same_dfa(c, au.complement(m))
         assert lang(au.intersect(a, b)) == La & Lb
         # intersect maps letter indices between the two alphabets
         b_rev = Automaton(tuple(reversed(b.alphabet)), b.n_states, b.transitions,
@@ -924,11 +943,11 @@ def test_live_pairs_matches_fixpoint():
     for case, rel in cases:
         for order in ("lex", "revlex"):
             reduced = build_reduced_automaton(rel, order)
-            live = au.live_pairs(reduced, rel.automaton)
+            live = au.pair_tables(reduced, rel.automaton)[0]
             assert len(live) == rel.automaton.n_states * reduced.n_states, case
             assert {i for i, bit in enumerate(live) if bit} == \
                 coreachable_pairs(reduced, rel.automaton), (case, order)
 
     kenyon_reduced = build_reduced_automaton(cases[1][1], "lex")
     with pytest.raises(ValueError, match="relation letters"):
-        au.live_pairs(kenyon_reduced, cases[0][1].automaton)
+        au.pair_tables(kenyon_reduced, cases[0][1].automaton)

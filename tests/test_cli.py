@@ -17,7 +17,12 @@ from betauto.cli import main
 from betauto.relations import build_relation_automaton
 from betauto.structure import build_multiplier, build_reduced_automaton
 
-from conftest import fixture_path, load_context, random_relation_automata
+from conftest import (
+    buildable_fixture_names,
+    fixture_path,
+    load_context,
+    random_relation_automata,
+)
 
 
 def run(capsys, *argv):
@@ -258,17 +263,19 @@ def test_word_commands_cap_the_subset_construction(tmp_path, capsys, command,
     assert "determinize" in err and len(err.splitlines()) == 1
 
 
-# SHA-256 of every file that `structure --order lex -N 20` writes for
+# SHA-256 of every file that `structure --order ORDER -N 20` writes for
 # kenyon_3_8 and that `relations` writes for intro, recorded before the JSON
 # writer replaced json.dumps: the benchmark's digest gate re-serialises JSON
 # artefacts before hashing them, so only these pin whitespace and layout.
 # base3_0_2_17 (base 3, digits {0, 2, 17}: 97 reduced states) pins the
 # labels of a large context's multipliers, which the benchmark compares
 # label-blind; recorded before Moore refinement was seeded with each state's
-# letters.
+# letters.  kenyon_1_2 is free, so its reduced automaton is the single state
+# `all`; it and kenyon_3_8's revlex files were recorded before `complement`
+# went through the minimizer.
 PINNED_CONFIGS = {"base3_0_2_17": {"beta": {"minpoly": [-3, 1]}, "digits": [0, 2, 17]}}
 PINNED_CLI_FILES = {
-    ("structure", "base3_0_2_17"): {
+    ("structure", "base3_0_2_17", "lex"): {
         "growth.json": "1cb7157924d5a5b3ee74be569552853020d6376b9a651e36165b868ccd8280d7",
         "mult_0.dot": "536a223de35bf8e9f35f5ae8119f3b166a343c80d840fbeb346b6bfb7d4960a0",
         "mult_0.json": "a218df2c36fc62c04e7f107d78256dbb16b5314ab557257592e1175f027c714a",
@@ -279,7 +286,18 @@ PINNED_CLI_FILES = {
         "reduced.dot": "d59be40a34bcb4de8c0a47fec068eac19a55c54d27efe2bdea8354921807e99f",
         "reduced.json": "cc61e7e5588c256687a6aca474e9faf0e2cf87b4af6f384ffaa62dfc001a154c",
     },
-    ("structure", "kenyon_3_8"): {
+    ("structure", "kenyon_1_2", "lex"): {
+        "growth.json": "8fe99131db99503862ca29ce186ff708d676b29996fe3356a26e8db94e35767e",
+        "mult_0.dot": "d3ed80cdc6e8e454cc9f9f258063867d39c56d433b903db1b6ff2e98ffb8f4f9",
+        "mult_0.json": "f1318d697ee911a615e11fdcc1261054fcae3524f5c8f010ae331a9f22752896",
+        "mult_1.dot": "8e0d5e9504988cc37f3b0d84e4f1b04ce9eae9c381d164b42b93ee247ae8f2bf",
+        "mult_1.json": "a0625e0a6bd0290512e6a32adf294fdda9bd9376a0e728efc137a28ed0d18ec4",
+        "mult_2.dot": "6073815880d27a3ac530d4ceb3dd99ee1c2dc698fc9b38178899dc26562bba26",
+        "mult_2.json": "acb466147f799059d640af909c525693be3e3e675ec3297686bd90477f5d3832",
+        "reduced.dot": "3d147042ecf4c9c60b253ffe03faac3f66c8c0b627b0cb1084288f032827711b",
+        "reduced.json": "9dc43cdc509cdf4d58a2fcac3c0b6266c9bafec27a573c9e9db4c2d8075d787b",
+    },
+    ("structure", "kenyon_3_8", "lex"): {
         "growth.json": "6b1772f00b81e1e61ce70a8574d52d799ab35c81ac5b4c990bc619c08d8d0f69",
         "mult_0.dot": "da6145589fcfe3a05af5a97431f57d785f501f664383a0506c1f713e798fac89",
         "mult_0.json": "79bf394cd6b97271c37ab6a1d7a4779bf962899f95a99df44345a0fe4de07174",
@@ -290,7 +308,18 @@ PINNED_CLI_FILES = {
         "reduced.dot": "81561570655954201a3a7693e22b8a6f3278d9addc2a80d87d9e501ce2150c90",
         "reduced.json": "7c63b266e73884e40dfc2b70adfcdf9203746464f60a6d4f452acec608c7bb0a",
     },
-    ("relations", "intro"): {
+    ("structure", "kenyon_3_8", "revlex"): {
+        "growth.json": "893098f25c9d13c67f65b9cb13e0c97adb690287e488f5d74aaadc8868f91244",
+        "mult_0.dot": "02a377c1948246b6e3ecf2350e1ba11cc840f14d8246eb4ac59fdfc42604ee2e",
+        "mult_0.json": "0278c661ca9c270840dbe0e6915a202981a8556021449df421be83daf512843f",
+        "mult_3.dot": "a88605d538f4ec4195a75b48c9db24f0f545325c1d2cd0169ffb220dfa24e72f",
+        "mult_3.json": "f8b4f5509e69eef21122318be6c9b220f71d3f61a9b7ddcdef71f6dda4d94b8e",
+        "mult_8.dot": "1645926a6a227d054d1da6fa600bd7d1dc3033068f956e37135df40d3580abdf",
+        "mult_8.json": "6f1c01d11237a2f7e03205d00d47f5a1af7e62e55ca11c7f26acc5b299b4ec9d",
+        "reduced.dot": "b0dd74683ea4f72c94522878bed826190ba323c65d7d9ad195563727c2818350",
+        "reduced.json": "398a40e2461a90de75cd63f73cbf9aceae8c9c0532083484dcfc5aaff8adec74",
+    },
+    ("relations", "intro", None): {
         "relations.dot": "7a729f4faa45880d1772f52462a0c0cfc02f31b0e37d8eda546852fc8b78d5cd",
         "relations.json": "6b80cdc8b4512a6d6643405b88b1f0eafb5bba8369508f959d1da1b3add2b997",
         "summary.json": "204c520db0ac6c338b0fffaa3e14a5f3aabe9788d40ae9964d4e8cf0c3b06bd5",
@@ -298,9 +327,11 @@ PINNED_CLI_FILES = {
 }
 
 
-@pytest.mark.parametrize("command, name", sorted(PINNED_CLI_FILES))
-def test_cli_files_pinned(tmp_path, capsys, command, name):
-    flags = ["--order", "lex", "-N", "20"] if command == "structure" else []
+@pytest.mark.parametrize("command, name, order", list(PINNED_CLI_FILES), ids=[
+    f"{command}-{name}" + ("-revlex" if order == "revlex" else "")
+    for command, name, order in PINNED_CLI_FILES])
+def test_cli_files_pinned(tmp_path, capsys, command, name, order):
+    flags = ["--order", order, "-N", "20"] if order else []
     config = cfg(name)
     if name in PINNED_CONFIGS:
         config = tmp_path / f"{name}.json"
@@ -310,7 +341,24 @@ def test_cli_files_pinned(tmp_path, capsys, command, name):
     assert code == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in sorted(out.iterdir())}
-    assert got == PINNED_CLI_FILES[command, name]
+    assert got == PINNED_CLI_FILES[command, name, order]
+
+
+# SHA-256 of reduced.json then reduced.dot of every buildable fixture, lex
+# then revlex, labels included, recorded before `complement` went through the
+# minimizer: the benchmark compares these files label-blind.
+REDUCED_FILES_DIGEST = "62c3a832d4cee3b258ceb1c4562f3c08289cd2408eb8e4c5d58cb647feadef75"
+
+
+def test_reduced_files_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for name in buildable_fixture_names():
+        rel = build_relation_automaton(load_context(name), force=True)
+        for order in ("lex", "revlex"):
+            cli._write_automaton(tmp_path, "reduced", build_reduced_automaton(rel, order))
+            digest.update((tmp_path / "reduced.json").read_bytes())
+            digest.update((tmp_path / "reduced.dot").read_bytes())
+    assert digest.hexdigest() == REDUCED_FILES_DIGEST
 
 
 # --- automaton writer ---------------------------------------------------------------

@@ -147,9 +147,9 @@ def test_reducer_on_random_nonfree_contexts():
 
 def test_cache_reuse(monkeypatch):
     live_passes = []
-    live_pairs = reducer.live_pairs
-    monkeypatch.setattr(reducer, "live_pairs",
-                        lambda *args: live_passes.append(1) or live_pairs(*args))
+    pair_tables = reducer.pair_tables
+    monkeypatch.setattr(reducer, "pair_tables",
+                        lambda *args: live_passes.append(1) or pair_tables(*args))
     _, _, _, t = make_table("intro")
 
     def interned():
