@@ -759,15 +759,17 @@ def _poly_mul(f, g) -> list:
     return out
 
 
-def _check_tol(tol) -> None:
-    if not 0 < tol < math.inf:  # also refuses nan
-        raise ValueError(f"tol must be a positive finite float, got {tol!r}")
+#: the enclosure is refined until it is narrower than this: the exact value
+#: of the float 1e-10, quartered (not 1/(4 10**10); ``lambda``'s bytes
+#: depend on it)
+_ENCLOSURE_WIDTH = Fraction(1e-10) / 4
 
 
-def perron_enclosure(cp, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
+def perron_enclosure(cp) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the largest real root of ``cp``, the
     characteristic polynomial (constant term first) of a nonnegative matrix,
-    isolated to within ``tol``; (0, 0) when that root is 0 or there is none.
+    narrower than ``_ENCLOSURE_WIDTH``; (0, 0) when that root is 0 or there
+    is none.  The ends are fractions p/q with q > 0.
 
     By Perron-Frobenius the largest real root of such a polynomial is its
     spectral radius, which is >= 0, so only the positive roots of the
@@ -779,14 +781,13 @@ def perron_enclosure(cp, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
     end on the same polynomial and Moebius map, so the enclosure, and the
     ``lambda`` bytes written from it, are the ones sympy gives.  Their
     Taylor shifts and bound run their inner loops at C level."""
-    _check_tol(tol)
     # the root 0 goes before the squarefree part, which is primitive with a
     # positive leading coefficient, so f equals that part of cp less its x
     f = dup_sqf_part(_drop_zero_root([ZZ(c) for c in reversed(poly_trim(cp))]), ZZ)
     root = _largest_positive_root(f)
     if root is None:
         return (Fraction(0), Fraction(0))
-    _, m = _refine_root(*root, Fraction(tol) / 4)  # exact: tol is dyadic
+    _, m = _refine_root(*root, _ENCLOSURE_WIDTH)
     return _mobius_interval(m)
 
 
@@ -1008,15 +1009,11 @@ def _lmq_exponent(f) -> int:
     return -1 - max(qs) if qs else -1
 
 
-def dominant_eigenvalue(a: Automaton, tol: float = 1e-10) -> tuple[Fraction, Fraction]:
+def dominant_eigenvalue(a: Automaton) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Perron root of the trimmed
     automaton's adjacency matrix (largest real root of its characteristic
-    polynomial)."""
-    _check_tol(tol)
-    t = trim(a)
-    if t.n_states == 0:
-        return (Fraction(0), Fraction(0))
-    return perron_enclosure(char_poly(t), tol)
+    polynomial); (0, 0) when that root is 0, as when it has no cycle."""
+    return perron_enclosure(char_poly(trim(a)))
 
 
 def is_codeterministic(a: Automaton) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -64,7 +63,7 @@ class ModeMismatch(NumFieldError):
 
 
 # ---------------------------------------------------------------------------
-# small integer/rational polynomial helpers (coefficient lists, constant first)
+# small integer polynomial helpers (coefficient lists, constant first)
 
 
 def poly_trim(c: Sequence) -> tuple:
@@ -79,21 +78,34 @@ def poly_deg(c: Sequence) -> int:
     return len(poly_trim(c)) - 1
 
 
-def poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
-    """Euclidean division over Q."""
-    a = [Fraction(x) for x in poly_trim(a)]
-    b = [Fraction(x) for x in poly_trim(b)]
+def poly_divides(b: Sequence, a: Sequence) -> bool:
+    """Whether ``b`` divides ``a`` in Z[x].  Long division over Q gives the
+    quotient's coefficients from the top, so it suffices that each is an
+    integer; for a monic ``a`` that needs a leading coefficient +-1 of
+    ``b``, and then no step leaves Z."""
+    a, b = list(poly_trim(a)), poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[i + k] -= f * bc
+    while len(a) >= len(b):
+        f, r = divmod(a.pop(), b[-1])
+        if r:
+            return False
+        for i, c in enumerate(b[:-1], len(a) + 1 - len(b)):
+            a[i] -= f * c
         a = list(poly_trim(a))
-    return poly_trim(q), poly_trim(a)
+    return not a
+
+
+def poly_sign_at(c: Sequence, x) -> int:
+    """Sign (-1, 0 or 1) of the integer polynomial ``c`` at the rational
+    ``x`` = p/q, q > 0 (an int or a ``Fraction``): the sign of the integer
+    q**n c(p/q), n = len(c) - 1, by Horner's rule in integers."""
+    p, q = x.numerator, x.denominator
+    v, qk = 0, 1
+    for a in reversed(c):
+        v = v * p + a * qk
+        qk *= q
+    return (v > 0) - (v < 0)
 
 
 def poly_str(c: Sequence, var: str = "x") -> str:

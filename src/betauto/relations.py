@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import add, mul, sub
 
 from . import numfield as nf
-from .automata import Automaton, CapExceeded, pair_alphabet, reach, trim
+from .automata import Automaton, CapExceeded, pair_alphabet, reach
 from .numfield import (
     _SLOP,
     ALGEBRAIC,
@@ -116,7 +116,8 @@ def build_relation_automaton(
     max_depth: int = 10_000,
     force: bool = False,
 ) -> RelAutomaton:
-    """Breadth-first construction of the relation automaton.
+    """Breadth-first construction of the relation automaton, trimmed: every
+    kept state is reached from 0 and leads back to 0.
 
     Raises ``Blocked`` for a context with a certified unit-circle conjugate
     unless ``force`` is set, and ``CapExceeded`` when a cap is hit."""
@@ -229,10 +230,11 @@ def build_relation_automaton(
 
 def is_free(rel: RelAutomaton) -> bool:
     """The semigroup is free iff the only relations are the trivial u = u,
-    i.e. the trimmed relation automaton is the single state 0 with its
-    diagonal loops."""
-    t = trim(rel.automaton)
-    return t.n_states == 1 and all(x.left == x.right for (_, x, _) in t.transitions)
+    i.e. the relation automaton is the single state 0.  It is trimmed (every
+    state is reached from 0 and co-accessible), and with pairwise distinct
+    digits a letter (a, b) loops on 0 only when a == b, so a single state
+    holds only the diagonal loops."""
+    return rel.n_states == 1
 
 
 def quick_free_sufficient(ctx: BetaContext) -> bool:
@@ -293,12 +295,12 @@ def verify_relation(ctx: BetaContext, u, v) -> bool:
 
 def verify_power_identity(ctx: BetaContext, terms, rhs_coeffs) -> bool:
     """Exact check of sum_k sign_k * beta^(-k) == R(beta) where ``terms`` is
-    a list of (sign, k) with k >= 0 and ``rhs_coeffs`` are the integer
+    a list of (sign, k) with integer k and ``rhs_coeffs`` are the integer
     coefficients of R (constant first).  Both sides are multiplied by
-    beta^max(k), so no inverses are needed."""
+    beta^max(0, max(k)), so no inverses are needed."""
     if ctx.mode != ALGEBRAIC or ctx.inverted:
         raise ValueError("power identities need a direct algebraic base")
-    kmax = max((k for _, k in terms), default=0)
+    kmax = max([0] + [k for _, k in terms])
     lhs = ctx.zero()
     for sign, k in terms:
         t = ctx.from_int_poly([0] * (kmax - k) + [1])

@@ -29,7 +29,7 @@ from .automata import (
     trim,
 )
 from .automata import minimize  # noqa: F401  (the benchmark tracer wraps structure.minimize)
-from .numfield import BetaContext, FieldElem, fe_add, poly_divmod, poly_trim
+from .numfield import BetaContext, FieldElem, fe_add, poly_divides, poly_sign_at, poly_trim
 from .relations import RelAutomaton
 
 
@@ -201,13 +201,6 @@ def _float_up(x: Fraction) -> float:
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    v = Fraction(0)
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
-
-
 @dataclass
 class GrowthReport:
     counts: list  # big integers, lengths 0..N
@@ -239,12 +232,16 @@ def growth(reduced: Automaton, N: int = 20, candidate_pi=None,
     times the relation states, the budget of each multiplier search.
 
     When ``candidate_pi`` is given (integer coefficients, constant first) the
-    report records whether it divides the characteristic polynomial exactly
+    report records whether it divides the characteristic polynomial in Z[x]
     and changes sign across the enclosure, which certifies the growth rate
-    is a root of the candidate.  The enclosure isolates the growth rate among
-    the roots of the characteristic polynomial, so of a divisor too.  A zero
-    at an end of an open enclosure is another root: it counts only when the
-    enclosure is exact (lo == hi)."""
+    is a root of the candidate.  Both checks stay in the integers: the
+    characteristic polynomial is monic, so only a candidate with leading
+    coefficient +-1 divides it, and the sign at an end p/q (q > 0) of the
+    enclosure is that of q**n cand(p/q).  The enclosure isolates the growth
+    rate among the roots of the characteristic polynomial, so of a divisor
+    too.  A zero at an end of an open enclosure is another root: it counts
+    only when the enclosure is exact (lo == hi).  A zero candidate raises
+    ``ZeroDivisionError``."""
     t = trim(reduced)
     counts = count_series(reduced, N)
     cp = char_poly(t, max_words)
@@ -252,9 +249,8 @@ def growth(reduced: Automaton, N: int = 20, candidate_pi=None,
     report = GrowthReport(counts, cp, lo, hi)
     if candidate_pi is not None:
         cand = poly_trim([int(c) for c in candidate_pi])
-        q, r = poly_divmod(cp, cand)
-        divides = (r == () and all(x.denominator == 1 for x in q))
-        a, b = _poly_eval(cand, lo), _poly_eval(cand, hi)
+        divides = poly_divides(cand, cp)
+        a, b = poly_sign_at(cand, lo), poly_sign_at(cand, hi)
         sign_change = a * b < 0 or (lo == hi and a == 0)
         report.pi_check = {
             "candidate": [int(c) for c in cand],

@@ -583,11 +583,20 @@ def test_char_poly_raises_on_an_inexact_newton_identity(monkeypatch):
         au.char_poly(_count_automaton(2, [(0, 1), (1, 0)]))
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-16])
+@pytest.fixture(params=[1e-10, 1e-13, 1e-16])
+def tol(request, monkeypatch):
+    """The enclosure width as a float: at 1e-10 ``perron_enclosure``'s own,
+    narrower ones set on the private width its refinement reads, so that the
+    refinement runs deeper."""
+    if request.param != 1e-10:
+        monkeypatch.setattr(au, "_ENCLOSURE_WIDTH", Fraction(request.param) / 4)
+    return request.param
+
+
 def test_perron_enclosure_matches_all_root_isolation(spectral_cases, tol):
     for a in spectral_cases:
         cp = _oracle_char_poly(a)
-        assert au.perron_enclosure(cp, tol) == _oracle_enclosure(cp, tol), cp
+        assert au.perron_enclosure(cp) == _oracle_enclosure(cp, tol), cp
 
 
 def _polys_with_zero_root(seed, count):
@@ -649,11 +658,10 @@ def refinement_char_polys(spectral_cases):
 
 def test_close_root_family_has_close_roots():
     for n in range(10, 17):
-        lo, hi = au.perron_enclosure(_close_root_char_poly(n), 1e-10)
+        lo, hi = au.perron_enclosure(_close_root_char_poly(n))
         assert 2 < lo and hi - 2 < Fraction(2, 2 ** n)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-16])
 def test_refinement_matches_sympy(refinement_char_polys, tol, monkeypatch):
     # every refinement perron_enclosure runs must end on sympy's polynomial
     # and Moebius map, which fix the enclosure bytes
@@ -665,13 +673,13 @@ def test_refinement_matches_sympy(refinement_char_polys, tol, monkeypatch):
         g, want = dup_inner_refine_real_root(
             f, m, ZZ, eps=QQ(eps.numerator, eps.denominator), mobius=True)
         assert got == (list(g), tuple(map(int, want))), (f, m)
-        runs.append(m)
+        runs.append((m, eps))
         return got
 
     monkeypatch.setattr(au, "_refine_root", checked)
     for cp in refinement_char_polys:
-        au.perron_enclosure(cp, tol)
-    assert len(runs) >= 200, len(runs)
+        au.perron_enclosure(cp)
+    assert len(runs) >= 200 and {eps for _, eps in runs} == {Fraction(tol) / 4}
 
 
 def test_refinement_steps_match_sympy(refinement_char_polys, monkeypatch):
@@ -697,7 +705,7 @@ def test_refinement_steps_match_sympy(refinement_char_polys, monkeypatch):
     monkeypatch.setattr(au, "_refine_step", checked)
     split_points = [tuple(reversed(f)) for f in _split_point_polys(20261026, 200)]
     for cp in list(refinement_char_polys) + split_points:
-        au.perron_enclosure(cp, 1e-10)
+        au.perron_enclosure(cp)
     assert len(steps) >= 8000, len(steps)
     assert sum(at_one) >= 20, at_one
 
@@ -837,14 +845,6 @@ def test_largest_positive_root_matches_sympy(refinement_char_polys):
         assert got == want, f
         exact += want is not None and want[1][0] == want[1][1]
     assert len(polys) >= 850 and exact >= 200, (len(polys), exact)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-def test_enclosure_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
-    with pytest.raises(ValueError, match="tol must be a positive finite float"):
-        au.perron_enclosure((-1, -1, 1), tol)
-    with pytest.raises(ValueError, match="tol must be a positive finite float"):
-        au.dominant_eigenvalue(dfa([(0, "a", 0)], [0], 1), tol)
 
 
 # --- serialization -----------------------------------------------------------

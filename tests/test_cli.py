@@ -15,7 +15,7 @@ from betauto import cli
 from betauto.automata import Automaton
 from betauto.cli import main
 from betauto.relations import build_relation_automaton
-from betauto.structure import build_multiplier, build_reduced_automaton
+from betauto.structure import build_multiplier, build_reduced_automaton, growth
 
 from conftest import (
     buildable_fixture_names,
@@ -137,10 +137,12 @@ def test_structure_revlex(tmp_path, capsys):
     assert g["counts"] == ["1", "3", "8", "21", "55"]
 
 
-@pytest.mark.parametrize("candidate, code", [("1,-3,1", 0), ("1,-1,-1", 3)])
+@pytest.mark.parametrize("candidate, code", [
+    ("1,-3,1", 0), ("1,-1,-1", 3), ("-1,3,-1", 0), ("2,-6,2", 3)])
 def test_structure_candidate_check_exit_code(tmp_path, capsys, candidate, code):
+    # the = form also takes a candidate whose first coefficient is negative
     got, _, _ = run(capsys, "structure", "--config", cfg("intro"),
-                    "--out", tmp_path, "-N", "4", "--candidate-pi", candidate)
+                    "--out", tmp_path, "-N", "4", f"--candidate-pi={candidate}")
     assert got == code
     g = json.loads((tmp_path / "growth.json").read_text())
     assert g["pi_check"]["ok"] is (code == 0)
@@ -361,6 +363,30 @@ def test_reduced_files_pinned(tmp_path):
     assert digest.hexdigest() == REDUCED_FILES_DIGEST
 
 
+# SHA-256 of growth.json, as ``structure`` writes it with -N 20, of every
+# buildable fixture, lex then revlex: without a candidate, then with the
+# char-poly, twice the char-poly and x - 1 as --candidate-pi; recorded while
+# the candidate check still divided and evaluated in Fractions.
+GROWTH_FILES_DIGEST = "96eae2499136311877ab4d5443f04f29f276cfa987ff6d902720b32669877d42"
+
+
+def test_growth_files_pinned(tmp_path):
+    digest, verdicts = hashlib.sha256(), set()
+    for name in buildable_fixture_names():
+        rel = build_relation_automaton(load_context(name), force=True)
+        for order in ("lex", "revlex"):
+            reduced = build_reduced_automaton(rel, order)
+            cp = au.char_poly(au.trim(reduced))
+            for candidate in (None, cp, [2 * c for c in cp], [-1, 1]):
+                report = growth(reduced, N=20, candidate_pi=candidate)
+                cli._dump_json(tmp_path / "growth.json", report.to_json())
+                digest.update((tmp_path / "growth.json").read_bytes())
+                if candidate is not None:
+                    verdicts.add(report.pi_check["ok"])
+    assert verdicts == {True, False}
+    assert digest.hexdigest() == GROWTH_FILES_DIGEST
+
+
 # --- automaton writer ---------------------------------------------------------------
 
 
@@ -457,7 +483,7 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     for parse in (main, fresh.parse_args):
         with pytest.raises(SystemExit) as e:
             parse(["reduce", "10"])
-        assert e.value.code == 2
+        assert e.value.code == cli.EXIT_INPUT
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] and "--config" in errors[0]
 
@@ -468,6 +494,50 @@ def test_verify_identity(tmp_path, capsys):
                        "--identity", cfg("salem_identity"), "--json")
     assert code == 0
     assert json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("terms, rhs, verdict", [
+    ([[1, -1]], [1], False),  # beta^1 = 3 on intro
+    ([[1, -1]], [0, 1], True),
+    ([[1, -2], [-1, -1]], [0, -1, 1], True),  # beta^2 - beta
+    ([[1, -1], [1, 1], [1, 1], [1, 1]], [4], True),  # beta + 3/beta
+])
+def test_verify_identity_with_negative_exponents(tmp_path, capsys, terms, rhs, verdict):
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps({"terms": terms, "rhs_coeffs": rhs}))
+    code, out, _ = run(capsys, "verify", "--config", cfg("intro"), "--out", tmp_path,
+                       "--identity", identity)
+    assert (code, out) == ((0, "true\n") if verdict else (3, "false\n"))
+
+
+@pytest.mark.parametrize("config", [
+    "transc_1_over_X", {"beta": {"minpoly": [-1, 3]}, "digits": [0, 1]}])
+def test_verify_identity_needs_a_direct_algebraic_base(tmp_path, capsys, config):
+    if isinstance(config, dict):
+        path = tmp_path / "inverted.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = cfg(config)
+    code, out, err = run(capsys, "verify", "--config", path, "--out", tmp_path,
+                         "--identity", cfg("salem_identity"))
+    assert (code, out) == (1, "")
+    assert err == "error: power identities need a direct algebraic base\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["structure"], 1),
+    (["structure", "--config", "intro.json", "--max-states", "abc"], 1),
+    (["structure", "--config", "intro.json", "--candidate-pi", "-1,3,-1"], 1),
+    (["frobnicate"], 1),
+    (["--help"], 0),
+    (["structure", "--help"], 0),
+])
+def test_usage_errors_exit_as_input_errors(capsys, argv, code):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage: betauto") if code else err == ""
 
 
 # --- free ------------------------------------------------------------------------
@@ -553,6 +623,37 @@ def test_oracle_catches_a_wrong_relation_language(tmp_path, capsys, monkeypatch)
                        "--out", tmp_path, "-n", "4")
     assert code == 3
     assert "[FAIL] relation language vs exact arithmetic (lengths 0..4)" in out
+
+
+def test_oracle_catches_a_relation_automaton_that_is_not_minimal(
+        tmp_path, capsys, monkeypatch):
+    # a copy of a state with the same edges out and a share of the edges in
+    # keeps the language, determinism and trimness; with the co-determinism
+    # test forced to pass, only the state count can tell
+    structure_parts = cli._structure_parts
+
+    def with_duplicate_state(ctx, args):
+        rel, reduced = structure_parts(ctx, args)
+        a = rel.automaton
+        n = a.n_states
+        r = a.ddelta()[min(a.initials)][1]  # not the initial state
+        moved = min(t for t in a.transitions if t[2] == r)
+        transitions = {(p, x, n if (p, x, q) == moved else q)
+                       for (p, x, q) in a.transitions}
+        transitions |= {(n, x, q) for (p, x, q) in a.transitions if p == r}
+        twin = au.Automaton(a.alphabet, n + 1, transitions, a.initials, a.finals,
+                            a.labels + (a.labels[r],))
+        assert twin.deterministic and au.trim(twin) is twin
+        assert au.equivalent(twin, a)
+        return replace(rel, automaton=twin), reduced
+
+    monkeypatch.setattr(cli, "_structure_parts", with_duplicate_state)
+    monkeypatch.setattr(cli.au, "is_codeterministic", lambda t: True)
+    code, out, _ = run(capsys, "oracle", "--config", cfg("intro"),
+                       "--out", tmp_path, "-n", "4")
+    assert code == 3
+    assert "[FAIL] relation automaton minimal (det + co-det + trimmed)" in out
+    assert "3/4 oracle checks passed" in out
 
 
 # --- input errors ------------------------------------------------------------------

@@ -34,7 +34,8 @@ from betauto.numfield import (
     mahler_measure,
     make_context,
     poly_deg,
-    poly_divmod,
+    poly_divides,
+    poly_sign_at,
     poly_str,
     poly_trim,
 )
@@ -57,8 +58,12 @@ def test_poly_helpers():
     assert poly_deg([0]) == -1
     assert poly_deg([5]) == 0
     assert poly_deg([0, 0, 3]) == 2
-    q, r = poly_divmod([1, 0, 1], [1, 1])  # x^2+1 = (x-1)(x+1) + 2
-    assert q == (-1, 1) and r == (2,)
+    assert poly_divides([-1, 1], [-1, 0, 1, 0])  # x - 1 | x^2 - 1
+    assert not poly_divides([1, 1], [1, 0, 1])  # x^2+1 = (x-1)(x+1) + 2
+    assert not poly_divides([1, 2], [1, 0, 4])  # (2x - 1)/4 is not in Z[x]
+    assert poly_divides([1, 2], [1, 4, 4]) and poly_divides([3], [])
+    assert [poly_sign_at([-2, 0, 1], x) for x in (1, Fraction(7, 5), Fraction(3, 2))] == [-1, -1, 1]
+    assert poly_sign_at([-3, 2], Fraction(3, 2)) == 0 and poly_sign_at([5], -7) == 1
     assert poly_str([1, -3, 1]) == "x^2-3*x+1"
     assert poly_str([0]) == "0"
 

@@ -146,6 +146,20 @@ def test_kenyon_free_cases_have_trivial_automaton():
     assert is_free(rel) and rel.n_states == 1
 
 
+def test_relation_automata_are_built_trimmed():
+    # is_free reads the state count: the automaton comes back trimmed, and a
+    # single state has only the diagonal loops
+    free = 0
+    for name in buildable_fixture_names():
+        rel = build_relation_automaton(load_context(name), force=True)
+        a = rel.automaton
+        assert au.trim(a) is a, name
+        trivial = a.n_states == 1 and all(x.left == x.right for _, x, _ in a.transitions)
+        assert is_free(rel) == trivial, name
+        free += trivial
+    assert free >= 10, free
+
+
 def test_quick_free_sufficient():
     # conjugate 3.9387 > 2 separates all nonzero differences; the context is
     # blocked (unit-circle pair) but the quick test needs no construction

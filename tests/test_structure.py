@@ -1,14 +1,19 @@
+import collections
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from sympy import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from betauto import automata as au
 from betauto import structure
 from betauto.automata import Automaton, CapExceeded, PairLetter
+from betauto.numfield import context_from_config, poly_trim
 from betauto.relations import build_relation_automaton
 from betauto.structure import (
     build_multiplier,
@@ -23,6 +28,7 @@ from conftest import (
     KENYON_TABLE,
     TRANSC_TABLE,
     brzozowski,
+    buildable_fixture_names,
     load_context,
     random_nonfree_contexts,
     random_relation_automata,
@@ -363,13 +369,99 @@ def test_growth_candidate_zero_at_an_open_end(monkeypatch):
              (2, "a", 2), (2, "b", 2), (2, "c", 1)]
     red = Automaton(sigma, 3, edges, [0], [2])
     monkeypatch.setattr(structure, "perron_enclosure",
-                        lambda cp, tol=1e-10: (Fraction(2), Fraction(4)))
+                        lambda cp: (Fraction(2), Fraction(4)))
     g = growth(red, N=2, candidate_pi=[-2, 1])  # x - 2
     assert g.char_poly == (-10, 15, -7, 1)
     assert g.pi_check["divides"]
     assert not g.pi_check["sign_change"] and not g.pi_check["ok"]
     g2 = growth(red, N=2, candidate_pi=[5, -5, 1])
     assert g2.pi_check["ok"]
+
+
+def _reference_pi_check(cp, lo, hi, candidate):
+    """The candidate check over Q: Euclidean division of ``cp`` by the
+    candidate and its values at the enclosure's ends, all in ``Fraction``s."""
+    cand = [Fraction(c) for c in poly_trim(candidate)]
+    a, quotient = [Fraction(c) for c in poly_trim(cp)], []
+    while len(a) >= len(cand):
+        f = a[-1] / cand[-1]
+        quotient.append(f)
+        k = len(a) - len(cand)
+        for i, c in enumerate(cand):
+            a[i + k] -= f * c
+        a = list(poly_trim(a))
+    divides = not a and all(f.denominator == 1 for f in quotient)
+
+    def at(x):
+        v = Fraction(0)
+        for c in reversed(cand):
+            v = v * x + c
+        return v
+
+    va, vb = at(lo), at(hi)
+    sign_change = va * vb < 0 or (lo == hi and va == 0)
+    return {"candidate": [int(c) for c in cand], "divides": divides,
+            "sign_change": sign_change, "ok": divides and sign_change}
+
+
+def _certificate_candidates(cp, lo, hi, rng):
+    """Candidates for ``cp``: its irreducible factors and seeded products of
+    them, their negations and non-unit multiples, the linear polynomials
+    vanishing at the enclosure's ends, and random polynomials, some with
+    trailing zeros."""
+    _, factors = dup_factor_list([ZZ(c) for c in reversed(cp)], ZZ)
+    factors = [[int(c) for c in reversed(f)] for f, _ in factors]
+    products = list(factors)
+    for _ in range(3):
+        f = [1]
+        for g in rng.sample(factors, rng.randint(1, len(factors))):
+            f = au._poly_mul(f, g)
+        products.append(f)
+    products.append(list(cp))
+    out = []
+    for f in products:
+        out += [f, [-c for c in f], [rng.choice((2, -2, 3, -5)) * c for c in f],
+                au._poly_mul(f, [rng.randint(-3, 3), 1])]
+    out += [[-x.numerator, x.denominator] for x in (lo, hi)]
+    for _ in range(12):
+        f = [rng.randint(-6, 6) for _ in range(rng.randint(1, 7))]
+        f.append(rng.choice((1, -1, 1, -1, 2, -3)))
+        out.append(f + [0] * rng.choice((0, 0, 0, 2)))
+    return out
+
+
+def test_candidate_certificate_matches_a_fraction_reference(monkeypatch):
+    # growth's integer certificate against the division and evaluation over Q,
+    # on the char-polys and enclosures of the buildable fixtures in both
+    # orders and of base 3 with digits {0, p, 17}, fed to growth through its
+    # char_poly and perron_enclosure names
+    contexts = [load_context(name) for name in buildable_fixture_names()]
+    contexts += [context_from_config({"beta": {"minpoly": [-3, 1]}, "digits": [0, p, 17]})
+                 for p in (2, 6, 14)]
+    cases = set()
+    for ctx in contexts:
+        rel = build_relation_automaton(ctx, force=True)
+        for order in ("lex", "revlex"):
+            cp = au.char_poly(au.trim(build_reduced_automaton(rel, order)))
+            cases.add((cp, au.perron_enclosure(cp)))
+    one = Automaton(("a",), 1, [], [0], [0])
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for cp, (lo, hi) in sorted(cases):
+        monkeypatch.setattr(structure, "char_poly", lambda t, max_words: cp)
+        monkeypatch.setattr(structure, "perron_enclosure", lambda _: (lo, hi))
+        for cand in _certificate_candidates(cp, lo, hi, rng):
+            got = growth(one, N=0, candidate_pi=cand).pi_check
+            want = _reference_pi_check(cp, lo, hi, cand)
+            assert got == want, (cp, lo, hi, cand)
+            seen.update(k for k in ("divides", "sign_change", "ok") if want[k])
+            seen["candidates"] += 1
+            seen["exact"] += lo == hi and want["ok"]
+        with pytest.raises(ZeroDivisionError):
+            growth(one, N=0, candidate_pi=[0, 0])
+    assert seen["candidates"] >= 2000, seen
+    assert min(seen["divides"], seen["sign_change"], seen["ok"]) >= 400, seen
+    assert seen["candidates"] - seen["ok"] >= 1000 and seen["exact"] >= 20, seen
 
 
 def test_growth_empty_reduced():
