@@ -312,14 +312,18 @@ def determinize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
 
 
 def _minimal(alphabet, d, final, init: int, label) -> Automaton:
-    """Canonical minimal DFA of a trimmed deterministic table: ``d[p][i]``
-    is the target of state p on ``alphabet[i]`` or -1, ``final[p]`` says
-    whether p is final, ``init`` is the initial state, and every state lies
-    on a path from ``init`` to a final state.
+    """Canonical minimal DFA of a deterministic table: ``d[p][i]`` is the
+    target of state p on ``alphabet[i]`` or -1, ``final[p]`` says whether p
+    is final, and ``init`` is the initial state.
 
-    Moore refinement, seeded with each state's finality and the set of
-    letters it has an edge on.  The seed is sound because the table is
-    trimmed: a letter with an edge starts some accepted word, a letter
+    First the live states, those reachable from ``init`` that reach a
+    final state, are kept in ascending order, and the rows are renumbered
+    with an edge into a dropped state turned into -1; a dead ``init`` gives
+    the automaton with no states.  The input table is read only until then.
+
+    Then Moore refinement, seeded with each state's finality and the set of
+    letters it has an edge on.  The seed is sound because every state left
+    is live: a letter with an edge starts some accepted word, a letter
     without one starts none, so states with different letter sets are
     inequivalent.  The states are renumbered so that each seed block is a
     contiguous slice, in increasing original index, and a state's signature
@@ -333,6 +337,23 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
     alphabet order, so language-equal tables give identical automata, labels
     aside."""
     present = (-1).__lt__
+    pred = [[] for _ in d]  # pred[q]: the sources of the edges into q
+    for p, row in enumerate(d):
+        for q in row:
+            if q >= 0:
+                pred[q].append(p)
+    # -1 indexes the appended empty row, and the backward set leaves it out
+    keep = sorted(reach([init], d + [()]) & reach(compress(count(), final), pred))
+    del pred
+    if not keep:
+        return Automaton(alphabet, 0, [], [], [])
+    idx = [-1] * (len(d) + 1)  # idx[-1] maps -1 to -1
+    for i, p in enumerate(keep):
+        idx[p] = i
+    init = idx[init]
+    d = [list(map(idx.__getitem__, d[p])) for p in keep]
+    final = [final[p] for p in keep]
+    del idx
     seeds = {}  # (final, has an edge on letter 0, ...) -> states, ascending
     for p, row in enumerate(d):
         seeds.setdefault((final[p], *map(present, row)), []).append(p)
@@ -351,15 +372,15 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
             blocks.append((a, len(cls), [
                 itemgetter(*map(pos.__getitem__, col))
                 for col in compress(zip(*map(d.__getitem__, members)), key[1:])]))
-    count = len(blocks)
+    n_ids = len(blocks)
     while blocks:
         ids = {}  # classes of distinct blocks start at distinct positions
         for a, b, succ in blocks:
             cls[a:b] = map(ids.setdefault, zip(cls[a:b], *[f(cls) for f in succ]),
                            range(a, b))
-        if len(ids) == count:
+        if len(ids) == n_ids:
             break
-        count = len(ids)
+        n_ids = len(ids)
     rep = [perm[cls[j]] for j in pos]  # state -> least state of its class
     # every class is reached from the initial one
     reps = [rep[init]]
@@ -375,7 +396,8 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
                     reps.append(t)
                 transitions.append((i, x, j))
     return Automaton(alphabet, len(reps), transitions, [0],
-                     [i for i, c in enumerate(reps) if final[c]], map(label, reps))
+                     [i for i, c in enumerate(reps) if final[c]],
+                     [label(keep[c]) for c in reps])
 
 
 def _dfa(a: Automaton, max_states: int = 1_000_000) -> Automaton:
@@ -395,10 +417,10 @@ def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     Trim, determinize when the result is not deterministic (``_dfa``), then
     hand the table to ``_minimal``: Moore refinement and the canonical
     numbering, each class taking the label of its first state.  Refinement
-    is seeded with each state's finality and letter set, which a trimmed
-    table makes sound, and runs block by block in place.  ``complement``
-    ends in ``minimize``, and ``structure.build_multiplier`` hands its
-    search table to the same core.
+    is seeded with each state's finality and letter set, which the live
+    states make sound, and runs block by block in place.  ``_minimal``
+    drops dead states itself, so ``complement`` and
+    ``structure.build_multiplier`` hand it their untrimmed tables.
     ``max_states`` caps the subset construction.  On the 180-state
     reducible-word automaton of ``pisot_x3-x-1`` ``determinize`` makes 300
     simulation-pruned subsets (5,984 unpruned), and refinement folds them
@@ -416,28 +438,25 @@ def complement(a: Automaton) -> Automaton:
     rejects.
 
     Trim ``a`` and determinize it when the trimmed automaton is
-    nondeterministic (``_dfa``), complete the DFA with a state ``sink``,
-    swap the finals and ``minimize``.  Each class takes the label of its
-    first state, so the labels are those of ``minimize(a)``, plus ``sink``
-    when the DFA was not complete.  Trimming comes first, for a DFA too: a
-    dead state turns final in the complement and would name its class, and
-    the reducible-word DFA of a free context, whose states are all dead,
-    would complement to one state named after its first dead state.  The
-    complement of the empty language is the single state ``all``, and that
-    of the full language has no states."""
+    nondeterministic (``_dfa``), complete its table with a state ``sink``,
+    swap the finals and hand the table to ``_minimal``, which drops the
+    states that turn dead: those that accepted every word, and ``sink``
+    when no edge was missing.  Each class takes the label of its first
+    state: a label of the DFA, or ``sink``.  Trimming comes first, for a DFA
+    too: a dead state turns final in the complement and would name its
+    class, and the reducible-word DFA of a free context, whose states are
+    all dead, would complement to one state named after its first dead
+    state.  The complement of the empty language is the single state
+    ``all``, and that of the full language has no states."""
     d = _dfa(a)
     sink = d.n_states
     if sink == 0:
         return Automaton(a.alphabet, 1, [(0, x, 0) for x in a.alphabet], [0], [0], ["all"])
-    to_sink = [(s, x, sink) for s, row in enumerate(d.ddelta())
-               for x, q in zip(d.alphabet, row) if q < 0]
-    labels = list(d.labels)
-    if to_sink:
-        to_sink += [(sink, x, sink) for x in d.alphabet]
-        labels.append("sink")
-    finals = [s for s in range(len(labels)) if s not in d.finals]
-    return minimize(Automaton(
-        d.alphabet, len(labels), list(d.transitions) + to_sink, d.initials, finals, labels))
+    table = [[sink if q < 0 else q for q in row] for row in d.ddelta()]
+    table.append([sink] * len(d.alphabet))
+    (init,) = d.initials
+    return _minimal(d.alphabet, table, [s not in d.finals for s in range(sink + 1)],
+                    init, (d.labels + ("sink",)).__getitem__)
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:

@@ -181,7 +181,7 @@ def _structure_parts(ctx, args):
 
 def cmd_structure(args) -> int:
     candidate = None
-    if args.candidate_pi:
+    if args.candidate_pi is not None:
         try:
             candidate = [int(c) for c in args.candidate_pi.split(",")]
         except ValueError as e:

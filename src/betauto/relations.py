@@ -297,9 +297,12 @@ def verify_power_identity(ctx: BetaContext, terms, rhs_coeffs) -> bool:
     """Exact check of sum_k sign_k * beta^(-k) == R(beta) where ``terms`` is
     a list of (sign, k) with integer k and ``rhs_coeffs`` are the integer
     coefficients of R (constant first).  Both sides are multiplied by
-    beta^max(0, max(k)), so no inverses are needed."""
+    beta^max(0, max(k)), so no inverses are needed.  A sign other than 1 or
+    -1 raises ``ValueError``."""
     if ctx.mode != ALGEBRAIC or ctx.inverted:
         raise ValueError("power identities need a direct algebraic base")
+    if any(sign not in (1, -1) for sign, _ in terms):
+        raise ValueError("a term's sign must be 1 or -1")
     kmax = max([0] + [k for _, k in terms])
     lhs = ctx.zero()
     for sign, k in terms:

@@ -25,7 +25,6 @@ from .automata import (
     pair_tables,
     perron_enclosure,
     project,
-    reach,
     trim,
 )
 from .automata import minimize  # noqa: F401  (the benchmark tracer wraps structure.minimize)
@@ -75,11 +74,12 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g,
     set and v and r are final.  Letters are scanned in alphabet order.
 
     The search fills one table row per state (the target per letter index,
-    or -1) and hands the table to the minimizer core ``automata._minimal``.
-    Every search state is reachable, so trimming keeps the co-reachable
-    states, in search order.  Each class of the minimal automaton takes the
-    label of its first search state, built for the representatives only, so
-    the output does not depend on the string-hash seed.
+    or -1) and hands the raw table and final flags to the minimizer core
+    ``automata._minimal``, which keeps the search states that reach a final
+    one, in search order, and drops the table before it refines.  Each
+    class of the minimal automaton takes the label of its first search
+    state, built for the representatives only, so the output does not
+    depend on the string-hash seed.
 
     A step keeps the pair (v, r) only when it can still reach
     (final, final): the bitmap of such pairs and the relation edge lists do
@@ -87,7 +87,7 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g,
     structure and keeps them on ``reduced``.  ``+`` is kept when r is final,
     and a step that keeps neither u nor ``+`` is dropped.  These filters
     only remove triples from which no final triple is reachable, so the
-    language is unchanged, and trimming removes the rest.  No filter on the
+    language is unchanged, and ``_minimal`` drops the rest.  No filter on the
     u side is needed: the relation automaton's only final state is 0, every
     diagonal letter loops on 0, and ``reduced`` is trimmed.  So on a plus
     step (r2 = 0) the u-state reaches a final state along diagonal letters
@@ -117,74 +117,62 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g,
 
     queue = [2 * (u + 1) * n_pairs + r * n_red + u
              for u in reduced.initials for r in rel.automaton.initials]
-    order = {s: i for i, s in enumerate(queue)}
-    rows = []  # rows[s][i]: the target of search state s on letter i, or -1
-    pred = [[] for _ in queue]  # pred[s]: the sources of the edges into s
-    finals = []
+    final = bytearray(len(queue))  # final[s]: whether search state s is final
     cap = max_states * rel.n_states
     blank = [-1] * len(alphabet)
     no_u = 2 * n_pairs  # the keys below hold no u-state
-    for src, key in enumerate(queue):
-        if key < no_u:
-            rows.append(blank)  # only + is left, and it has no outgoing edges
-            continue
-        row = blank.copy()
-        rows.append(row)
-        q, pair = divmod(key, n_pairs)
-        r, v = divmod(pair, n_red)
-        u = (q >> 1) - 1
-        nu, nv = u_key[u], next_red[v]
-        u_final = red_final[u]
-        for (x, y, i, r2n, r2_final) in rel_out[r]:
-            v2 = nv[y]
-            if v2 < 0 or not live[r2n + v2]:
+
+    def search():
+        """The search table: ``rows[s][i]`` is the target of search state s
+        on letter i, or -1.  It appends the keys to ``queue`` and the flags
+        to ``final``."""
+        order = {s: i for i, s in enumerate(queue)}
+        rows = []
+        for key in queue:
+            if key < no_u:
+                rows.append(blank)  # only + is left, and it has no outgoing edges
                 continue
-            t = nu[x] + r2n + v2
-            plus = x == gi and u_final and r2_final
-            if plus:
-                t += n_pairs
-            elif t < no_u:
-                continue  # neither u nor +
-            j = order.get(t)
-            if j is None:
-                j = order[t] = len(queue)
-                if j >= cap:
-                    raise CapExceeded(
-                        f"state cap {max_states} exceeded by the multiplier search "
-                        f"for digit {g} ({cap} search states, {max_states} per "
-                        f"relation state)",
-                        {"construction": "multiplier", "digit": g,
-                         "search_states": j})
-                queue.append(t)
-                pred.append([src])
-                if plus and red_final[v2]:
-                    finals.append(j)
-            else:
-                pred[j].append(src)
-            row[i] = j
-    keep = sorted(reach(finals, pred))
-    del order, pred
-    if not keep:
-        return Automaton(alphabet, 0, [], [], [])
-    # index in the trimmed table, -1 for a dead state; idx[-1] maps -1 to -1
-    idx = [-1] * (len(queue) + 1)
-    for i, s in enumerate(keep):
-        idx[s] = i
-    table = [list(map(idx.__getitem__, rows[s])) for s in keep]
-    is_final = set(finals)
-    final = [s in is_final for s in keep]
-    # the search keys of the kept states are all ``label`` reads: release
-    # the search before the minimizer runs
-    keys = list(map(queue.__getitem__, keep))
-    del queue, rows, idx, keep
+            row = blank.copy()
+            rows.append(row)
+            q, pair = divmod(key, n_pairs)
+            r, v = divmod(pair, n_red)
+            u = (q >> 1) - 1
+            nu, nv = u_key[u], next_red[v]
+            u_final = red_final[u]
+            for (x, y, i, r2n, r2_final) in rel_out[r]:
+                v2 = nv[y]
+                if v2 < 0 or not live[r2n + v2]:
+                    continue
+                t = nu[x] + r2n + v2
+                plus = x == gi and u_final and r2_final
+                if plus:
+                    t += n_pairs
+                elif t < no_u:
+                    continue  # neither u nor +
+                j = order.get(t)
+                if j is None:
+                    j = order[t] = len(queue)
+                    if j >= cap:
+                        raise CapExceeded(
+                            f"state cap {max_states} exceeded by the multiplier search "
+                            f"for digit {g} ({cap} search states, {max_states} per "
+                            f"relation state)",
+                            {"construction": "multiplier", "digit": g,
+                             "search_states": j})
+                    queue.append(t)
+                    final.append(plus and red_final[v2])
+                row[i] = j
+        return rows
+
     rel_labels = rel.automaton.labels
 
-    def label(c):
-        q, pair = divmod(keys[c], n_pairs)
+    def label(s):
+        q, pair = divmod(queue[s], n_pairs)
         u, r, v = (q >> 1) - 1, *divmod(pair, n_red)
         return f"{'' if u < 0 else u}{'+' if q & 1 else ''},{v}|{rel_labels[r]}"
 
-    return _minimal(alphabet, table, final, 0, label)
+    # no name holds the search table, so ``_minimal`` can release it
+    return _minimal(alphabet, search(), final, 0, label)
 
 
 # ---------------------------------------------------------------------------

@@ -191,13 +191,35 @@ def brzozowski(a: Automaton) -> Automaton:
 
 
 def reference_minimal(alphabet, d, final, init: int, label) -> Automaton:
-    """``automata._minimal`` by plain Moore refinement over the whole table:
-    missing edges go to a sink at index n, which ``-1`` also reaches by list
-    indexing, the seed is final/non-final, and every round re-signs every
-    state from the previous round's classes through k-wide tuples.  A class
-    is named by its first state, and the classes are numbered by
-    breadth-first search from the initial class, letters in alphabet
-    order."""
+    """``automata._minimal`` by plain fixpoints and plain Moore refinement.
+    The states reachable from ``init`` and the states that reach a final
+    state grow by sweeps over the whole table until a sweep adds none; the
+    states outside either set are dropped, an edge into one becomes -1, and
+    a dead initial state gives no states.  Then missing edges go to a sink
+    at index n, which ``-1`` also reaches by list indexing, the seed is
+    final/non-final, and every round re-signs every state from the previous
+    round's classes through k-wide tuples.  A class is named by its first
+    state, and the classes are numbered by breadth-first search from the
+    initial class, letters in alphabet order."""
+    fwd, bwd = {init}, {p for p in range(len(d)) if final[p]}
+    grown = True
+    while grown:
+        grown = False
+        for p, row in enumerate(d):
+            for q in row:
+                if q >= 0 and p in fwd and q not in fwd:
+                    fwd.add(q)
+                    grown = True
+                if q >= 0 and q in bwd and p not in bwd:
+                    bwd.add(p)
+                    grown = True
+    keep = sorted(fwd & bwd)
+    if init not in keep:
+        return Automaton(alphabet, 0, [], [], [])
+    idx = {p: i for i, p in enumerate(keep)}
+    d = [[idx.get(q, -1) for q in d[p]] for p in keep]
+    final = [final[p] for p in keep]
+    init = idx[init]
     n = len(d)
     succ = [itemgetter(*col, -1) for col in zip(*d)]
     cls = list(final) + [False]
@@ -223,7 +245,8 @@ def reference_minimal(alphabet, d, final, init: int, label) -> Automaton:
                     reps.append(t)
                 transitions.append((i, x, j))
     return Automaton(alphabet, len(reps), transitions, [0],
-                     [i for i, c in enumerate(reps) if final[c]], map(label, reps))
+                     [i for i, c in enumerate(reps) if final[c]],
+                     [label(keep[c]) for c in reps])
 
 
 def reducible_words(rel, order):

@@ -188,7 +188,16 @@ def _edge_tables():
     # every state reads a and b; the classes are the residues mod 3
     same_letters = Automaton("ab", 12, [(i, "a", (i + 1) % 12) for i in range(12)]
                              + [(i, "b", (i + 3) % 12) for i in range(12)], [0], [0, 3, 6, 9])
-    return [chain, one, loop, all_final, same_letters]
+    # 4 and 5 are dead, 6 is unreachable; 1 and 3 merge once they are gone
+    dead = Automaton("ab", 7, [(0, "a", 1), (1, "a", 2), (0, "b", 3), (3, "a", 2),
+                               (1, "b", 4), (3, "b", 5), (5, "a", 4), (6, "a", 2)],
+                     [0], [2])
+    # the final state 2 is unreachable, so the initial state is dead
+    dead_init = Automaton("ab", 3, [(0, "a", 1), (1, "a", 0), (2, "b", 0)], [0], [2])
+    # the cycle 2 -> 3 -> 4 -> 2 is reachable but never reaches the final 1
+    dead_cycle = Automaton("ab", 5, [(0, "a", 1), (1, "a", 1), (1, "b", 2), (0, "b", 2),
+                                     (2, "a", 3), (3, "b", 4), (4, "a", 2)], [0], [1])
+    return [chain, one, loop, all_final, same_letters, dead, dead_init, dead_cycle]
 
 
 @pytest.mark.parametrize("case", [
@@ -211,7 +220,7 @@ def test_minimal_matches_reference(monkeypatch, case):
     if case == "fixtures":
         _structures(build_relation_automaton(load_context(name), force=True)
                     for name in buildable_fixture_names())
-        assert max(sizes) >= (2976, 1191)  # a pisot_x3-x-1 multiplier
+        assert max(sizes) >= (4714, 1202)  # a pisot_x3-x-1 multiplier search
     elif case == "kenyon_large":
         _structures(_base3_relations((2, 8, 9, 12, 15)))
         assert len(sizes) == 5 * 2 * 4
@@ -222,9 +231,13 @@ def test_minimal_matches_reference(monkeypatch, case):
         for a in _random_tables():
             au.minimize(a)
     else:
+        # the raw tables, dead states included
         for a in _edge_tables():
-            au.minimize(a)
+            (init,) = a.initials
+            au._minimal(a.alphabet, a.ddelta(), [s in a.finals for s in range(a.n_states)],
+                        init, a.labels.__getitem__)
         assert (40, 40) in sizes  # the chain keeps every state
+        assert (7, 3) in sizes and (3, 0) in sizes and (5, 2) in sizes
     assert any(n > m for n, m in sizes)  # some states merge
 
 

@@ -159,6 +159,7 @@ def test_structure_bad_candidate(tmp_path, capsys):
     ["--candidate-pi", "0"],
     ["--candidate-pi", "0,0,0"],
     ["--candidate-pi", "x"],
+    ["--candidate-pi", ""],
     ["-N", "-4"],
 ])
 def test_structure_bad_flags_fail_before_build(tmp_path, capsys, flags):
@@ -508,6 +509,17 @@ def test_verify_identity_with_negative_exponents(tmp_path, capsys, terms, rhs, v
     code, out, _ = run(capsys, "verify", "--config", cfg("intro"), "--out", tmp_path,
                        "--identity", identity)
     assert (code, out) == ((0, "true\n") if verdict else (3, "false\n"))
+
+
+@pytest.mark.parametrize("terms, rhs", [([[0, 0]], [-1]), ([[5, 0]], [1])])
+def test_verify_identity_refuses_a_sign_other_than_one(tmp_path, capsys, terms, rhs):
+    # 0 and 5 must not pass for -1 and +1
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps({"terms": terms, "rhs_coeffs": rhs}))
+    code, out, err = run(capsys, "verify", "--config", cfg("intro"), "--out", tmp_path,
+                         "--identity", identity)
+    assert (code, out) == (1, "")
+    assert err == "error: a term's sign must be 1 or -1\n"
 
 
 @pytest.mark.parametrize("config", [

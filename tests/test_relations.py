@@ -355,6 +355,12 @@ def test_salem_identity():
     assert verify_power_identity(ctx, flipped, [-c for c in SALEM_RHS])
 
 
+@pytest.mark.parametrize("terms, rhs", [([(0, 0)], [-1]), ([(5, 0)], [1]), ([(1, 0), (-2, 1)], [1])])
+def test_power_identity_refuses_a_sign_other_than_one(terms, rhs):
+    with pytest.raises(ValueError, match="sign"):
+        verify_power_identity(load_context("intro"), terms, rhs)
+
+
 def test_power_identity_needs_direct_base():
     with pytest.raises(ValueError):
         verify_power_identity(make_context([-1, 3], [0, 1]), [(1, 0)], [1])
