@@ -314,18 +314,20 @@ def determinize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
 def _minimal(alphabet, d, final, init: int, label) -> Automaton:
     """Canonical minimal DFA of a deterministic table: ``d[p][i]`` is the
     target of state p on ``alphabet[i]`` or -1, ``final[p]`` says whether p
-    is final, and ``init`` is the initial state.
+    is final, and ``init`` is the initial state.  Every state must be
+    reachable from ``init`` or come after all states that are: such a state
+    is never the least of a class that the result reaches, so it names none.
 
-    First the live states, those reachable from ``init`` that reach a
-    final state, are kept in ascending order, and the rows are renumbered
-    with an edge into a dropped state turned into -1; a dead ``init`` gives
-    the automaton with no states.  The input table is read only until then.
+    First the states that reach a final state are kept in ascending order,
+    and the rows are renumbered with an edge into a dropped state turned
+    into -1; a dead ``init`` gives the automaton with no states.  The input
+    table is read only until then.
 
     Then Moore refinement, seeded with each state's finality and the set of
     letters it has an edge on.  The seed is sound because every state left
-    is live: a letter with an edge starts some accepted word, a letter
-    without one starts none, so states with different letter sets are
-    inequivalent.  The states are renumbered so that each seed block is a
+    reaches a final state: a letter with an edge starts some accepted word,
+    a letter without one starts none, so states with different letter sets
+    are inequivalent.  The states are renumbered so that each seed block is a
     contiguous slice, in increasing original index, and a state's signature
     reads only its block's letters, through one ``itemgetter`` per (block,
     letter).  A round refines block by block in place, so later blocks
@@ -342,15 +344,14 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
         for q in row:
             if q >= 0:
                 pred[q].append(p)
-    # -1 indexes the appended empty row, and the backward set leaves it out
-    keep = sorted(reach([init], d + [()]) & reach(compress(count(), final), pred))
+    keep = sorted(reach(compress(count(), final), pred))
     del pred
-    if not keep:
-        return Automaton(alphabet, 0, [], [], [])
     idx = [-1] * (len(d) + 1)  # idx[-1] maps -1 to -1
     for i, p in enumerate(keep):
         idx[p] = i
     init = idx[init]
+    if init < 0:
+        return Automaton(alphabet, 0, [], [], [])
     d = [list(map(idx.__getitem__, d[p])) for p in keep]
     final = [final[p] for p in keep]
     del idx
@@ -417,20 +418,19 @@ def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     Trim, determinize when the result is not deterministic (``_dfa``), then
     hand the table to ``_minimal``: Moore refinement and the canonical
     numbering, each class taking the label of its first state.  Refinement
-    is seeded with each state's finality and letter set, which the live
-    states make sound, and runs block by block in place.  ``_minimal``
-    drops dead states itself, so ``complement`` and
-    ``structure.build_multiplier`` hand it their untrimmed tables.
+    is seeded with each state's finality and letter set, which the
+    co-accessible states make sound, and runs block by block in place.
+    ``_minimal`` drops dead states itself, so ``complement`` and
+    ``structure.build_multiplier`` hand it their tables with the dead states
+    in.
     ``max_states`` caps the subset construction.  On the 180-state
     reducible-word automaton of ``pisot_x3-x-1`` ``determinize`` makes 300
     simulation-pruned subsets (5,984 unpruned), and refinement folds them
     into 139 classes."""
     a = _dfa(a, max_states)
-    if a.n_states == 0:
-        return a
-    (init,) = a.initials
+    # a DFA without states hands over the initial state 0, which is dead
     return _minimal(a.alphabet, a.ddelta(), [s in a.finals for s in range(a.n_states)],
-                    init, a.labels.__getitem__)
+                    min(a.initials, default=0), a.labels.__getitem__)
 
 
 def complement(a: Automaton) -> Automaton:
@@ -440,9 +440,10 @@ def complement(a: Automaton) -> Automaton:
     Trim ``a`` and determinize it when the trimmed automaton is
     nondeterministic (``_dfa``), complete its table with a state ``sink``,
     swap the finals and hand the table to ``_minimal``, which drops the
-    states that turn dead: those that accepted every word, and ``sink``
-    when no edge was missing.  Each class takes the label of its first
-    state: a label of the DFA, or ``sink``.  Trimming comes first, for a DFA
+    states that turn dead, those that accepted every word.  ``sink`` comes
+    last, so when no edge was missing it is unreachable and names no class.
+    Each class takes the label of its first state: a label of the DFA, or
+    ``sink``.  Trimming comes first, for a DFA
     too: a dead state turns final in the complement and would name its
     class, and the reducible-word DFA of a free context, whose states are
     all dead, would complement to one state named after its first dead
@@ -454,9 +455,8 @@ def complement(a: Automaton) -> Automaton:
         return Automaton(a.alphabet, 1, [(0, x, 0) for x in a.alphabet], [0], [0], ["all"])
     table = [[sink if q < 0 else q for q in row] for row in d.ddelta()]
     table.append([sink] * len(d.alphabet))
-    (init,) = d.initials
     return _minimal(d.alphabet, table, [s not in d.finals for s in range(sink + 1)],
-                    init, (d.labels + ("sink",)).__getitem__)
+                    min(d.initials), (d.labels + ("sink",)).__getitem__)
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:

@@ -120,6 +120,13 @@ def _build_rel(ctx: BetaContext, args) -> RelAutomaton:
         force=args.force)
 
 
+def _integer(v) -> int:
+    """A JSON integer; ``int`` would read 1.5 and true as 1."""
+    if type(v) is not int:
+        raise ValueError(f"{json.dumps(v)} is not an integer")
+    return v
+
+
 def _word(ctx: BetaContext, s: str) -> list:
     """Split a word argument into digit names ('110' or '1,1,0')."""
     parts = s.split(",") if "," in s else list(s)
@@ -298,8 +305,8 @@ def cmd_verify(args) -> int:
     if args.identity:
         try:
             doc = json.loads(Path(args.identity).read_text())
-            terms = [(int(s), int(k)) for s, k in doc["terms"]]
-            rhs = [int(c) for c in doc["rhs_coeffs"]]
+            terms = [(_integer(s), _integer(k)) for s, k in doc["terms"]]
+            rhs = [_integer(c) for c in doc["rhs_coeffs"]]
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise InputError(f"bad identity file: {e}") from e
         try:

@@ -200,7 +200,10 @@ def reference_minimal(alphabet, d, final, init: int, label) -> Automaton:
     final/non-final, and every round re-signs every state from the previous
     round's classes through k-wide tuples.  A class is named by its first
     state, and the classes are numbered by breadth-first search from the
-    initial class, letters in alphabet order."""
+    initial class, letters in alphabet order.  ``_minimal`` keeps the
+    unreachable states instead, which is sound only when they come after
+    the reachable ones; dropping them here checks that on every table the
+    tests hand over."""
     fwd, bwd = {init}, {p for p in range(len(d)) if final[p]}
     grown = True
     while grown:

@@ -183,12 +183,15 @@ def _edge_tables():
     one = Automaton("a", 1, [], [0], [0])
     loop = Automaton("ab", 1, [(0, "a", 0), (0, "b", 0)], [0], [0])
     rng = random.Random(7)
-    all_final = Automaton("ab", 20, [(p, x, rng.randrange(20)) for p in range(20)
-                                     for x in "ab" if rng.random() < 0.5], [0], range(20))
+    # trimmed, since ``_minimal`` needs unreachable states to come last
+    all_final = au.trim(Automaton("ab", 20, [(p, x, rng.randrange(20)) for p in range(20)
+                                             for x in "ab" if rng.random() < 0.5],
+                                  [0], range(20)))
     # every state reads a and b; the classes are the residues mod 3
     same_letters = Automaton("ab", 12, [(i, "a", (i + 1) % 12) for i in range(12)]
                              + [(i, "b", (i + 3) % 12) for i in range(12)], [0], [0, 3, 6, 9])
-    # 4 and 5 are dead, 6 is unreachable; 1 and 3 merge once they are gone
+    # 4 and 5 are dead; 1 and 3 merge once they are gone, and the unreachable
+    # 6 joins their class but, coming last, does not name it
     dead = Automaton("ab", 7, [(0, "a", 1), (1, "a", 2), (0, "b", 3), (3, "a", 2),
                                (1, "b", 4), (3, "b", 5), (5, "a", 4), (6, "a", 2)],
                      [0], [2])

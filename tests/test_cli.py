@@ -511,15 +511,25 @@ def test_verify_identity_with_negative_exponents(tmp_path, capsys, terms, rhs, v
     assert (code, out) == ((0, "true\n") if verdict else (3, "false\n"))
 
 
-@pytest.mark.parametrize("terms, rhs", [([[0, 0]], [-1]), ([[5, 0]], [1])])
-def test_verify_identity_refuses_a_sign_other_than_one(tmp_path, capsys, terms, rhs):
-    # 0 and 5 must not pass for -1 and +1
+SIGN = "a term's sign must be 1 or -1"
+
+
+@pytest.mark.parametrize("terms, rhs, err", [
+    ([[0, 0]], [-1], SIGN), ([[5, 0]], [1], SIGN),
+    ([[1.5, 0]], [1], "bad identity file: 1.5 is not an integer"),
+    ([[True, 0]], [1], "bad identity file: true is not an integer"),
+    ([[1, 0.5]], [1], "bad identity file: 0.5 is not an integer"),
+    ([[1, 0]], [1.0], "bad identity file: 1.0 is not an integer"),
+    ([["1", 0]], [1], 'bad identity file: "1" is not an integer')])
+def test_verify_identity_refuses_bad_entries(tmp_path, capsys, terms, rhs, err):
+    # each of these passed as +1 or -1, or int() truncated it to an integer
+    # that passes
     identity = tmp_path / "identity.json"
     identity.write_text(json.dumps({"terms": terms, "rhs_coeffs": rhs}))
-    code, out, err = run(capsys, "verify", "--config", cfg("intro"), "--out", tmp_path,
+    code, out, got = run(capsys, "verify", "--config", cfg("intro"), "--out", tmp_path,
                          "--identity", identity)
     assert (code, out) == (1, "")
-    assert err == "error: a term's sign must be 1 or -1\n"
+    assert got == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("config", [
