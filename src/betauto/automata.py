@@ -433,7 +433,7 @@ def minimize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
                     min(a.initials, default=0), a.labels.__getitem__)
 
 
-def complement(a: Automaton) -> Automaton:
+def complement(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     """Canonical minimal DFA of the words over ``a.alphabet`` that ``a``
     rejects.
 
@@ -448,8 +448,9 @@ def complement(a: Automaton) -> Automaton:
     class, and the reducible-word DFA of a free context, whose states are
     all dead, would complement to one state named after its first dead
     state.  The complement of the empty language is the single state
-    ``all``, and that of the full language has no states."""
-    d = _dfa(a)
+    ``all``, and that of the full language has no states.  ``max_states``
+    caps the subset construction."""
+    d = _dfa(a, max_states)
     sink = d.n_states
     if sink == 0:
         return Automaton(a.alphabet, 1, [(0, x, 0) for x in a.alphabet], [0], [0], ["all"])

@@ -23,10 +23,14 @@ subset is 0): ``_sets`` maps an id to its subset, ``_sid`` a subset to its
 id, and ``_next[i][a]`` is the id of the successor of subset i on input
 letter a, or -1 until it is first needed; ``_step`` then takes the union of
 the pairs' live successor rows and interns it.  So per input letter the
-forward pass costs two list lookups, and the extraction costs
-O(k * |pred|): it scans the predecessor pairs of the current pair, by
-output letter and then in increasing order, and takes the first that lies
-in the forward subset.  Successor and predecessor rows are built lazily,
+forward pass costs two list lookups.  The extraction's choice at a letter
+is the first predecessor pair of the current pair, by output letter and
+then in increasing order, that lies in the forward subset before the
+letter.  It depends only on the forward step (subset id, input letter) and
+the current pair, so ``_back[i][a]`` caches it per step, as a dict from a
+pair to (predecessor pair, output digit name); a miss scans the
+predecessor row once (``_back_step``).  A warm extraction then costs one
+cached lookup per letter.  Successor and predecessor rows are built lazily,
 once per (pair, input letter), so the set-up is linear in the size of the
 two automata and reduction is linear in the word length.
 
@@ -34,9 +38,10 @@ Letters are decoded by one dict from each digit name and each position to
 the position, applied with a C-level ``map``; a word holding any letter
 that is neither a str nor an int, or a letter the dict lacks, goes through
 ``relations.digit_index`` letter by letter, the rule ``verify_relation``
-applies too.  On ``pisot_x3-x-1`` a reduction costs about 0.75 us per letter
-cold and 0.37 us warm, and an equivalence test 0.15 us per letter
-(``perfbench`` ``reduce_stream``, 2-vCPU x86-64, CPython 3.11).
+applies too.  On ``pisot_x3-x-1`` a reduction costs about 0.73 us per letter
+cold and 0.23 us warm, and an equivalence test 0.16 us per letter
+(``perfbench`` ``reduce_stream``, medians of ten runs, 2-vCPU x86-64,
+CPython 3.11).
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ class ReducerTable:
         self._final = frozenset(r * n_red + s for r in rel.automaton.finals
                                 for s in reduced.finals)
         # per input letter, pair -> its successor pairs, and pair -> its
-        # (predecessor pair, output letter) candidates in extraction order
+        # (predecessor pair, output digit name) candidates in extraction order
         self._succ = [{} for _ in range(k)]
         self._pred = [{} for _ in range(k)]
         # interned forward subsets: id -> subset, subset -> id, and per id the
@@ -110,6 +115,9 @@ class ReducerTable:
         self._sets = [start]
         self._sid = {start: 0}
         self._next = [[-1] * k]
+        # per forward step (id, input letter), the extraction's choice: a pair
+        # of the successor subset -> (predecessor pair, output digit name)
+        self._back = [[{} for _ in range(k)]]
         self._live = None  # bytearray over pairs, built on the first missing step
 
     def _letters(self, word) -> list:
@@ -133,10 +141,10 @@ class ReducerTable:
                      and live[p := r2 * n_red + s2])
 
     def _pred_row(self, pair: int, a: int) -> tuple:
-        k, n_red = self._k, self._n_red
+        k, n_red, names = self._k, self._n_red, self.names
         r, s = divmod(pair, n_red)
         rp, sp = self._rel_pred[r], self._red_pred[s]
-        return tuple((r0 * n_red + s0, b) for b in range(k)
+        return tuple((r0 * n_red + s0, names[b]) for b in range(k)
                      for r0 in rp[a * k + b] for s0 in sp[b])
 
     def _step(self, sid: int, a: int) -> int:
@@ -154,45 +162,54 @@ class ReducerTable:
             j = self._sid[nxt] = len(self._sets)
             self._sets.append(nxt)
             self._next.append([-1] * self._k)
+            self._back.append([{} for _ in range(self._k)])
         self._next[sid][a] = j
         return j
+
+    def _back_step(self, sid: int, a: int, pair: int) -> tuple:
+        """(predecessor pair, output digit name) of ``pair`` on the step of
+        subset ``sid`` on input letter ``a``: the first of the pair's
+        candidates, by output letter and then in increasing order, that lies
+        in the subset.  Cached for the step."""
+        rows = self._pred[a]
+        row = rows.get(pair)
+        if row is None:
+            row = rows[pair] = self._pred_row(pair, a)
+        subset = self._sets[sid]
+        for hit in row:
+            if hit[0] in subset:
+                self._back[sid][a][pair] = hit
+                return hit
+        raise AssertionError("backward extraction lost the path")
 
     def reduce(self, word) -> tuple:
         """Reduced representative of the word, as a tuple of digit names."""
         letters = self._letters(word)
         next_id = self._next
         sid = 0
-        sids = [0]
+        sids = []
         for a in letters:
             j = next_id[sid][a]
             if j < 0:
                 j = self._step(sid, a)
-            sids.append(j)
+            sids.append(sid)
             sid = j
 
-        sets = self._sets
-        finals = sets[sid] & self._final
+        finals = self._sets[sid] & self._final
         if not finals:
             raise ValueError("word has no reduced equivalent (inconsistent input)")
-        # the first output letter with a predecessor pair in the subset, and
-        # the least such pair
-        pred = self._pred
+        # from the least final pair, each step back is one cached choice
+        back = self._back
         pair = min(finals)
         out = []
-        for i in range(len(letters) - 1, -1, -1):
-            a = letters[i]
-            row = pred[a].get(pair)
-            if row is None:
-                row = pred[a][pair] = self._pred_row(pair, a)
-            sub = sets[sids[i]]
-            for pair, b in row:
-                if pair in sub:
-                    break
-            else:
-                raise AssertionError("backward extraction lost the path")
-            out.append(b)
+        for sid, a in zip(reversed(sids), reversed(letters)):
+            try:
+                pair, name = back[sid][a][pair]
+            except KeyError:
+                pair, name = self._back_step(sid, a, pair)
+            out.append(name)
         out.reverse()
-        return tuple(map(self.names.__getitem__, out))
+        return tuple(out)
 
     def equivalent(self, u, v) -> bool:
         """Exact equality of the two represented maps.  Words of different

@@ -283,6 +283,38 @@ def coreachable_pairs(a, rel):
     return {r * a.n_states + p for r, p in live}
 
 
+def reference_reduce(rel, reduced, word) -> tuple:
+    """``reducer.ReducerTable.reduce`` of a word of digit names, uncached and
+    over whole subsets: a forward pass over the sets of (relation state,
+    reduced state) pairs that the input word reaches, then a backward pass
+    from the least final pair that, at each letter, takes the least output
+    letter (by digit position) and then the least pair of the previous set
+    that steps to the current pair."""
+    names = reduced.alphabet
+    rel_next = {(r, x): r2 for r, x, r2 in rel.automaton.transitions}
+    red_next = {(s, y): s2 for s, y, s2 in reduced.transitions}
+
+    def step(pair, x, y):
+        r, s = pair
+        return rel_next.get((r, (x, y))), red_next.get((s, y))
+
+    sets = [{(min(rel.automaton.initials), min(reduced.initials))}]
+    for x in word:
+        sets.append({q for p in sets[-1] for y in names
+                     if None not in (q := step(p, x, y))})
+    finals = [(r, s) for r, s in sets[-1]
+              if r in rel.automaton.finals and s in reduced.finals]
+    if not finals:
+        raise ValueError("word has no reduced equivalent")
+    pair = min(finals)
+    out = []
+    for i in range(len(word) - 1, -1, -1):
+        y, pair = next((y, p) for y in names for p in sorted(sets[i])
+                       if step(p, word[i], y) == pair)
+        out.append(y)
+    return tuple(reversed(out))
+
+
 def reference_multiplier(rel, reduced, g) -> Automaton:
     """The multiplier of ``structure.build_multiplier`` by its former path:
     the same breadth-first search over (u or -1, plus-flag, v, r) states

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from enum import IntEnum
+from itertools import chain
 from itertools import product as iproduct
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     load_context,
     random_nonfree_contexts,
     random_relation_automata,
+    reference_reduce,
 )
 
 
@@ -153,14 +155,15 @@ def test_cache_reuse(monkeypatch):
     _, _, _, t = make_table("intro")
 
     def interned():
-        """(subsets interned, subset steps computed)"""
-        return len(t._sets), sum(j >= 0 for row in t._next for j in row)
+        """(subsets interned, subset steps computed, backward choices cached)"""
+        return (len(t._sets), sum(j >= 0 for row in t._next for j in row),
+                sum(map(len, chain.from_iterable(t._back))))
 
     # neither the table nor an equivalence test builds the live set
     assert t.equivalent("110", "033")
     assert t.reduce("") == ()
     assert t._live is None and not live_passes
-    assert interned() == (1, 0)
+    assert interned() == (1, 0, 0)
     # the first reduction builds it once; a warm one interns no new subset
     assert t.reduce("1111") == t.reduce("1111")
     assert len(live_passes) == 1
@@ -173,15 +176,62 @@ def test_cache_reuse(monkeypatch):
     t.reduce("0311")
     assert interned() == seen
     assert len(live_passes) == 1
-    # ids and subsets correspond one to one
+    # a warm repeat of several words adds no subset, step or cached choice
+    words = ["3", "01", "1103", "3333", "0311"]
+    cold = [t.reduce(w) for w in words]
+    seen = interned()
+    assert [t.reduce(w) for w in words] == cold
+    assert interned() == seen
+    # ids, subsets and per-step caches correspond one to one
     assert all(t._sid[subset] == i for i, subset in enumerate(t._sets))
-    assert len(t._sid) == len(t._sets) == len(t._next)
+    assert len(t._sid) == len(t._sets) == len(t._next) == len(t._back)
+
+
+def reference_cases():
+    cases = [(name, build_relation_automaton(load_context(name)))
+             for name in ["pisot_x3-x-1", "kenyon_3_8"]]
+    return cases + list(random_relation_automata())
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_reduce_matches_the_uncached_reference(order):
+    # the per-step cache is keyed by the forward subset too: the same letter
+    # and pair can take another predecessor after another subset
+    cases = reference_cases()
+    assert len(cases) >= 12
+    for case, rel in cases:
+        reduced = build_reduced_automaton(rel, order)
+        t = ReducerTable(rel, reduced)
+        names = rel.context.digit_names
+        rng = random.Random(17)
+        words = [[rng.choice(names) for _ in range(n)] for n in (0, 1, 60)]
+        words += [[rng.choice(names) for _ in range(rng.randint(0, 60))]
+                  for _ in range(27)]
+        for w in words + words[::-1]:
+            assert t.reduce(w) == reference_reduce(rel, reduced, w), (case, w)
+
+
+def test_reduce_does_not_depend_on_the_order_of_calls():
+    for case, rel in reference_cases()[:6]:
+        reduced = build_reduced_automaton(rel, "lex")
+        names = rel.context.digit_names
+        rng = random.Random(19)
+        words = [tuple(rng.choice(names) for _ in range(rng.randint(0, 40)))
+                 for _ in range(40)]
+        shuffled = list(enumerate(words))
+        rng.shuffle(shuffled)
+        first, second = ReducerTable(rel, reduced), ReducerTable(rel, reduced)
+        got = []
+        for w in words:
+            got.append(first.reduce(w))
+            assert first.equivalent(w, got[-1])
+        for i, w in shuffled:
+            assert second.equivalent(w, got[i])
+            assert second.reduce(w) == got[i], (case, w)
 
 
 def test_cached_subsets_hold_live_pairs_only():
-    cases = [(name, build_relation_automaton(load_context(name)))
-             for name in ["pisot_x3-x-1", "kenyon_3_8"]]
-    cases += random_relation_automata()
+    cases = reference_cases()
     assert len(cases) >= 12
     for case, rel in cases:
         reduced = build_reduced_automaton(rel, "lex")

@@ -100,6 +100,23 @@ def test_reduced_automaton_within_a_thousand_subsets(order):
     assert same_dfa(red, au.complement(brzozowski(reducible_words(rel, order))))
 
 
+def test_reduced_chain_trims_once(monkeypatch):
+    # the reducible words are trimmed and determinized once, inside complement
+    calls = []
+    trim = au.trim
+    monkeypatch.setattr(au, "trim", lambda a: calls.append(a) or trim(a))
+    for name in ["intro", "kenyon_3_8", "pisot_x3-x-1", "kenyon_1_2"]:
+        rel = build_relation_automaton(load_context(name))
+        for order in ("lex", "revlex"):
+            calls.clear()
+            build_reduced_automaton(rel, order)
+            assert len(calls) == 1, (name, order)
+    # the cap still reaches the subset construction
+    rel = build_relation_automaton(load_context("pisot_x3-x-1"), force=True)
+    with pytest.raises(CapExceeded):
+        build_reduced_automaton(rel, "lex", max_states=100)
+
+
 # --- reduced counts vs brute force ---------------------------------------------
 
 
