@@ -22,10 +22,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import add, and_, itemgetter, mul, ne, or_, rshift
 from typing import Iterable, NamedTuple
 
-from sympy import ZZ
-from sympy.polys.sqfreetools import dup_sqf_part
-
-from .numfield import poly_trim
+from .numfield import poly_sqf_part, poly_trim
 
 
 class PairLetter(NamedTuple):
@@ -793,9 +790,10 @@ def perron_enclosure(cp) -> tuple[Fraction, Fraction]:
 
     By Perron-Frobenius the largest real root of such a polynomial is its
     spectral radius, which is >= 0, so only the positive roots of the
-    squarefree part (sympy's) are searched, and only the largest one is
+    squarefree part (``numfield.poly_sqf_part``, the polynomial sympy's
+    ``dup_sqf_part`` gives) are searched, and only the largest one is
     isolated (``_largest_positive_root``) and refined (``_refine_root``).
-    Both are in-repo: they repeat the steps of sympy's
+    These are in-repo too: they repeat the steps of sympy's
     ``dup_inner_isolate_real_roots`` and ``dup_inner_refine_real_root``
     (the LMQ lower bound, then the Moebius steps) on the same integers and
     end on the same polynomial and Moebius map, so the enclosure, and the
@@ -803,7 +801,9 @@ def perron_enclosure(cp) -> tuple[Fraction, Fraction]:
     Taylor shifts and bound run their inner loops at C level."""
     # the root 0 goes before the squarefree part, which is primitive with a
     # positive leading coefficient, so f equals that part of cp less its x
-    f = dup_sqf_part(_drop_zero_root([ZZ(c) for c in reversed(poly_trim(cp))]), ZZ)
+    c = poly_trim(cp)
+    zeros = next((i for i, x in enumerate(c) if x), len(c))
+    f = list(reversed(poly_sqf_part(c[zeros:])))
     root = _largest_positive_root(f)
     if root is None:
         return (Fraction(0), Fraction(0))

@@ -13,8 +13,13 @@ exactly (``_unit_root_count``, a Sturm count); the root isolation doubles its
 precision until the disks are disjoint and exactly that many of them straddle
 modulus 1.  The roots are found by mpmath's Durand-Kerner iteration, seeded
 with the roots of the same iteration run first in floats (``_float_seeds``).
-The minimal polynomial is factored, and the Sturm count taken, by sympy's
-dense integer routines, without its ``Poly`` wrappers.
+
+The integer-polynomial routines are in-repo: the squarefree part (a
+heuristic gcd, falling back on a primitive remainder sequence), the Sturm
+count, and an irreducibility certificate by distinct-degree factorization
+modulo small primes.  Only a minimal polynomial of degree >= 2 that the
+certificate leaves open is factored by sympy's ``factor_list``, imported
+then, so importing this package does not load sympy.
 """
 
 from __future__ import annotations
@@ -22,14 +27,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul, ne, sub
 from typing import Sequence
 
 import mpmath as mp
 from mpmath.libmp import NoConvergence, from_int, to_rational
-from sympy import QQ, ZZ
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.rootisolation import dup_count_real_roots
 
 ALGEBRAIC = "algebraic"
 TRANSCENDENTAL = "transcendental"
@@ -78,34 +80,234 @@ def poly_deg(c: Sequence) -> int:
     return len(poly_trim(c)) - 1
 
 
-def poly_divides(b: Sequence, a: Sequence) -> bool:
-    """Whether ``b`` divides ``a`` in Z[x].  Long division over Q gives the
-    quotient's coefficients from the top, so it suffices that each is an
-    integer; for a monic ``a`` that needs a leading coefficient +-1 of
-    ``b``, and then no step leaves Z."""
+def poly_quotient(a: Sequence, b: Sequence) -> tuple | None:
+    """a / b when ``b`` divides ``a`` in Z[x], else ``None``.  Long division
+    over Q gives the quotient's coefficients from the top, so it suffices
+    that each is an integer."""
     a, b = list(poly_trim(a)), poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    while len(a) >= len(b):
-        f, r = divmod(a.pop(), b[-1])
+    n, q = len(b) - 1, []
+    while len(a) > n:
+        t, r = divmod(a.pop(), b[-1])
         if r:
-            return False
-        for i, c in enumerate(b[:-1], len(a) + 1 - len(b)):
-            a[i] -= f * c
-        a = list(poly_trim(a))
-    return not a
+            return None
+        q.append(t)
+        if t:
+            k = len(a) - n
+            a[k:] = map(sub, a[k:], [t * c for c in b[:-1]])
+    return None if any(a) else tuple(reversed(q))
+
+
+def poly_divides(b: Sequence, a: Sequence) -> bool:
+    """Whether ``b`` divides ``a`` in Z[x]; for a monic ``a`` that needs a
+    leading coefficient +-1 of ``b``, and then no step of the division
+    leaves Z."""
+    return poly_quotient(a, b) is not None
+
+
+def _horner(c: Sequence, p: int, q: int = 1) -> int:
+    """The integer q**n c(p/q), n = len(c) - 1, by Horner's rule."""
+    v, qk = 0, 1
+    for a in reversed(c):
+        v = v * p + a * qk
+        qk *= q
+    return v
 
 
 def poly_sign_at(c: Sequence, x) -> int:
     """Sign (-1, 0 or 1) of the integer polynomial ``c`` at the rational
     ``x`` = p/q, q > 0 (an int or a ``Fraction``): the sign of the integer
-    q**n c(p/q), n = len(c) - 1, by Horner's rule in integers."""
-    p, q = x.numerator, x.denominator
-    v, qk = 0, 1
-    for a in reversed(c):
-        v = v * p + a * qk
-        qk *= q
+    q**n c(p/q), n = len(c) - 1."""
+    v = _horner(c, x.numerator, x.denominator)
     return (v > 0) - (v < 0)
+
+
+def _diff(c: Sequence) -> list:
+    return [i * a for i, a in enumerate(c)][1:]
+
+
+def _primitive(c: Sequence) -> list:
+    """``c`` over the gcd of its coefficients, its sign kept."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else list(c)
+
+
+def _prem(a: Sequence, b: Sequence) -> list:
+    """The remainder of m*a by ``b`` in Z[x] for a positive integer m, so of
+    the sign of the remainder over Q: each step scales by |lc(b)|."""
+    a, n, m = list(a), len(b) - 1, abs(b[-1])
+    s = b[-1] // m
+    while len(a) > n:
+        t = a.pop()
+        if t:
+            k = len(a) - n
+            a = [m * x for x in a] if m > 1 else a
+            a[k:] = map(sub, a[k:], [s * t * c for c in b[:-1]])
+    return list(poly_trim(a))
+
+
+def _heu_gcd(f: list, g: list) -> list | None:
+    """gcd of the primitive nonzero ``f`` and ``g`` by the heuristic
+    of Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989): the symmetric
+    xi-adic digits of the integer gcd of f(xi) and g(xi), made primitive.
+    For xi >= 2 min(|f|, |g|) + 2 (max norms) they are gcd(f, g) once they
+    divide both, so xi starts there (sympy's first xi may be lower) and
+    grows as sympy's does; ``None`` when six points xi give up."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(6):
+        h, digits = math.gcd(_horner(f, xi), _horner(g, xi)), []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        h = _primitive(digits)
+        if poly_quotient(f, h) is not None and poly_quotient(g, h) is not None:
+            return h
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(f: list, g: list) -> list:
+    """gcd of ``f`` and the nonzero ``g``, deg f >= deg g, up to its sign
+    and content, by the primitive remainder sequence."""
+    while g:
+        f, g = g, _primitive(_prem(f, g))
+    return f
+
+
+def poly_sqf_part(c: Sequence) -> tuple:
+    """Squarefree part c / gcd(c, c') of the integer polynomial ``c``,
+    primitive with a positive leading coefficient, as sympy's
+    ``dup_sqf_part`` gives it: () for 0, (1,) for a constant.  By Gauss's
+    lemma the quotient of the primitive part of ``c`` is primitive."""
+    f = _primitive(poly_trim(c))
+    if len(f) < 2:
+        return (1,) if f else ()
+    g = _primitive(_diff(f))
+    s = poly_quotient(f, _heu_gcd(f, g) or _prs_gcd(f, g))
+    return s if s[-1] > 0 else tuple(-x for x in s)
+
+
+def _sturm_count(q: Sequence, lo: int, hi: int) -> int:
+    """Number of distinct real roots in [lo, hi] of the integer polynomial
+    ``q`` of degree >= 1, as sympy's ``dup_count_real_roots`` counts them:
+    the sign variations at lo less those at hi of the Sturm sequence s, s',
+    -rem, ... of the squarefree part s, plus one for a root at lo.  Each
+    remainder is taken with a positive multiplier and divided by its
+    content, so its signs are those over Q."""
+    seq = [list(poly_sqf_part(q))]
+    seq.append(_diff(seq[0]))
+    while seq[-1]:
+        seq.append([-x for x in _primitive(_prem(seq[-2], seq[-1]))])
+
+    def variations(x: int) -> int:
+        signs = [s for s in (poly_sign_at(f, x) for f in seq[:-1]) if s]
+        return sum(map(ne, signs, signs[1:]))
+
+    return variations(lo) - variations(hi) + (poly_sign_at(q, lo) == 0)
+
+
+# ---------------------------------------------------------------------------
+# irreducibility certificate: distinct-degree factorization modulo small
+# primes (polynomials over GF(p) are lists of residues, constant first)
+
+#: primes tried, in order, by ``_irreducible_mod_p``
+_CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _gf_monic(a: Sequence, p: int) -> list:
+    a = list(poly_trim([x % p for x in a]))
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [x * inv % p for x in a]
+    return a
+
+
+def _gf_rem(a: Sequence, f: Sequence, p: int) -> list:
+    """a mod ``f`` over GF(p), for a monic ``f``."""
+    a, n = [x % p for x in a], len(f) - 1
+    while len(a) > n:
+        t = a.pop()
+        if t:
+            k = len(a) - n
+            a[k:] = [(x - t * c) % p for x, c in zip(a[k:], f)]
+    return list(poly_trim(a))
+
+
+def _gf_gcd(a: Sequence, b: Sequence, p: int) -> list:
+    """Monic gcd over GF(p); [] when both are 0."""
+    a, b = _gf_monic(a, p), _gf_monic(b, p)
+    while b:
+        a, b = b, _gf_monic(_gf_rem(a, b, p), p)
+    return a
+
+
+def _gf_mulmod(a: list, b: list, f: list, p: int) -> list:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = map(add, out[i:i + len(b)], [x * y for y in b])
+    return _gf_rem(out, f, p)
+
+
+def _factor_degrees(f: list, p: int) -> list:
+    """Degrees of the irreducible factors over GF(p) of the monic squarefree
+    ``f``, by distinct-degree factorization: gcd(f, x^(p^d) - x) is the
+    product of the factors whose degree divides d.  Once 2d exceeds the
+    degree of the factors not found yet, they are one irreducible factor."""
+    counts, rest, h, d = {}, len(f) - 1, [0, 1], 0
+    while 2 * d + 2 <= rest:
+        d += 1
+        power = h
+        for bit in bin(p)[3:]:  # h = h^p mod f, from x^(p^(d-1))
+            power = _gf_mulmod(power, power, f, p)
+            if bit == "1":
+                power = _gf_mulmod(power, h, f, p)
+        h = power
+        g = h + [0] * (2 - len(h))
+        g[1] -= 1
+        k = len(_gf_gcd(f, g, p)) - 1 - sum(e * n for e, n in counts.items() if d % e == 0)
+        counts[d], rest = k // d, rest - k
+    return [e for e, n in counts.items() for _ in range(n)] + [rest] * (rest > 0)
+
+
+def _irreducible_mod_p(f: tuple) -> bool:
+    """True when reductions modulo the primes ``_CERT_PRIMES`` prove the
+    primitive squarefree ``f`` of degree n >= 2 irreducible over Z.
+
+    A factor of degree k <= n/2 over Z reduces, modulo a prime p that does
+    not divide the leading coefficient and keeps f squarefree, to a product
+    of irreducible factors over GF(p) whose degrees sum to k.  When no k in
+    1..n/2 is such a sum for every prime tried, f has no factor.  False
+    means undecided, never reducible."""
+    top = (len(f) - 1) // 2
+    possible = set(range(1, top + 1))
+    for p in _CERT_PRIMES:
+        fp = _gf_monic(f, p)
+        if len(fp) != len(f) or len(_gf_gcd(fp, _diff(fp), p)) != 1:
+            continue
+        sums = {0}
+        for e in _factor_degrees(fp, p):
+            sums |= {s + e for s in sums if s + e <= top}
+        possible &= sums
+        if not possible:
+            return True
+    return False
+
+
+def _reducible(c: tuple) -> bool:
+    """Whether the primitive squarefree ``c`` of degree >= 2 factors over Z:
+    by the certificate, or by sympy's ``factor_list`` when it does not
+    settle ``c`` (as for x^4 - 10x^2 + 1, reducible modulo every prime)."""
+    if _irreducible_mod_p(c):
+        return False
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    return len(dup_factor_list(list(reversed(c)), ZZ)[1]) > 1
 
 
 def poly_str(c: Sequence, var: str = "x") -> str:
@@ -361,7 +563,7 @@ def _unit_root_count(minpoly: Sequence[int]) -> int:
             q[i] += c[m + k] * a
         prev, cur = cur, [a - (prev[i] if i < len(prev) else 0)
                           for i, a in enumerate([0] + cur)]
-    return 2 * dup_count_real_roots(q[::-1], ZZ, QQ(-2), QQ(2))
+    return 2 * _sturm_count(q, -2, 2)
 
 
 def _embeddings(minpoly: tuple, precision: int) -> tuple[int, tuple]:
@@ -599,19 +801,17 @@ def mahler_measure(ctx: BetaContext) -> tuple[float, float]:
 
 
 def _normalize_minpoly(coeffs: Sequence[int]) -> tuple:
-    c = poly_trim([int(x) for x in coeffs])
+    """The integer polynomial made primitive with a positive leading
+    coefficient, once it is known to be irreducible; a linear one is."""
+    c = _primitive(poly_trim(coeffs))
     if len(c) < 2:
         raise NumFieldError("minimal polynomial must have degree >= 1")
-    g = math.gcd(*c)
-    if g > 1:
-        c = tuple(x // g for x in c)
-    if c[-1] < 0:
-        c = tuple(-x for x in c)
-    factors = dup_factor_list(list(reversed(c)), ZZ)[1]
-    if any(k > 1 for _, k in factors):
-        raise NotSquarefree(f"{poly_str(c)} is not squarefree")
-    if len(factors) > 1:
-        raise NumFieldError(f"minimal polynomial {poly_str(c)} is reducible")
+    c = tuple(c) if c[-1] > 0 else tuple(-x for x in c)
+    if len(c) > 2:
+        if len(poly_sqf_part(c)) < len(c):
+            raise NotSquarefree(f"{poly_str(c)} is not squarefree")
+        if _reducible(c):
+            raise NumFieldError(f"minimal polynomial {poly_str(c)} is reducible")
     return c
 
 
@@ -633,7 +833,7 @@ def make_context(
     if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
         raise NumFieldError(f"precision must be an integer from 1 to {MAX_PRECISION}")
     digit_specs = [
-        poly_trim([int(d)] if isinstance(d, int) else [int(c) for c in d])
+        poly_trim(_int_list([d] if type(d) is int else d, "digit coefficients"))
         for d in digit_specs
     ]
     if not digit_specs:
@@ -650,7 +850,7 @@ def make_context(
             raise NumFieldError(f"unknown mode {minpoly!r}")
     else:
         mode = ALGEBRAIC
-        degree = poly_deg(minpoly)
+        degree = poly_deg(_int_list(minpoly, "minimal polynomial coefficients"))
         if degree > MAX_DEGREE:
             raise NumFieldError(
                 f"minimal polynomial of degree {degree} exceeds {MAX_DEGREE}, "
@@ -686,9 +886,9 @@ def make_context(
     )
 
 
-def _int_list(value, what: str) -> list:
+def _int_list(value, what: str) -> list | tuple:
     # bool is an int subclass and float would be truncated: accept neither
-    if not isinstance(value, list) or not all(type(c) is int for c in value):
+    if not isinstance(value, (list, tuple)) or not all(type(c) is int for c in value):
         raise NumFieldError(f"{what} must be integers, got {value!r}")
     return value
 
@@ -709,5 +909,4 @@ def context_from_config(doc: dict) -> BetaContext:
     digits = doc.get("digits")
     if not isinstance(digits, list):
         raise NumFieldError("config needs a digits list")
-    digits = [_int_list(d if isinstance(d, list) else [d], "digit coefficients") for d in digits]
     return make_context(base, digits, precision=doc.get("precision", 30))

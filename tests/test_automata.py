@@ -17,6 +17,7 @@ from sympy.polys.rootisolation import (
 from sympy.polys.sqfreetools import dup_sqf_part
 
 from betauto import automata as au
+from betauto import numfield as nf
 from betauto.automata import Automaton, PairLetter
 from betauto import relations
 from betauto.numfield import context_from_config, poly_trim
@@ -646,6 +647,25 @@ def test_enclosure_drops_the_zero_root_before_the_squarefree_part(
         assert au.perron_enclosure(cp) == (0, 0)
         g = [ZZ(c) for c in reversed(poly_trim(cp))]
         assert seen == [au._drop_zero_root(dup_sqf_part(g, ZZ))], cp
+
+
+def test_squarefree_part_matches_sympy(refinement_char_polys, monkeypatch):
+    # sympy's squarefree part is primitive with a positive leading
+    # coefficient; the heuristic gcd, and the primitive remainder sequence
+    # run directly, give it on char-polys and on products with repeated
+    # factors
+    cps = list(refinement_char_polys) + [_close_root_char_poly(n) for n in range(17, 25)]
+    cps += list(_polys_with_zero_root(20261030, 600))
+    want = [[int(c) for c in reversed(dup_sqf_part([ZZ(c) for c in reversed(poly_trim(cp))], ZZ))]
+            for cp in cps]
+    assert sum(len(w) < len(poly_trim(cp)) for w, cp in zip(want, cps)) >= 400
+    heu = nf._heu_gcd
+    gave_up = []
+    monkeypatch.setattr(nf, "_heu_gcd", lambda f, g: heu(f, g) or gave_up.append(f))
+    assert [list(nf.poly_sqf_part(cp)) for cp in cps] == want
+    assert not gave_up
+    monkeypatch.setattr(nf, "_heu_gcd", lambda f, g: None)
+    assert [list(nf.poly_sqf_part(cp)) for cp in cps] == want
 
 
 def _close_root_char_poly(n):

@@ -715,6 +715,7 @@ def test_bad_config_values(tmp_path, capsys, doc):
 @pytest.mark.parametrize("minpoly", [
     [6, -5, 1],  # (x - 2)(x - 3)
     [-3, 1, -3, 1],  # (x - 3)(x^2 + 1)
+    [2, 0, 3, 0, 1],  # (x^2 + 1)(x^2 + 2), decided by factor_list
 ])
 def test_reducible_minpoly(tmp_path, capsys, minpoly):
     bad = tmp_path / "bad.json"
@@ -761,6 +762,15 @@ def test_bad_word_digit(tmp_path, capsys):
     code, _, err = run(capsys, "reduce", "--config", cfg("intro"),
                        "--out", tmp_path, "12")
     assert code == 1
+
+
+def test_pipeline_runs_without_sympy():
+    # sympy costs about 0.25 s of start-up; only factor_list, for a minimal
+    # polynomial the mod-p certificate leaves open, may load it
+    script = Path(__file__).resolve().parent / "pipeline_without_sympy.py"
+    proc = subprocess.run([sys.executable, str(script)], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_inseparable_roots_input_error(tmp_path):

@@ -8,9 +8,12 @@ from itertools import permutations
 
 import mpmath as mp
 import pytest
-from sympy import Poly, Symbol
+from sympy import QQ, ZZ, Poly, Symbol
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.rootisolation import dup_count_real_roots
 
 import betauto.numfield as nf
+from betauto.automata import _poly_mul
 from betauto.numfield import (
     _SLOP,
     EXPANDING,
@@ -36,6 +39,7 @@ from betauto.numfield import (
     poly_deg,
     poly_divides,
     poly_sign_at,
+    poly_sqf_part,
     poly_str,
     poly_trim,
 )
@@ -43,6 +47,7 @@ from betauto.numfield import (
 from betauto.cli import main
 from conftest import (
     FIXTURES,
+    buildable_fixture_names,
     load_context,
     random_algebraic_configs,
     random_palindromic_polys,
@@ -118,6 +123,49 @@ def test_unit_root_count_degree_one():
     assert _unit_root_count([-3, 1]) == 0
 
 
+def test_sturm_count_matches_sympy():
+    # with roots at the ends -2 and 2, and repeated roots: the count is of
+    # distinct roots in the closed interval
+    rng = random.Random(20261031)
+    at_ends = 0
+    for _ in range(2000):
+        q = [rng.randint(-6, 6) for _ in range(rng.randint(1, 6))] + [rng.choice((1, -1, 2, -3))]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            q = _poly_mul(q, [rng.choice((-2, 2, -1, 1, 0, rng.randint(-5, 5))), rng.choice((1, 1, 2))])
+        if rng.random() < 0.2:
+            q = _poly_mul(q, q)
+        at_ends += poly_sign_at(q, -2) * poly_sign_at(q, 2) == 0
+        assert nf._sturm_count(q, -2, 2) == dup_count_real_roots(q[::-1], ZZ, QQ(-2), QQ(2)), q
+    assert at_ends >= 300
+
+
+def test_irreducibility_certificate_never_certifies_a_product():
+    rng = random.Random(20261032)
+    products = 0
+    while products < 2000:
+        f = _poly_mul(*([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 4)]
+                        for _ in range(2)))
+        f = tuple(nf._primitive(f))
+        if len(poly_sqf_part(f)) == len(f):  # what _normalize_minpoly hands it
+            assert not nf._irreducible_mod_p(f), f
+            products += 1
+    # x^4 - 10x^2 + 1, irreducible, splits into factors of degree <= 2 modulo
+    # every prime: the certificate leaves it to factor_list
+    assert not nf._irreducible_mod_p((1, 0, -10, 0, 1))
+    assert len(dup_factor_list([1, 0, -10, 0, 1], ZZ)[1]) == 1
+
+
+def test_fixture_minimal_polynomials_are_certified():
+    # so no fixture reaches factor_list, whose sympy import would cost about
+    # 0.25 s inside a command
+    minpolys = {ctx.minpoly for ctx in map(load_context, buildable_fixture_names() + ["salem"])
+                if ctx.mode == "algebraic"}
+    minpolys = {c for c in minpolys if len(c) > 2}
+    assert len(minpolys) == 7
+    for c in minpolys:
+        assert nf._irreducible_mod_p(c), c
+
+
 def test_context_is_frozen():
     ctx = load_context("intro")
     with pytest.raises(FrozenInstanceError):
@@ -162,6 +210,21 @@ def test_context_errors():
         make_context([5], [0, 1])  # degree 0
     with pytest.raises(NumFieldError, match="reducible"):
         make_context([6, -5, 1], [0, 1, 3])  # (x-2)(x-3)
+    with pytest.raises(NotSquarefree, match="is not squarefree"):
+        make_context([1, 2, -1, -2, 1], [0, 1])  # (x^2-x-1)^2
+
+
+@pytest.mark.parametrize("minpoly, digits", [
+    ([-3.5, 1], [0, 1, 3]),  # int() made this base 3
+    ([-3, True], [0, 1]),
+    ([-3, 1], [0, 1.0]),
+    ([-3, 1], [False, 1]),
+    ([-3, 1], [[0], [1, 2.5]]),
+    ("transcendental", [[0], [0.5, 1]]),
+])
+def test_context_rejects_non_integer_coefficients(minpoly, digits):
+    with pytest.raises(NumFieldError, match="must be integers"):
+        make_context(minpoly, digits)
 
 
 def test_config_ingestion_errors():
@@ -410,6 +473,7 @@ def _mahler_reference(coeffs):
     [-1, -1, 0, 1],
     [-1, -1, -1, -1, 1],
     [-1, 1, -1, -1, 1],
+    [1, 0, -10, 0, 1],  # left to factor_list by the certificate
 ])
 def test_mahler_measure_matches_reference(minpoly):
     ctx = make_context(minpoly, [0, 1])
