@@ -12,7 +12,6 @@ most rho^k for the block's largest row sum rho.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from collections import deque
@@ -791,14 +790,15 @@ def perron_enclosure(cp) -> tuple[Fraction, Fraction]:
     By Perron-Frobenius the largest real root of such a polynomial is its
     spectral radius, which is >= 0, so only the positive roots of the
     squarefree part (``numfield.poly_sqf_part``, the polynomial sympy's
-    ``dup_sqf_part`` gives) are searched, and only the largest one is
-    isolated (``_largest_positive_root``) and refined (``_refine_root``).
-    These are in-repo too: they repeat the steps of sympy's
-    ``dup_inner_isolate_real_roots`` and ``dup_inner_refine_real_root``
-    (the LMQ lower bound, then the Moebius steps) on the same integers and
-    end on the same polynomial and Moebius map, so the enclosure, and the
-    ``lambda`` bytes written from it, are the ones sympy gives.  Their
-    Taylor shifts and bound run their inner loops at C level."""
+    ``dup_sqf_part`` gives) are searched: a right-first descent of the
+    isolation tree (``_largest_positive_root``) isolates the largest one
+    alone, and ``_refine_root`` refines it.  These are in-repo too: they
+    repeat the steps of sympy's ``dup_inner_isolate_real_roots`` and
+    ``dup_inner_refine_real_root`` (the LMQ lower bound, then the Moebius
+    steps) on the same integers and end on the same polynomial and Moebius
+    map, so the enclosure, and the ``lambda`` bytes written from it, are the
+    ones sympy gives.  Their Taylor shifts and bound run their inner loops
+    at C level."""
     # the root 0 goes before the squarefree part, which is primitive with a
     # positive leading coefficient, so f equals that part of cp less its x
     c = poly_trim(cp)
@@ -831,75 +831,65 @@ def _largest_positive_root(f):
     gives that root, or ``None`` when ``f`` has no positive root.
 
     sympy walks a tree of Moebius maps depth-first and isolates every
-    positive root.  Here each node takes the same steps (``_split``), but
-    the open nodes are expanded best-first by the upper end of their
-    intervals, and the search stops once no open node can outrank the best
-    root found: the one whose interval has the largest upper end, then the
-    largest lower end, so that an exact root beats an open interval that
-    ends at it.  A node's roots lie strictly inside its open interval, and
-    two nodes' intervals are nested or disjoint, so an open node whose upper
-    end is at most the best's holds no better root.  A root's (g, m) depends
-    only on its path in the tree, so it is the one sympy returns."""
+    positive root.  Here the same tree is walked right-first: each node is
+    split by sympy's steps (``_split``) into parts in increasing order of
+    their roots, and the last part is taken first.  Parts are disjoint, so
+    the first isolated or exact root met is the largest; a part whose
+    variations hold no root splits into parts with none, and the walk backs
+    up.  A root's (g, m) depends only on its path in the tree, so it is the
+    one sympy returns, and only that root is isolated (``_isolated``)."""
     k = _sign_variations(f)
-    if k < 2:
-        return _isolated(f, 1, 0, 0, 1) if k else None
-    best, key = None, (-1, -1)
-    heap, seq = [(-math.inf, 0, (1, 0, 0, 1), f, k)], count(1)
-    while heap and -heap[0][0] > key[0]:
-        _, _, m, f, k = heapq.heappop(heap)
-        leaves, nodes = _split(f, *m, k)
-        for g, mg in leaves:
-            lo, hi = _mobius_interval(mg)
-            if (hi, lo) > key:
-                best, key = (g, mg), (hi, lo)
-        for mn, g, kn in nodes:
-            a, b, c, d = mn
-            upper = max(Fraction(a, c), Fraction(b, d)) if c else math.inf
-            heapq.heappush(heap, (-upper, next(seq), mn, g, kn))
-    return best
+    stack = [(f, (1, 0, 0, 1), k)] if k else []
+    while stack:
+        g, m, k = stack.pop()
+        if k == 1:
+            return _isolated(g, *m)
+        if not k:
+            return g, m
+        stack += _split(g, *m, k)
+    return None
 
 
 def _split(f, a, b, c, d, k):
     """One pass of sympy's isolation loop over the node (a, b, c, d, f, k),
-    k >= 2 the sign variations of f: the roots it isolates, as (g, m), and
-    the nodes it leaves open, as (m, g, k).  Shift by the LMQ lower bound
-    A; an exact root where a shift lands on 0; split at 1 into (1, inf) and
-    (0, 1), whose counts are the sign variations of f(x + 1) and k less
-    those and the root at 1, recounted on the reversed shift when above 1;
-    a half with one variation holds one root, and one with none is left."""
-    leaves, nodes = [], []
+    k >= 2 the sign variations of f: its parts, as (g, m, k), in increasing
+    order of their roots.  Shift by the LMQ lower bound A; an exact root,
+    with k = 0, where a shift lands on 0; split at 1 into (0, 1) and
+    (1, inf), whose counts are k less the root at 1 and those of f(x + 1),
+    recounted on the reversed shift when above 1, and the sign variations
+    of f(x + 1).  A half with no variation holds no root and is dropped.
+    The parts are in the order of x; the node's map x -> (a x + b) /
+    (c x + d) reverses that order when it decreases, when a d < b c (the
+    shift keeps a d - b c)."""
+    parts = []
     e = _lmq_exponent(f)
     if e >= 0:
         f = _shift_pow2(f, e)
         b, d = (a << e) + b, (c << e) + d
         if not f[-1]:
-            leaves.append((f, (b, b, d, d)))
+            parts.append((f, (b, b, d, d), 0))
             f = f[:-1]
         k = _sign_variations(f)
-        if k < 2:
-            if k:
-                leaves.append(_isolated(f, a, b, c, d))
-            return leaves, nodes
-    f1 = _shift_one(f)
-    b1, d1 = a + b, c + d
-    if not f1[-1]:
-        leaves.append((f1, (b1, b1, d1, d1)))
-        f1 = f1[:-1]
-        k -= 1
-    k1 = _sign_variations(f1)
-    k2, f2 = k - k1, None
-    if k2 > 1:
-        f2 = _reverse_shift(f)
-        k2 = _sign_variations(f2)
-    for g, m, kg in ((f1, (a, b1, c, d1), k1), (f2, (b, b1, d, d1), k2)):
-        if kg:
-            if g is None:
-                g = _reverse_shift(f)
-            if kg == 1:
-                leaves.append(_isolated(g, *m))
-            else:
-                nodes.append((m, g, kg))
-    return leaves, nodes
+    if k == 1:
+        parts.append((f, (a, b, c, d), 1))
+    elif k:
+        f1 = _shift_one(f)
+        b1, d1 = a + b, c + d
+        at_one = []
+        if not f1[-1]:
+            at_one, f1, k = [(f1, (b1, b1, d1, d1), 0)], f1[:-1], k - 1
+        k1 = _sign_variations(f1)
+        k2 = k - k1
+        if k2:
+            f2 = _reverse_shift(f)
+            if k2 > 1:
+                k2 = _sign_variations(f2)
+            if k2:
+                parts.append((f2, (b, b1, d, d1), k2))
+        parts += at_one
+        if k1:
+            parts.append((f1, (a, b1, c, d1), k1))
+    return parts[::-1] if a * d < b * c else parts
 
 
 def _isolated(f, a, b, c, d):
@@ -1073,12 +1063,18 @@ def to_json(a: Automaton) -> dict:
 
 
 def from_json(doc: dict) -> Automaton:
+    """Inverse of ``to_json``.  Every index must be an int (not a bool) and
+    every letter index one of the alphabet's, or ``ValueError``."""
     try:
         alphabet = tuple(_letter_from_str(s) for s in doc["alphabet"])
         labels = [s["label"] for s in doc["states"]]
-        transitions = [(p, alphabet[i], q) for (p, i, q) in doc["transitions"]]
-        return Automaton(alphabet, len(labels), transitions,
-                         doc["initials"], doc["finals"], labels)
+        rows, initials, finals = doc["transitions"], doc["initials"], doc["finals"]
+        if any(type(x) is not int for x in chain(initials, finals, *rows)):
+            raise TypeError("an index is not an integer")
+        if not all(0 <= i < len(alphabet) for _, i, _ in rows):
+            raise IndexError("a letter index is out of range")
+        transitions = [(p, alphabet[i], q) for (p, i, q) in rows]
+        return Automaton(alphabet, len(labels), transitions, initials, finals, labels)
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"malformed automaton document: {e}") from e
 

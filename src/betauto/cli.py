@@ -247,23 +247,13 @@ def cmd_equiv(args) -> int:
 
 
 def _kenyon_params(ctx: BetaContext):
-    """(p, q) when the context is base 3 with constant digits {0, p, q},
-    0 < p < q coprime; None otherwise."""
-    if ctx.mode != "algebraic" or ctx.minpoly != (-3, 1) or ctx.inverted:
+    """(p, q) when the context is base 3 with digits {0, p, q}, p and q
+    coprime; None otherwise.  Base 3 has degree 1, so every digit is an
+    integer, and digits are distinct, so a least digit 0 gives 0 < p < q."""
+    if ctx.minpoly != (-3, 1) or ctx.inverted or len(ctx.digits) != 3:
         return None
-    vals = []
-    for d in ctx.digits:
-        c = d.coeffs
-        if any(x != 0 for x in c[1:]):
-            return None
-        vals.append(c[0])
-    vals.sort()
-    if len(vals) != 3 or vals[0] != 0:
-        return None
-    p, q = vals[1], vals[2]
-    if 0 < p < q and math.gcd(p, q) == 1:
-        return p, q
-    return None
+    zero, p, q = sorted(d.coeffs[0] for d in ctx.digits)
+    return (p, q) if zero == 0 and math.gcd(p, q) == 1 else None
 
 
 def cmd_free(args) -> int:

@@ -883,6 +883,20 @@ def test_largest_positive_root_matches_sympy(refinement_char_polys):
     assert len(polys) >= 850 and exact >= 200, (len(polys), exact)
 
 
+def test_largest_positive_root_isolates_one_root(refinement_char_polys, monkeypatch):
+    # the descent isolates the root it returns and no other one
+    isolate, calls = au._isolated, []
+    monkeypatch.setattr(au, "_isolated", lambda *a: calls.append(a) or isolate(*a))
+    descents = 0
+    for cp in refinement_char_polys:
+        f = [int(c) for c in _squarefree_part(cp)]
+        calls.clear()
+        au._largest_positive_root(f)
+        assert len(calls) <= 1, (cp, len(calls))
+        descents += au._sign_variations(f) >= 2
+    assert descents >= 50, descents
+
+
 # --- serialization -----------------------------------------------------------
 
 
@@ -902,6 +916,21 @@ def test_from_json_malformed():
     with pytest.raises(ValueError):
         au.from_json({"alphabet": ["a"], "states": [{"label": "0"}],
                       "initials": [0], "finals": [], "transitions": [[0, 5, 0]]})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("transitions", [[0, -1, 1]]),  # wrapped round to the last letter
+    ("transitions", [[0, True, 1]]),  # read as letter 1
+    ("transitions", [[True, 0, 1]]),  # read as state 1
+    ("transitions", [[0.0, 0, 1]]),  # delta() failed on it later
+    ("initials", [True]), ("finals", [1.0]),
+])
+def test_from_json_refuses_malformed_indices(field, value):
+    doc = {"alphabet": ["a", "b"], "states": [{"label": "0"}, {"label": "1"}],
+           "initials": [0], "finals": [1], "transitions": [[0, 1, 1]]}
+    assert au.from_json(doc).transitions == {(0, "b", 1)}
+    with pytest.raises(ValueError, match="^malformed automaton document: "):
+        au.from_json(dict(doc, **{field: value}))
 
 
 def test_to_dot():

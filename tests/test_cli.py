@@ -466,6 +466,10 @@ def test_verify_words(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "--config", cfg("intro"),
                      "--out", tmp_path, "10", "033")
     assert code == 1
+    for words in ((), ("10",)):
+        code, out, err = run(capsys, "verify", "--config", cfg("intro"),
+                             "--out", tmp_path, *words)
+        assert (code, out, err) == (1, "", "error: verify needs two words or --identity FILE\n")
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):
@@ -616,6 +620,30 @@ def test_free_salem_inconclusive(tmp_path, capsys):
     assert doc["status"] == "blocked"
 
 
+BASE3 = {"beta": {"minpoly": [-3, 1]}}
+
+
+@pytest.mark.parametrize("config, verdict", [
+    ("transc_1_over_X", "non-free (relation-automaton)"),
+    ({**BASE3, "digits": [0, 2, 4]}, "free (relation-automaton)"),  # gcd(2, 4) = 2
+    ({**BASE3, "digits": [0, 1, 2, 4]}, "non-free (relation-automaton)"),
+    ({**BASE3, "digits": [1, 2, 4]}, "non-free (relation-automaton)"),  # no digit 0
+    ({**BASE3, "digits": [-1, 0, 2]}, "non-free (relation-automaton)"),
+    ({"beta": {"minpoly": [1, -3]}, "digits": [0, 1, 2]}, "free (relation-automaton)"),
+    ({"beta": {"minpoly": [3, -1]}, "digits": [2, 0, 1]}, "free (kenyon:free)"),
+])
+def test_free_applies_kenyon_only_to_base_3_digits_0_p_q(tmp_path, capsys, config, verdict):
+    # Kenyon's criterion needs base 3 (not 1/3) and digits {0, p, q} with p
+    # and q coprime; the other contexts fall through to the relation automaton
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = cfg(config)
+    code, out, _ = run(capsys, "free", "--config", path, "--out", tmp_path)
+    assert (code, out) == (0, verdict + "\n")
+
+
 # --- oracle ----------------------------------------------------------------------
 
 
@@ -685,6 +713,15 @@ def test_missing_config(tmp_path, capsys):
     code, _, err = run(capsys, "relations", "--config",
                        tmp_path / "nope.json", "--out", tmp_path)
     assert code == 1 and "error" in err
+
+
+def test_config_that_is_not_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"beta": ')
+    code, out, err = run(capsys, "structure", "--config", bad, "--out", tmp_path / "out")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: config is not valid JSON: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config(tmp_path, capsys):
