@@ -388,6 +388,30 @@ def test_growth_files_pinned(tmp_path):
     assert digest.hexdigest() == GROWTH_FILES_DIGEST
 
 
+# SHA-256 of relations.json then relations.dot of every buildable fixture,
+# each followed by mult_<g>.json then mult_<g>.dot for every digit g, lex then
+# revlex, as ``structure`` names and writes them.
+STRUCTURE_FILES_DIGEST = "5242375cc8ae37d03fba56406ddbb7c79e3f2252fa882e76f18e5b20c10b402d"
+
+
+def test_relation_and_multiplier_files_pinned(tmp_path):
+    digest, written = hashlib.sha256(), {"relations": 0, "mult": 0}
+    for name in buildable_fixture_names():
+        rel = build_relation_automaton(load_context(name), force=True)
+        automata = [("relations", rel.automaton)]
+        for order in ("lex", "revlex"):
+            reduced = build_reduced_automaton(rel, order)
+            automata += [(f"mult_{g}", build_multiplier(rel, reduced, g))
+                         for g in rel.context.digit_names]
+        for stem, a in automata:
+            cli._write_automaton(tmp_path, stem, a)
+            digest.update((tmp_path / f"{stem}.json").read_bytes())
+            digest.update((tmp_path / f"{stem}.dot").read_bytes())
+            written[stem.split("_")[0]] += 1
+    assert written == {"relations": 62, "mult": 360}
+    assert digest.hexdigest() == STRUCTURE_FILES_DIGEST
+
+
 # --- automaton writer ---------------------------------------------------------------
 
 
