@@ -12,6 +12,7 @@ from .automata import (
     dominant_eigenvalue,
     equivalent,
     from_json,
+    from_transitions,
     intersect,
     is_codeterministic,
     lex_pair_automaton,

@@ -16,7 +16,7 @@ import math
 import re
 from collections import deque
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, and_, itemgetter, mul, ne, or_, rshift
 from typing import Iterable, NamedTuple
@@ -54,56 +54,45 @@ def pair_alphabet(left: tuple, right: tuple | None = None) -> tuple:
 
 
 class Automaton:
-    """(alphabet, states, transitions, initials, finals) with opaque letters."""
+    """An automaton over opaque letters, stored as its transition rows:
+    ``rows[p][i]`` is what state p reads on ``alphabet[i]``.  In DFA form a
+    cell is the target or -1; in NFA form it is the tuple of targets in
+    ascending order, empty when there is no edge.  The cells' type tells the
+    form (an empty alphabet or no states count as DFA form).
 
-    def __init__(self, alphabet, n_states, transitions, initials, finals, labels=None):
+    Every construction builds its rows directly and is trusted; automata
+    from outside come through ``from_transitions``, the one place that
+    validates edges."""
+
+    def __init__(self, alphabet, rows, initials, finals, labels=None):
         self.alphabet = tuple(alphabet)
-        self.n_states = n_states
-        self.transitions = frozenset(transitions)
+        self.n_states = len(rows)
         self.initials = frozenset(initials)
         self.finals = frozenset(finals)
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n_states))
+        self.labels = tuple(labels) if labels is not None else tuple(map(str, range(len(rows))))
         self._letter_index = {x: i for i, x in enumerate(self.alphabet)}
-        if len(self._letter_index) != len(self.alphabet):
-            raise ValueError("alphabet has a repeated letter")
-        for (p, a, q) in self.transitions:
-            if not (0 <= p < n_states and 0 <= q < n_states):
-                raise ValueError("transition endpoint out of range")
-            if a not in self._letter_index:
-                raise ValueError(f"transition letter {a!r} is not in the alphabet")
-        if not (self.initials <= set(range(n_states)) and self.finals <= set(range(n_states))):
-            raise ValueError("initial/final state out of range")
-        self._delta = self._ddelta = None
+        self._rows = rows
+        self._dfa = not (rows and rows[0] and type(rows[0][0]) is tuple)
+        self._delta, self._ddelta = (None, rows) if self._dfa else (rows, None)
         self._pair_tables = {}  # relation automaton -> pair_tables(self, it)
 
     def delta(self) -> list:
-        """Transition table, built once and shared (callers must not mutate
-        it): ``delta()[p][i]`` is the set of targets of state p on
-        ``alphabet[i]``, or None."""
+        """The rows in NFA form, shared (callers must not mutate them):
+        ``delta()[p][i]`` is the ascending tuple of targets of state p on
+        ``alphabet[i]``.  For a DFA they are derived once and kept."""
         if self._delta is None:
-            table = [[None] * len(self.alphabet) for _ in range(self.n_states)]
-            for (p, x, q) in self.transitions:
-                row, i = table[p], self._letter_index[x]
-                if row[i] is None:
-                    row[i] = {q}
-                else:
-                    row[i].add(q)
-            self._delta = table
+            self._delta = list(_nfa_rows(self))
         return self._delta
 
     def ddelta(self) -> list:
-        """Deterministic transition table, built once from the transitions and
-        shared: ``ddelta()[p][i]`` is the target of state p on
-        ``alphabet[i]``, or -1; ``ValueError`` when a state has two targets on
-        one letter."""
+        """The rows in DFA form, shared: ``ddelta()[p][i]`` is the target of
+        state p on ``alphabet[i]``, or -1.  For an NFA they are derived once
+        and kept; ``ValueError`` when a state has two targets on one
+        letter."""
         if self._ddelta is None:
-            table = [[-1] * len(self.alphabet) for _ in range(self.n_states)]
-            for (p, x, q) in self.transitions:
-                row, i = table[p], self._letter_index[x]
-                if row[i] >= 0:
-                    raise ValueError("automaton is not deterministic")
-                row[i] = q
-            self._ddelta = table
+            if any(len(cell) > 1 for row in self._rows for cell in row):
+                raise ValueError("automaton is not deterministic")
+            self._ddelta = [[cell[0] if cell else -1 for cell in row] for row in self._rows]
         return self._ddelta
 
     @property
@@ -116,9 +105,62 @@ class Automaton:
             return False
         return True
 
+    @cached_property
+    def transitions(self) -> frozenset:
+        """The (p, letter, q) triples, derived from the rows on first read,
+        for comparing automata in tests; no construction reads them."""
+        return frozenset((p, self.alphabet[i], q) for p, i, q in _edges(self))
+
     def __repr__(self):
         return (f"Automaton({self.n_states} states, {len(self.alphabet)} letters, "
-                f"{len(self.transitions)} transitions)")
+                f"{sum(1 for _ in _edges(self))} transitions)")
+
+
+def _nfa_rows(a: Automaton):
+    """The rows of ``a`` in NFA form; a DFA's are derived row by row and not
+    kept."""
+    if not a._dfa:
+        return a._rows
+    cells = [(q,) for q in range(a.n_states)] + [()]  # cells[-1]: no edge
+    return (list(map(cells.__getitem__, row)) for row in a._rows)
+
+
+def _edges(a: Automaton):
+    """(p, i, q) for every edge p -> q on ``alphabet[i]``: the rows read in
+    order, so ascending in p, then i, then q."""
+    return ((p, i, q) for p, row in enumerate(_nfa_rows(a))
+            for i, cell in enumerate(row) for q in cell)
+
+
+def _successors(a: Automaton) -> list:
+    """``succ[p]``: the target of every edge out of p, in letter order, once
+    per edge."""
+    return [list(chain.from_iterable(row)) for row in _nfa_rows(a)]
+
+
+def from_transitions(alphabet, n_states: int, transitions, initials, finals,
+                     labels=None) -> Automaton:
+    """The automaton of n_states states with these (p, letter, q) triples, in
+    NFA form.  This is the entry for automata from outside (``from_json``,
+    hand-written ones), so it checks what constructions need not:
+    ``ValueError`` on a repeated letter, a letter outside the alphabet, or
+    an edge end, initial or final state out of range."""
+    alphabet = tuple(alphabet)
+    index = {x: i for i, x in enumerate(alphabet)}
+    if len(index) != len(alphabet):
+        raise ValueError("alphabet has a repeated letter")
+    cells = [[set() for _ in alphabet] for _ in range(n_states)]
+    for (p, x, q) in transitions:
+        if not (0 <= p < n_states and 0 <= q < n_states):
+            raise ValueError("transition endpoint out of range")
+        if x not in index:
+            raise ValueError(f"transition letter {x!r} is not in the alphabet")
+        cells[p][index[x]].add(q)
+    initials, finals = set(initials), set(finals)
+    if not set(range(n_states)).issuperset(initials | finals):
+        raise ValueError("initial/final state out of range")
+    return Automaton(alphabet, [[tuple(sorted(c)) for c in row] for row in cells],
+                     initials, finals, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +168,10 @@ class Automaton:
 
 
 def transpose(a: Automaton) -> Automaton:
-    return Automaton(a.alphabet, a.n_states,
-                     [(q, x, p) for (p, x, q) in a.transitions],
+    rows = [[[] for _ in a.alphabet] for _ in range(a.n_states)]
+    for p, i, q in _edges(a):
+        rows[q][i].append(p)
+    return Automaton(a.alphabet, [list(map(tuple, row)) for row in rows],
                      a.finals, a.initials, a.labels)
 
 
@@ -145,23 +189,28 @@ def reach(sources, adj) -> set:
 
 
 def trim(a: Automaton) -> Automaton:
-    """Restrict to states on some path from an initial to a final state;
-    ``a`` itself when every state is kept."""
-    fwd = [[] for _ in range(a.n_states)]
-    bwd = [[] for _ in range(a.n_states)]
-    for (p, _, q) in a.transitions:
-        fwd[p].append(q)
-        bwd[q].append(p)
+    """Restrict to states on some path from an initial to a final state, in
+    the rows' form; ``a`` itself when every state is kept."""
+    fwd = _successors(a)
+    bwd = [[] for _ in fwd]
+    for p, succ in enumerate(fwd):
+        for q in succ:
+            bwd[q].append(p)
     keep = sorted(reach(a.initials, fwd) & reach(a.finals, bwd))
     if len(keep) == a.n_states:
         return a
-    idx = {s: i for i, s in enumerate(keep)}
-    return Automaton(
-        a.alphabet, len(keep),
-        [(idx[p], x, idx[q]) for (p, x, q) in a.transitions if p in idx and q in idx],
-        [idx[s] for s in a.initials if s in idx],
-        [idx[s] for s in a.finals if s in idx],
-        [a.labels[s] for s in keep])
+    idx = [-1] * (a.n_states + 1)  # idx[-1] maps -1 to -1
+    for i, s in enumerate(keep):
+        idx[s] = i
+    if a._dfa:
+        rows = [list(map(idx.__getitem__, a._rows[p])) for p in keep]
+    else:
+        rows = [[tuple(j for q in cell if (j := idx[q]) >= 0) for cell in a._rows[p]]
+                for p in keep]
+    return Automaton(a.alphabet, rows,
+                     [idx[s] for s in a.initials if idx[s] >= 0],
+                     [idx[s] for s in a.finals if idx[s] >= 0],
+                     [a.labels[s] for s in keep])
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -173,8 +222,8 @@ def _members(x: int):
 
 
 def _mask(states) -> int:
-    """The bitset of an iterable of state indices (None: the empty set)."""
-    return sum(1 << q for q in states or ())
+    """The bitset of an iterable of state indices."""
+    return sum(1 << q for q in states)
 
 
 def _simulation(a: Automaton) -> list[int]:
@@ -198,8 +247,8 @@ def _simulation(a: Automaton) -> list[int]:
     # pred[i][q]: the states with a step into q on letter i
     pred = [[0] * n for _ in a.alphabet]
     into = [set() for _ in range(n)]
-    for (p, x, q) in a.transitions:
-        pred[a._letter_index[x]][q] |= 1 << p
+    for p, i, q in _edges(a):
+        pred[i][q] |= 1 << p
         into[q].add(p)
     reads = [_mask(p for p in range(n) if d[p][i]) for i in range(len(a.alphabet))]
     out = [[(i, q) for i, cell in enumerate(row) if cell for q in cell] for row in d]
@@ -258,7 +307,7 @@ def determinize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     in 110-160 ms (2-vCPU x86-64, CPython 3.11).  Raises ``CapExceeded``
     when it would make more than ``max_states`` pruned subsets."""
     if not a.initials:
-        return Automaton(a.alphabet, 0, [], [], [])
+        return Automaton(a.alphabet, [], [], [])
     up = _simulation(a)
     # covered[q]: the states that q prunes from a subset holding both
     covered = [0] * a.n_states
@@ -275,11 +324,12 @@ def determinize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     start = prune(_mask(a.initials))
     order = {start: 0}
     subsets = [start]
-    transitions = []
+    rows = []
     head = 0
     while head < len(subsets):
         s = list(_members(subsets[head]))
-        for x, col in zip(a.alphabet, cols):
+        row = [-1] * len(cols)
+        for i, col in enumerate(cols):
             t = reduce(or_, map(col.__getitem__, s), 0)
             if not t:
                 continue
@@ -295,7 +345,8 @@ def determinize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
                          "input_states": a.n_states})
                 order[t] = j
                 subsets.append(t)
-            transitions.append((head, x, j))
+            row[i] = j
+        rows.append(row)
         head += 1
     fin = _mask(a.finals)
     finals = [i for i, s in enumerate(subsets) if s & fin]
@@ -304,7 +355,7 @@ def determinize(a: Automaton, max_states: int = 1_000_000) -> Automaton:
         s = list(_members(s))
         labels.append("{" + ",".join(sorted(a.labels[q] for q in s)) + "}"
                       if len(s) <= 6 else f"#{i}")
-    return Automaton(a.alphabet, len(subsets), transitions, [0], finals, labels)
+    return Automaton(a.alphabet, rows, [0], finals, labels)
 
 
 def _minimal(alphabet, d, final, init: int, label) -> Automaton:
@@ -347,7 +398,7 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
         idx[p] = i
     init = idx[init]
     if init < 0:
-        return Automaton(alphabet, 0, [], [], [])
+        return Automaton(alphabet, [], [], [])
     d = [list(map(idx.__getitem__, d[p])) for p in keep]
     final = [final[p] for p in keep]
     del idx
@@ -382,17 +433,19 @@ def _minimal(alphabet, d, final, init: int, label) -> Automaton:
     # every class is reached from the initial one
     reps = [rep[init]]
     order = {reps[0]: 0}
-    transitions = []
-    for i, c in enumerate(reps):
-        for x, q in zip(alphabet, d[c]):
+    rows = []
+    for c in reps:
+        row = []
+        for q in d[c]:
             if q >= 0:
                 t = rep[q]
-                j = order.get(t)
-                if j is None:
-                    j = order[t] = len(reps)
+                q = order.get(t)
+                if q is None:
+                    q = order[t] = len(reps)
                     reps.append(t)
-                transitions.append((i, x, j))
-    return Automaton(alphabet, len(reps), transitions, [0],
+            row.append(q)
+        rows.append(row)
+    return Automaton(alphabet, rows, [0],
                      [i for i, c in enumerate(reps) if final[c]],
                      [label(keep[c]) for c in reps])
 
@@ -449,7 +502,7 @@ def complement(a: Automaton, max_states: int = 1_000_000) -> Automaton:
     d = _dfa(a, max_states)
     sink = d.n_states
     if sink == 0:
-        return Automaton(a.alphabet, 1, [(0, x, 0) for x in a.alphabet], [0], [0], ["all"])
+        return Automaton(a.alphabet, [[0] * len(a.alphabet)], [0], [0], ["all"])
     table = [[sink if q < 0 else q for q in row] for row in d.ddelta()]
     table.append([sink] * len(d.alphabet))
     return _minimal(d.alphabet, table, [s not in d.finals for s in range(sink + 1)],
@@ -464,29 +517,25 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     starts = [(p, q) for p in a.initials for q in b.initials]
     order = {s: i for i, s in enumerate(starts)}
     queue = list(starts)
-    transitions = []
-    head = 0
-    while head < len(queue):
-        (p, q) = s = queue[head]
-        head += 1
+    rows = []
+    for (p, q) in queue:
         row_b = db[q]
-        for x, cell_a, j in zip(a.alphabet, da[p], cols):
+        row = []
+        for cell_a, j in zip(da[p], cols):
             cell_b = row_b[j]
-            if not (cell_a and cell_b):
-                continue
+            targets = []
             for p2 in cell_a:
                 for q2 in cell_b:
                     t = (p2, q2)
                     if t not in order:
                         order[t] = len(order)
                         queue.append(t)
-                    transitions.append((order[s], x, order[t]))
+                    targets.append(order[t])
+            row.append(tuple(sorted(targets)))
+        rows.append(row)
     finals = [i for (p, q), i in order.items() if p in a.finals and q in b.finals]
-    labels = [None] * len(order)
-    for (p, q), i in order.items():
-        labels[i] = f"{a.labels[p]}|{b.labels[q]}"
-    return Automaton(a.alphabet, len(order), transitions,
-                     [order[s] for s in starts], finals, labels)
+    labels = [f"{a.labels[p]}|{b.labels[q]}" for (p, q) in queue]
+    return Automaton(a.alphabet, rows, range(len(starts)), finals, labels)
 
 
 def product(a: Automaton, b: Automaton) -> Automaton:
@@ -497,33 +546,33 @@ def product(a: Automaton, b: Automaton) -> Automaton:
     starts = [(p, q) for p in a.initials for q in b.initials]
     order = {s: i for i, s in enumerate(starts)}
     queue = list(starts)
-    transitions = []
-    head = 0
-    while head < len(queue):
-        (p, q) = s = queue[head]
-        head += 1
+    rows = []
+    for (p, q) in queue:
+        row = [[] for _ in alphabet]
         for i, cell_a in enumerate(da[p]):
-            for p2 in cell_a or ():
+            for p2 in cell_a:
                 for j, cell_b in enumerate(db[q]):
-                    for q2 in cell_b or ():
+                    for q2 in cell_b:
                         t = (p2, q2)
                         if t not in order:
                             order[t] = len(order)
                             queue.append(t)
-                        transitions.append((order[s], alphabet[i * k + j], order[t]))
+                        row[i * k + j].append(order[t])
+        rows.append([tuple(sorted(cell)) for cell in row])
     finals = [i for (p, q), i in order.items() if p in a.finals and q in b.finals]
-    return Automaton(alphabet, len(order), transitions,
-                     [order[s] for s in starts], finals)
+    return Automaton(alphabet, rows, range(len(starts)), finals)
 
 
 def append_letter(a: Automaton, letter) -> Automaton:
     """Automaton for L(a) concatenated with the single letter."""
-    if letter not in a.alphabet:
+    if letter not in a._letter_index:
         raise AlphabetMismatch(f"letter {letter!r} not in alphabet")
-    f = a.n_states
-    transitions = list(a.transitions) + [(q, letter, f) for q in a.finals]
-    return Automaton(a.alphabet, f + 1, transitions, a.initials, [f],
-                     list(a.labels) + ["+"])
+    f, i = a.n_states, a._letter_index[letter]
+    rows = [list(row) for row in a.delta()]
+    for q in a.finals:
+        rows[q][i] += (f,)  # f is above every target
+    rows.append([()] * len(a.alphabet))
+    return Automaton(a.alphabet, rows, a.initials, [f], list(a.labels) + ["+"])
 
 
 def pair_tables(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
@@ -553,17 +602,20 @@ def _pair_search(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
         raise ValueError(
             f"relation letters {rel.alphabet!r} are not the pairs of {a.alphabet!r}")
     n, k = a.n_states, len(a.alphabet)
+    rd = rel.ddelta()
     out = [[(*divmod(i, k), i, r2 * n, r2 in rel.finals) for i, r2 in enumerate(row) if r2 >= 0]
-           for row in rel.ddelta()]
+           for row in rd]
     # rel_in[r2] holds (c, r) for the relation edges r -> r2 whose letter has
     # the letter of index c of ``a`` on the right
-    rel_in = [set() for _ in range(rel.n_states)]
-    for (r, xy, r2) in rel.transitions:
-        rel_in[r2].add((a._letter_index[xy[1]], r))
+    rel_in = [set() for _ in rd]
+    for r, row in enumerate(rd):
+        for i, r2 in enumerate(row):
+            if r2 >= 0:
+                rel_in[r2].add((i % k, r))
     # pred[q][c] lists the states of ``a`` with an edge to q on letter c
     pred = [[[] for _ in a.alphabet] for _ in range(n)]
-    for (p, x, q) in a.transitions:
-        pred[q][a._letter_index[x]].append(p)
+    for p, c, q in _edges(a):
+        pred[q][c].append(p)
     live = bytearray(rel.n_states * n)
     stack = [r * n + p for r in rel.finals for p in a.finals]
     for s in stack:
@@ -582,17 +634,29 @@ def _pair_search(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
 
 def project(a: Automaton, side: int, alphabet=None) -> Automaton:
     """Component projection of a pair-letter automaton: each letter (x, y)
-    becomes x (side 1) or y (side 2)."""
+    becomes x (side 1) or y (side 2).  The default alphabet is the
+    components of the letters with an edge, ordered by their ``str``."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    transitions = set()
-    for (p, x, q) in a.transitions:
-        if not isinstance(x, tuple) or len(x) != 2:
-            raise AlphabetMismatch("project needs a pair alphabet")
-        transitions.add((p, x[side - 1], q))
+    if not all(isinstance(x, tuple) and len(x) == 2 for x in a.alphabet):
+        raise AlphabetMismatch("project needs a pair alphabet")
+    comps = [x[side - 1] for x in a.alphabet]
+    d = a.delta()
+    used = {c for c, col in zip(comps, zip(*d)) if any(col)}
     if alphabet is None:
-        alphabet = tuple(sorted({c for (_, c, _) in transitions}, key=str))
-    return Automaton(alphabet, a.n_states, transitions, a.initials, a.finals, a.labels)
+        alphabet = sorted(used, key=str)
+    index = {x: i for i, x in enumerate(alphabet)}
+    if not used <= index.keys():
+        raise AlphabetMismatch(f"letters {used - index.keys()!r} are not in the alphabet")
+    cols = [index.get(c) for c in comps]
+    rows = []
+    for row in d:
+        cells = [set() for _ in alphabet]
+        for j, cell in zip(cols, row):
+            if cell:
+                cells[j].update(cell)
+        rows.append([tuple(sorted(c)) for c in cells])
+    return Automaton(alphabet, rows, a.initials, a.finals, a.labels)
 
 
 def lex_pair_automaton(alphabet: Iterable) -> Automaton:
@@ -602,15 +666,9 @@ def lex_pair_automaton(alphabet: Iterable) -> Automaton:
     which reads every pair, and a first pair x > y has no edge: no word that
     starts with it is accepted."""
     sigma = tuple(alphabet)
-    rank = {x: i for i, x in enumerate(sigma)}
-    pairs = pair_alphabet(sigma)
-    transitions = []
-    for xy in pairs:
-        rx, ry = rank[xy.left], rank[xy.right]
-        if rx <= ry:
-            transitions.append((0, xy, 0 if rx == ry else 1))
-        transitions.append((1, xy, 1))
-    return Automaton(pairs, 2, transitions, [0], [1], ["=", "<"])
+    k = len(sigma)
+    first = [0 if x == y else 1 if x < y else -1 for x in range(k) for y in range(k)]
+    return Automaton(pair_alphabet(sigma), [first, [1] * (k * k)], [0], [1], ["=", "<"])
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +680,7 @@ def accepts(a: Automaton, word: Iterable) -> bool:
     cur = set(a.initials)
     for x in word:
         i = a._letter_index.get(x)
-        cur = set().union(*(d[p][i] or () for p in cur)) if i is not None else ()
+        cur = set().union(*(d[p][i] for p in cur)) if i is not None else ()
         if not cur:
             return False
     return bool(cur & a.finals)
@@ -630,8 +688,9 @@ def accepts(a: Automaton, word: Iterable) -> bool:
 
 def adjacency(a: Automaton) -> list[list[int]]:
     m = [[0] * a.n_states for _ in range(a.n_states)]
-    for (p, _, q) in a.transitions:
-        m[p][q] += 1
+    for p, succ in enumerate(_successors(a)):
+        for q in succ:
+            m[p][q] += 1
     return m
 
 
@@ -673,9 +732,7 @@ def char_poly(a: Automaton, max_words: int | None = None) -> tuple[int, ...]:
     The b packed rows of b slots take b * b * width bits.  Past ``max_words``
     64-bit words for one block it raises ``CapExceeded``, before any block
     is computed."""
-    succ = [[] for _ in range(a.n_states)]
-    for (p, _, q) in a.transitions:
-        succ[p].append(q)
+    succ = _successors(a)
     blocks, zeros = [], 0
     for block in _components(succ):
         if len(block) == 1 and block[0] not in succ[block[0]]:
@@ -1031,14 +1088,23 @@ def is_codeterministic(a: Automaton) -> bool:
 
 
 def equivalent(a: Automaton, b: Automaton) -> bool:
-    """Language equality via identity of canonical minimal forms.  The
-    canonical numbering follows the alphabet order, so when both alphabets
-    hold the same letters ``b`` is read in ``a``'s order."""
-    if b.alphabet != a.alphabet and set(b.alphabet) == set(a.alphabet):
-        b = Automaton(a.alphabet, b.n_states, b.transitions, b.initials, b.finals)
-    ma, mb = minimize(a), minimize(b)
-    return (ma.n_states == mb.n_states and ma.initials == mb.initials
-            and ma.finals == mb.finals and ma.transitions == mb.transitions)
+    """Language equality via identity of canonical minimal forms, compared
+    row by row.  The canonical numbering follows the alphabet order, so both
+    are read over ``a``'s letters followed by the letters only ``b`` has."""
+    letters = a.alphabet + tuple(x for x in b.alphabet if x not in a._letter_index)
+    ma, mb = (minimize(_over(x, letters)) for x in (a, b))
+    return (ma.initials, ma.finals, ma.ddelta()) == (mb.initials, mb.finals, mb.ddelta())
+
+
+def _over(a: Automaton, alphabet: tuple) -> Automaton:
+    """``a`` read over ``alphabet``, which holds its letters, in any order:
+    its columns permuted, a new letter's column without edges."""
+    if alphabet == a.alphabet:
+        return a
+    cols = [a._letter_index.get(x) for x in alphabet]
+    none = -1 if a._dfa else ()
+    return Automaton(alphabet, [[none if j is None else row[j] for j in cols] for row in a._rows],
+                     a.initials, a.finals, a.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,30 +1118,41 @@ def _letter_from_str(s: str):
 
 
 def to_json(a: Automaton) -> dict:
+    """The document ``from_json`` reads.  ``transitions`` lists [p, i, q],
+    i the letter's index in the alphabet, read off the rows in order: states
+    ascending, then letters in alphabet order, then (NFA rows) targets
+    ascending.  That is ascending (p, i, q) order, the order in which the
+    triples were sorted when an automaton was stored as a triple set, so
+    the bytes are the same without a sort."""
     return {
         "alphabet": [str(x) for x in a.alphabet],
         "states": [{"label": lbl} for lbl in a.labels],
         "initials": sorted(a.initials),
         "finals": sorted(a.finals),
-        "transitions": sorted(
-            [p, a._letter_index[x], q] for (p, x, q) in a.transitions),
+        "transitions": [[p, i, q] for p, i, q in _edges(a)],
     }
 
 
 def from_json(doc: dict) -> Automaton:
-    """Inverse of ``to_json``.  Every index must be an int (not a bool) and
-    every letter index one of the alphabet's, or ``ValueError``."""
+    """Inverse of ``to_json``, through ``from_transitions``.  Every letter and
+    label must be a str, every index an int (not a bool), every transition
+    a [p, i, q] row with i one of the alphabet's indices, and the letters
+    distinct, or ``ValueError("malformed automaton document: ...")``."""
     try:
-        alphabet = tuple(_letter_from_str(s) for s in doc["alphabet"])
+        names = doc["alphabet"]
         labels = [s["label"] for s in doc["states"]]
         rows, initials, finals = doc["transitions"], doc["initials"], doc["finals"]
+        if any(type(x) is not str for x in chain(names, labels)):
+            raise TypeError("a letter or label is not a string")
         if any(type(x) is not int for x in chain(initials, finals, *rows)):
             raise TypeError("an index is not an integer")
+        alphabet = tuple(map(_letter_from_str, names))
         if not all(0 <= i < len(alphabet) for _, i, _ in rows):
             raise IndexError("a letter index is out of range")
-        transitions = [(p, alphabet[i], q) for (p, i, q) in rows]
-        return Automaton(alphabet, len(labels), transitions, initials, finals, labels)
-    except (KeyError, TypeError, IndexError) as e:
+        return from_transitions(alphabet, len(labels),
+                                [(p, alphabet[i], q) for (p, i, q) in rows],
+                                initials, finals, labels)
+    except (KeyError, TypeError, IndexError, ValueError) as e:
         raise ValueError(f"malformed automaton document: {e}") from e
 
 
@@ -1084,7 +1161,9 @@ _DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 def to_dot(a: Automaton, name: str = "A") -> str:
     """DOT output; initial states bold, final states doubled, one edge per
-    state pair with its letters joined by " ; ".  The graph name is quoted
+    state pair with its letters joined by " ; ", in ascending (source,
+    target, letter name) order: each row's targets grouped and ordered on
+    their own.  The graph name is quoted
     unless it is a plain DOT identifier (``mult_-1`` is not)."""
     if not _DOT_ID.fullmatch(name):
         name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -1093,12 +1172,15 @@ def to_dot(a: Automaton, name: str = "A") -> str:
         shape = "doublecircle" if s in a.finals else "circle"
         style = ', style=bold' if s in a.initials else ""
         lines.append(f'  {s} [label="{a.labels[s]}", shape={shape}{style}];')
-    letter = {x: str(x) for x in a.alphabet}
-    grouped = {}
-    for (p, q, x) in sorted((p, q, letter[x]) for (p, x, q) in a.transitions):
-        grouped.setdefault((p, q), []).append(x)
-    for (p, q), letters in grouped.items():
-        lbl = " ; ".join(letters)
-        lines.append(f'  {p} -> {q} [label="{lbl}"];')
+    names = [str(x) for x in a.alphabet]
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    for p, row in enumerate(_nfa_rows(a)):
+        grouped = {}  # target -> its letters' names, ascending
+        for i in by_name:
+            for q in row[i]:
+                grouped.setdefault(q, []).append(names[i])
+        for q in sorted(grouped):
+            lbl = " ; ".join(grouped[q])
+            lines.append(f'  {p} -> {q} [label="{lbl}"];')
     lines.append("}")
     return "\n".join(lines)

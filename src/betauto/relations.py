@@ -154,8 +154,8 @@ def build_relation_automaton(
     zero = (0,) * width
     states = [zero]
     index = {zero: 0}
-    # flat successor table: succ[p * n_diffs + k] is the index of state p's
-    # successor by difference k, -1 if pruned
+    # successor table: succ[p][k] is the index of state p's successor by
+    # difference k, -1 if pruned
     n_diffs = len(diffs)
     succ = []
     pruned = 0
@@ -193,25 +193,29 @@ def build_relation_automaton(
                 row[k] = j
             if j < 0:
                 pruned += 1
-        succ += row
+        succ.append(row)
         head += 1
-    transitions = [(p, letter, j) for p in range(len(states))
-                   for letter, k in zip(letters, letter_diffs)
-                   if (j := succ[p * n_diffs + k]) >= 0]
 
-    # co-accessibility pass: drop states with no path back to 0
+    # co-accessibility pass: drop states with no path back to 0, then read
+    # each kept state's row per letter, with an edge into a dropped state
+    # turned into -1
     bwd = [[] for _ in states]
-    for (p, _, q) in transitions:
-        bwd[q].append(p)
+    for p, row in enumerate(succ):
+        for j in row:
+            if j >= 0:
+                bwd[j].append(p)
     order = sorted(reach([0], bwd))
-    remap = {s: i for i, s in enumerate(order)}
+    del bwd
+    remap = [-1] * (len(states) + 1)  # remap[-1] maps -1 to -1
+    for i, s in enumerate(order):
+        remap[s] = i
+    rows = []
+    for s in order:
+        row = list(map(remap.__getitem__, succ[s]))
+        rows.append(list(map(row.__getitem__, letter_diffs)))
     trim_state = tuple if ctx.mode == ALGEBRAIC else poly_trim
     elems = [FieldElem(ctx.mode, trim_state(states[s])) for s in order]
-    aut = Automaton(
-        letters, len(order),
-        [(remap[p], x, remap[q]) for (p, x, q) in transitions
-         if p in remap and q in remap],
-        [0], [0], [str(e) for e in elems])
+    aut = Automaton(letters, rows, [0], [0], [str(e) for e in elems])
 
     stats = {
         "states_explored": len(states),

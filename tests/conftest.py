@@ -11,6 +11,7 @@ from sympy.polys.rootisolation import dup_inner_isolate_real_roots
 
 from betauto.automata import (
     Automaton,
+    from_transitions,
     _mobius_interval,
     intersect,
     lex_pair_automaton,
@@ -152,7 +153,7 @@ def random_automaton(rng: random.Random, max_states: int = 5, alphabet=("a", "b"
         transitions.add((rng.randrange(n), rng.choice(alphabet), rng.randrange(n)))
     initials = {s for s in range(n) if rng.random() < 0.4} or {0}
     finals = {s for s in range(n) if rng.random() < 0.4}
-    return Automaton(alphabet, n, transitions, initials, finals)
+    return from_transitions(alphabet, n, transitions, initials, finals)
 
 
 def subset_construction(a: Automaton) -> Automaton:
@@ -165,7 +166,7 @@ def subset_construction(a: Automaton) -> Automaton:
         succ.setdefault((p, x), set()).add(q)
     start = frozenset(a.initials)
     if not start:
-        return Automaton(a.alphabet, 0, [], [], [])
+        return from_transitions(a.alphabet, 0, [], [], [])
     order = {start: 0}
     subsets = [start]
     transitions = []
@@ -178,7 +179,7 @@ def subset_construction(a: Automaton) -> Automaton:
                     subsets.append(t)
                 transitions.append((i, x, order[t]))
     finals = [i for i, s in enumerate(subsets) if s & a.finals]
-    return Automaton(a.alphabet, len(subsets), transitions, [0], finals)
+    return from_transitions(a.alphabet, len(subsets), transitions, [0], finals)
 
 
 def brzozowski(a: Automaton) -> Automaton:
@@ -218,7 +219,7 @@ def reference_minimal(alphabet, d, final, init: int, label) -> Automaton:
                     grown = True
     keep = sorted(fwd & bwd)
     if init not in keep:
-        return Automaton(alphabet, 0, [], [], [])
+        return from_transitions(alphabet, 0, [], [], [])
     idx = {p: i for i, p in enumerate(keep)}
     d = [[idx.get(q, -1) for q in d[p]] for p in keep]
     final = [final[p] for p in keep]
@@ -247,7 +248,7 @@ def reference_minimal(alphabet, d, final, init: int, label) -> Automaton:
                     j = order[t] = len(reps)
                     reps.append(t)
                 transitions.append((i, x, j))
-    return Automaton(alphabet, len(reps), transitions, [0],
+    return from_transitions(alphabet, len(reps), transitions, [0],
                      [i for i, c in enumerate(reps) if final[c]],
                      [label(keep[c]) for c in reps])
 
@@ -360,7 +361,7 @@ def reference_multiplier(rel, reduced, g) -> Automaton:
               if plus and v in red_finals and r in rel_finals]
     labels = [f"{'' if u < 0 else u}{'+' if plus else ''},{v}|{rel_labels[r]}"
               for (u, plus, v, r) in queue]
-    return minimize(Automaton(alphabet, len(queue), transitions, [0] if queue else [],
+    return minimize(from_transitions(alphabet, len(queue), transitions, [0] if queue else [],
                               finals, labels))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from betauto import automata as au
-from betauto.automata import Automaton, PairLetter
+from betauto.automata import PairLetter, from_transitions
 from betauto.numfield import fe_add
 from betauto.reducer import ReducerTable
 from betauto.relations import (
@@ -83,7 +83,7 @@ def _avoids_factor(dfa, factor):
         trans.add((n, a, n))
     for s in range(n):
         trans.add((s, factor[s], s + 1))
-    contains = Automaton(dfa.alphabet, n + 1, trans, {0}, {n})
+    contains = from_transitions(dfa.alphabet, n + 1, trans, {0}, {n})
     return not au.trim(au.intersect(dfa, contains)).finals
 
 
@@ -168,7 +168,7 @@ def test_criterion_4_transcendental():
             return PairLetter(rename.get(x.left, x.left),
                               rename.get(x.right, x.right))
 
-        relettered = Automaton(
+        relettered = from_transitions(
             tuple(rl(x) for x in transc.automaton.alphabet),
             transc.automaton.n_states,
             [(a, rl(x), b) for (a, x, b) in transc.automaton.transitions],

@@ -18,7 +18,7 @@ from sympy.polys.sqfreetools import dup_sqf_part
 
 from betauto import automata as au
 from betauto import numfield as nf
-from betauto.automata import Automaton, PairLetter
+from betauto.automata import PairLetter, from_transitions
 from betauto import relations
 from betauto.numfield import context_from_config, poly_trim
 from betauto.relations import build_relation_automaton
@@ -56,7 +56,7 @@ def lang(a, n=5):
 
 
 def dfa(transitions, finals, n, alphabet=SIGMA):
-    return Automaton(alphabet, n, transitions, [0], finals)
+    return from_transitions(alphabet, n, transitions, [0], finals)
 
 
 # --- basic constructions -----------------------------------------------------
@@ -64,7 +64,7 @@ def dfa(transitions, finals, n, alphabet=SIGMA):
 
 def test_accepts_and_determinize():
     # words ending in 'ab'
-    nfa = Automaton(SIGMA, 3,
+    nfa = from_transitions(SIGMA, 3,
                     [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "b", 2)],
                     [0], [2])
     assert au.accepts(nfa, "aab")
@@ -76,7 +76,7 @@ def test_accepts_and_determinize():
 
 def test_subset_construction_cap():
     # words whose 4th letter from the end is 'a': 2^4 reachable subsets
-    nfa = Automaton(SIGMA, 5,
+    nfa = from_transitions(SIGMA, 5,
                     [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
                     + [(i, x, i + 1) for i in range(1, 4) for x in SIGMA],
                     [0], [4])
@@ -93,7 +93,7 @@ def test_subset_construction_cap():
 def test_minimize_canonical_equality():
     # two different automata for the same language minimize identically
     a1 = dfa([(0, "a", 1), (1, "a", 0), (0, "b", 0), (1, "b", 1)], [1], 2)
-    a2 = Automaton(SIGMA, 4,
+    a2 = from_transitions(SIGMA, 4,
                    [(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 2),
                     (0, "b", 0), (1, "b", 1), (2, "b", 2), (3, "b", 3)],
                    [0], [1, 3])
@@ -108,10 +108,10 @@ def test_equivalent_ignores_alphabet_order():
     # the canonical numbering follows the alphabet order: 'a' first numbers
     # the final state 1, 'b' first numbers it 2
     tr = [(0, "a", 1), (0, "b", 2), (2, "b", 1)]
-    ab = Automaton(("a", "b"), 3, tr, [0], [1])
-    ba = Automaton(("b", "a"), 3, tr, [0], [1])
+    ab = from_transitions(("a", "b"), 3, tr, [0], [1])
+    ba = from_transitions(("b", "a"), 3, tr, [0], [1])
     assert au.equivalent(ab, ba) and au.equivalent(ba, ab)
-    assert not au.equivalent(ab, Automaton(("b", "a"), 3, tr[:2], [0], [1]))
+    assert not au.equivalent(ab, from_transitions(("b", "a"), 3, tr[:2], [0], [1]))
 
 
 def test_minimize_matches_brzozowski():
@@ -157,7 +157,7 @@ def _lifted_table(rng, n_classes, n, alphabet):
     over = [list(range(c, n, n_classes)) for c in range(n_classes)]
     transitions = [(i, x, rng.choice(over[t]))
                    for i in range(n) for x, t in zip(alphabet, base[i % n_classes]) if t >= 0]
-    return Automaton(alphabet, n, transitions, [rng.randrange(n)],
+    return from_transitions(alphabet, n, transitions, [rng.randrange(n)],
                      [i for i in range(n) if i % n_classes in finals])
 
 
@@ -170,7 +170,7 @@ def _random_tables():
         transitions = [(p, x, rng.randrange(n)) for p in range(n) for x in alphabet
                        if rng.random() < 0.6]
         finals = [s for s in range(n) if rng.random() < 0.3]
-        cases.append(Automaton(alphabet, n, transitions, [rng.randrange(n)], finals))
+        cases.append(from_transitions(alphabet, n, transitions, [rng.randrange(n)], finals))
         m = rng.randint(1, 8)
         cases.append(_lifted_table(rng, m, m * rng.randint(1, 6), alphabet))
     return cases
@@ -179,27 +179,27 @@ def _random_tables():
 def _edge_tables():
     n = 40
     # the chain: state i's shortest accepted word is a^(n - 1 - i)
-    chain = Automaton("ab", n, [(i, "a", i + 1) for i in range(n - 1)]
+    chain = from_transitions("ab", n, [(i, "a", i + 1) for i in range(n - 1)]
                       + [(i, "b", i) for i in range(0, n - 1, 3)], [0], [n - 1])
-    one = Automaton("a", 1, [], [0], [0])
-    loop = Automaton("ab", 1, [(0, "a", 0), (0, "b", 0)], [0], [0])
+    one = from_transitions("a", 1, [], [0], [0])
+    loop = from_transitions("ab", 1, [(0, "a", 0), (0, "b", 0)], [0], [0])
     rng = random.Random(7)
     # trimmed, since ``_minimal`` needs unreachable states to come last
-    all_final = au.trim(Automaton("ab", 20, [(p, x, rng.randrange(20)) for p in range(20)
+    all_final = au.trim(from_transitions("ab", 20, [(p, x, rng.randrange(20)) for p in range(20)
                                              for x in "ab" if rng.random() < 0.5],
                                   [0], range(20)))
     # every state reads a and b; the classes are the residues mod 3
-    same_letters = Automaton("ab", 12, [(i, "a", (i + 1) % 12) for i in range(12)]
+    same_letters = from_transitions("ab", 12, [(i, "a", (i + 1) % 12) for i in range(12)]
                              + [(i, "b", (i + 3) % 12) for i in range(12)], [0], [0, 3, 6, 9])
     # 4 and 5 are dead; 1 and 3 merge once they are gone, and the unreachable
     # 6 joins their class but, coming last, does not name it
-    dead = Automaton("ab", 7, [(0, "a", 1), (1, "a", 2), (0, "b", 3), (3, "a", 2),
+    dead = from_transitions("ab", 7, [(0, "a", 1), (1, "a", 2), (0, "b", 3), (3, "a", 2),
                                (1, "b", 4), (3, "b", 5), (5, "a", 4), (6, "a", 2)],
                      [0], [2])
     # the final state 2 is unreachable, so the initial state is dead
-    dead_init = Automaton("ab", 3, [(0, "a", 1), (1, "a", 0), (2, "b", 0)], [0], [2])
+    dead_init = from_transitions("ab", 3, [(0, "a", 1), (1, "a", 0), (2, "b", 0)], [0], [2])
     # the cycle 2 -> 3 -> 4 -> 2 is reachable but never reaches the final 1
-    dead_cycle = Automaton("ab", 5, [(0, "a", 1), (1, "a", 1), (1, "b", 2), (0, "b", 2),
+    dead_cycle = from_transitions("ab", 5, [(0, "a", 1), (1, "a", 1), (1, "b", 2), (0, "b", 2),
                                      (2, "a", 3), (3, "b", 4), (4, "a", 2)], [0], [1])
     return [chain, one, loop, all_final, same_letters, dead, dead_init, dead_cycle]
 
@@ -273,7 +273,7 @@ def test_simulation_is_maximal_and_sound():
         got = {(p, q) for p in range(a.n_states) for q in range(a.n_states)
                if up[p] >> q & 1}
         assert got == naive_simulation(a), a
-        langs = [lang(Automaton(a.alphabet, a.n_states, a.transitions, [p], a.finals), 6)
+        langs = [lang(from_transitions(a.alphabet, a.n_states, a.transitions, [p], a.finals), 6)
                  for p in range(a.n_states)]
         for p, q in got:
             assert langs[p] <= langs[q], (a, p, q)
@@ -283,7 +283,7 @@ def test_simulation_is_maximal_and_sound():
 
 def test_determinize_keeps_maximal_states():
     # 1 and 2 read the same words, and 0 reads fewer: subsets keep only 1
-    nfa = Automaton(SIGMA, 4, [(1, "a", 3), (2, "a", 3), (0, "a", 3), (3, "b", 3),
+    nfa = from_transitions(SIGMA, 4, [(1, "a", 3), (2, "a", 3), (0, "a", 3), (3, "b", 3),
                                (1, "b", 1), (2, "b", 2)],
                     [0, 1, 2], [3], ["p", "q", "r", "f"])
     d = au.determinize(nfa)
@@ -294,7 +294,7 @@ def test_determinize_keeps_maximal_states():
 def test_minimize_empty_language():
     a = dfa([(0, "a", 0)], [], 1)
     assert au.minimize(a).n_states == 0
-    assert au.equivalent(a, Automaton(SIGMA, 1, [], [0], []))
+    assert au.equivalent(a, from_transitions(SIGMA, 1, [], [0], []))
 
 
 def test_complement_completes():
@@ -307,7 +307,7 @@ def test_complement_completes():
 
 
 def test_complement_of_the_empty_and_the_full_language():
-    for a in (Automaton(SIGMA, 0, [], [], []), dfa([(0, "a", 0), (0, "b", 1)], [], 2)):
+    for a in (from_transitions(SIGMA, 0, [], [], []), dfa([(0, "a", 0), (0, "b", 1)], [], 2)):
         c = au.complement(a)
         assert (c.n_states, c.initials, c.finals, c.labels) == (1, {0}, {0}, ("all",))
         assert c.transitions == {(0, "a", 0), (0, "b", 0)}
@@ -351,7 +351,7 @@ def test_append_letter():
 def test_project_pair_letters():
     # pair word (a,c)(b,c): side 1 reads 'ab', side 2 reads 'cc'
     pairs = (PairLetter("a", "c"), PairLetter("b", "c"))
-    a = Automaton(pairs, 3, [(0, pairs[0], 1), (1, pairs[1], 2)], [0], [2])
+    a = from_transitions(pairs, 3, [(0, pairs[0], 1), (1, pairs[1], 2)], [0], [2])
     p1 = au.project(a, 1)
     p2 = au.project(a, 2)
     assert p1.alphabet == ("a", "b") and p2.alphabet == ("c",)
@@ -382,7 +382,7 @@ def test_transpose_and_codeterminism():
     assert lang(au.transpose(a)) == {tuple(reversed(w)) for w in lang(a)}
     assert au.is_codeterministic(a)  # distinct letters into one state is fine
     # two sources reach state 2 on the same letter
-    b = au.Automaton(("a",), 3, [(0, "a", 2), (1, "a", 2)], {0, 1}, {2})
+    b = au.from_transitions(("a",), 3, [(0, "a", 2), (1, "a", 2)], {0, 1}, {2})
     assert not au.is_codeterministic(b)
     assert au.is_codeterministic(dfa([(0, "a", 1)], [1], 2))
 
@@ -406,7 +406,7 @@ def test_count_series_fibonacci():
 def test_dominant_eigenvalue_reducible():
     # adjacency [[2,1],[0,1]]: power iteration residuals stall here, the
     # exact char-poly route must still return 2
-    a = Automaton(("a", "b", "c"), 2,
+    a = from_transitions(("a", "b", "c"), 2,
                   [(0, "a", 0), (0, "b", 0), (0, "c", 1), (1, "a", 1)],
                   [0], [1])
     lo, hi = au.dominant_eigenvalue(a)
@@ -419,7 +419,7 @@ def test_dominant_eigenvalue_empty():
 
 
 def test_char_poly_empty():
-    assert au.char_poly(Automaton(SIGMA, 0, [], [], [])) == (1,)
+    assert au.char_poly(from_transitions(SIGMA, 0, [], [], [])) == (1,)
 
 
 # --- growth kernels against sympy oracles --------------------------------------
@@ -452,7 +452,7 @@ def _count_automaton(n, edges):
         k = seen[(p, q)] = seen.get((p, q), -1) + 1
         transitions.append((p, k, q))
     letters = range(max(seen.values(), default=0) + 1)
-    return Automaton(letters, n, transitions, [0], list(range(n)))
+    return from_transitions(letters, n, transitions, [0], list(range(n)))
 
 
 def _count_automata():
@@ -953,13 +953,13 @@ def test_to_dot_quotes_a_name_that_is_no_identifier(name, header):
 
 def test_invalid_construction():
     with pytest.raises(ValueError):
-        Automaton(SIGMA, 1, [(0, "a", 5)], [0], [])
+        from_transitions(SIGMA, 1, [(0, "a", 5)], [0], [])
     with pytest.raises(ValueError):
-        Automaton(SIGMA, 1, [], [3], [])
+        from_transitions(SIGMA, 1, [], [3], [])
     with pytest.raises(ValueError, match="not in the alphabet"):
-        Automaton(("a",), 1, [(0, "b", 0)], [0], [0])
+        from_transitions(("a",), 1, [(0, "b", 0)], [0], [0])
     with pytest.raises(ValueError, match="repeated letter"):
-        Automaton(("a", "a"), 1, [(0, "a", 0)], [0], [0])
+        from_transitions(("a", "a"), 1, [(0, "a", 0)], [0], [0])
 
 
 # --- randomized invariants ---------------------------------------------------
@@ -988,7 +988,7 @@ def test_random_language_invariants():
         assert same_dfa(c, au.complement(m))
         assert lang(au.intersect(a, b)) == La & Lb
         # intersect maps letter indices between the two alphabets
-        b_rev = Automaton(tuple(reversed(b.alphabet)), b.n_states, b.transitions,
+        b_rev = from_transitions(tuple(reversed(b.alphabet)), b.n_states, b.transitions,
                           b.initials, b.finals)
         assert lang(au.intersect(a, b_rev)) == La & Lb
         assert {w for w in full if au.accepts(a, w)} == La

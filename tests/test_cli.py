@@ -12,7 +12,7 @@ import betauto
 import betauto.numfield as nf
 from betauto import automata as au
 from betauto import cli
-from betauto.automata import Automaton
+from betauto.automata import from_transitions
 from betauto.cli import main
 from betauto.relations import build_relation_automaton
 from betauto.structure import build_multiplier, build_reduced_automaton, growth
@@ -451,9 +451,9 @@ def test_writer_equals_json_dumps_on_random_contexts(tmp_path):
 
 
 @pytest.mark.parametrize("a", [
-    Automaton(("a",), 0, [], [], []),
-    Automaton(("a", "b"), 2, [], [0], []),
-    Automaton(('q"', "back\\slash", "tab\t", "β", "−"), 3,
+    from_transitions(("a",), 0, [], [], []),
+    from_transitions(("a", "b"), 2, [], [0], []),
+    from_transitions(('q"', "back\\slash", "tab\t", "β", "−"), 3,
               [(0, "β", 1), (1, "−", 2), (2, 'q"', 0), (0, "tab\t", 0)],
               [0], [1, 2], ['"quoted"', "C:\\dir", "ctl\x01\n", "β−1"]),
 ], ids=["no-states", "no-transitions", "escapes"])
@@ -688,7 +688,7 @@ def test_oracle_catches_a_wrong_relation_language(tmp_path, capsys, monkeypatch)
         # the state after the pair (0, 1), whose value 0 - 1 is not zero
         r = a.ddelta()[min(a.initials)][1]
         assert r >= 0 and r not in a.finals
-        wrong = au.Automaton(a.alphabet, a.n_states, a.transitions, a.initials,
+        wrong = au.from_transitions(a.alphabet, a.n_states, a.transitions, a.initials,
                              set(a.finals) | {r})
         return replace(rel, automaton=wrong), reduced
 
@@ -715,7 +715,7 @@ def test_oracle_catches_a_relation_automaton_that_is_not_minimal(
         transitions = {(p, x, n if (p, x, q) == moved else q)
                        for (p, x, q) in a.transitions}
         transitions |= {(n, x, q) for (p, x, q) in a.transitions if p == r}
-        twin = au.Automaton(a.alphabet, n + 1, transitions, a.initials, a.finals,
+        twin = au.from_transitions(a.alphabet, n + 1, transitions, a.initials, a.finals,
                             a.labels + (a.labels[r],))
         assert twin.deterministic and au.trim(twin) is twin
         assert au.equivalent(twin, a)

@@ -331,23 +331,23 @@ def test_table_rejects_mismatched_automata():
     _, _, kenyon_reduced, _ = make_table("kenyon_3_8")
     with pytest.raises(ValueError, match="reduced alphabet"):
         ReducerTable(rel, kenyon_reduced)
-    swapped = au.Automaton(tuple(reversed(reduced.alphabet)), reduced.n_states,
+    swapped = au.from_transitions(tuple(reversed(reduced.alphabet)), reduced.n_states,
                            reduced.transitions, reduced.initials, reduced.finals)
     with pytest.raises(ValueError, match="reduced alphabet"):
         ReducerTable(rel, swapped)
 
     a = rel.automaton
-    stray = au.Automaton(a.alphabet + (PairLetter("0", "7"),), a.n_states,
+    stray = au.from_transitions(a.alphabet + (PairLetter("0", "7"),), a.n_states,
                          a.transitions | {(0, PairLetter("0", "7"), 0)},
                          a.initials, a.finals)
     with pytest.raises(ValueError, match="relation letter"):
         ReducerTable(replace(rel, automaton=stray), reduced)
-    two_starts = au.Automaton(a.alphabet, a.n_states, a.transitions,
+    two_starts = au.from_transitions(a.alphabet, a.n_states, a.transitions,
                               set(range(a.n_states)), a.finals)
     with pytest.raises(ValueError, match="relation automaton is not deterministic"):
         ReducerTable(replace(rel, automaton=two_starts), reduced)
     (p, x, q) = min(reduced.transitions)
-    split = au.Automaton(reduced.alphabet, reduced.n_states,
+    split = au.from_transitions(reduced.alphabet, reduced.n_states,
                          reduced.transitions | {(p, x, 1 - q)},
                          reduced.initials, reduced.finals)
     with pytest.raises(ValueError, match="reduced automaton is not deterministic"):

@@ -12,7 +12,7 @@ from sympy.polys.factortools import dup_factor_list
 
 from betauto import automata as au
 from betauto import structure
-from betauto.automata import Automaton, CapExceeded, PairLetter
+from betauto.automata import CapExceeded, PairLetter, from_transitions
 from betauto.numfield import context_from_config, poly_trim
 from betauto.relations import build_relation_automaton
 from betauto.structure import (
@@ -296,7 +296,7 @@ PINNED_MULTIPLIERS = {
 
 
 def artefact_digests(m):
-    blank = Automaton(m.alphabet, m.n_states, m.transitions, m.initials, m.finals,
+    blank = from_transitions(m.alphabet, m.n_states, m.transitions, m.initials, m.finals,
                       [""] * m.n_states)
     return tuple(hashlib.sha256(text.encode()).hexdigest() for a in (m, blank)
                  for text in (json.dumps(au.to_json(a), indent=2, sort_keys=True),
@@ -332,7 +332,7 @@ def test_multiplier_rejects_a_nondeterministic_reduced_automaton():
     rel = build_relation_automaton(load_context("intro"))
     red = build_reduced_automaton(rel)
     (p, x, q) = min(red.transitions)
-    split = Automaton(red.alphabet, red.n_states, red.transitions | {(p, x, 1 - q)},
+    split = from_transitions(red.alphabet, red.n_states, red.transitions | {(p, x, 1 - q)},
                       red.initials, red.finals)
     with pytest.raises(ValueError, match="not deterministic"):
         build_multiplier(rel, split, "0")
@@ -384,7 +384,7 @@ def test_growth_candidate_zero_at_an_open_end(monkeypatch):
     edges = [(0, "a", 0), (0, "b", 0), (0, "c", 1),
              (1, "a", 1), (1, "b", 1), (1, "c", 1), (1, "d", 2),
              (2, "a", 2), (2, "b", 2), (2, "c", 1)]
-    red = Automaton(sigma, 3, edges, [0], [2])
+    red = from_transitions(sigma, 3, edges, [0], [2])
     monkeypatch.setattr(structure, "perron_enclosure",
                         lambda cp: (Fraction(2), Fraction(4)))
     g = growth(red, N=2, candidate_pi=[-2, 1])  # x - 2
@@ -461,7 +461,7 @@ def test_candidate_certificate_matches_a_fraction_reference(monkeypatch):
         for order in ("lex", "revlex"):
             cp = au.char_poly(au.trim(build_reduced_automaton(rel, order)))
             cases.add((cp, au.perron_enclosure(cp)))
-    one = Automaton(("a",), 1, [], [0], [0])
+    one = from_transitions(("a",), 1, [], [0], [0])
     rng = random.Random(20261020)
     seen = collections.Counter()
     for cp, (lo, hi) in sorted(cases):
@@ -482,7 +482,7 @@ def test_candidate_certificate_matches_a_fraction_reference(monkeypatch):
 
 
 def test_growth_empty_reduced():
-    empty = Automaton(("a",), 1, [], [0], [])
+    empty = from_transitions(("a",), 1, [], [0], [])
     g = growth(empty, N=3)
     assert g.counts == [0, 0, 0, 0]
     assert (g.lam_lo, g.lam_hi) == (0, 0)
@@ -519,7 +519,7 @@ def test_transcendental_1_over_X_isomorphic_to_intro():
     intro = build_relation_automaton(load_context("intro"))
     transc = build_relation_automaton(load_context("transc_1_over_X"))
     rename = {transc.context.digit_names[2]: "3"}
-    relettered = Automaton(
+    relettered = from_transitions(
         tuple(PairLetter(rename.get(x.left, x.left), rename.get(x.right, x.right))
               for x in transc.automaton.alphabet),
         transc.automaton.n_states,
