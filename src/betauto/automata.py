@@ -1,13 +1,16 @@
 """Finite-automaton algebra over arbitrary finite alphabets.
 
 States are indices with optional display labels; letters are opaque hashable
-tokens (pair letters are ``PairLetter`` named tuples).  All operations return
-new automata; nothing is mutated after construction.  Counting uses exact
-big integers, spectral data is certified via the exact characteristic
-polynomial of the adjacency count matrix: the product over its strongly
-connected blocks of the polynomials that Newton's identities give, in exact
-integers, from the traces of the block's powers M^k, whose entries are at
-most rho^k for the block's largest row sum rho.
+tokens (pair letters are ``PairLetter`` named tuples).  An automaton is its
+transition rows, a target or a tuple of targets per state and letter (see
+``Automaton``); every construction builds its rows directly, and only
+``from_transitions`` validates edges, for automata from outside.  All
+operations return new automata; nothing is mutated after construction.
+Counting uses exact big integers, spectral data is certified via the exact
+characteristic polynomial of the adjacency count matrix: the product over
+its strongly connected blocks of the polynomials that Newton's identities
+give, in exact integers, from the traces of the block's powers M^k, whose
+entries are at most rho^k for the block's largest row sum rho.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, repeat
+from itertools import product as iproduct
 from operator import add, and_, itemgetter, mul, ne, or_, rshift
 from typing import Iterable, NamedTuple
 
@@ -97,13 +101,8 @@ class Automaton:
 
     @property
     def deterministic(self) -> bool:
-        if len(self.initials) != 1:
-            return False
-        try:
-            self.ddelta()
-        except ValueError:
-            return False
-        return True
+        return len(self.initials) == 1 and (
+            self._dfa or all(len(cell) < 2 for row in self._rows for cell in row))
 
     @cached_property
     def transitions(self) -> frozenset:
@@ -112,8 +111,7 @@ class Automaton:
         return frozenset((p, self.alphabet[i], q) for p, i, q in _edges(self))
 
     def __repr__(self):
-        return (f"Automaton({self.n_states} states, {len(self.alphabet)} letters, "
-                f"{sum(1 for _ in _edges(self))} transitions)")
+        return f"Automaton({self.n_states} states, {len(self.alphabet)} letters)"
 
 
 def _nfa_rows(a: Automaton):
@@ -125,11 +123,14 @@ def _nfa_rows(a: Automaton):
     return (list(map(cells.__getitem__, row)) for row in a._rows)
 
 
-def _edges(a: Automaton):
-    """(p, i, q) for every edge p -> q on ``alphabet[i]``: the rows read in
-    order, so ascending in p, then i, then q."""
-    return ((p, i, q) for p, row in enumerate(_nfa_rows(a))
-            for i, cell in enumerate(row) for q in cell)
+def _edges(a: Automaton, letters=None):
+    """(p, i, q) for every edge p -> q on ``alphabet[i]``, the rows read in
+    order: ascending in p, then i in the order of ``letters`` (default:
+    ascending), then ascending in q."""
+    letters = letters or range(len(a.alphabet))
+    if a._dfa:
+        return ((p, i, q) for p, row in enumerate(a._rows) for i in letters if (q := row[i]) >= 0)
+    return ((p, i, q) for p, row in enumerate(a._rows) for i in letters for q in row[i])
 
 
 def _successors(a: Automaton) -> list:
@@ -156,8 +157,7 @@ def from_transitions(alphabet, n_states: int, transitions, initials, finals,
         if x not in index:
             raise ValueError(f"transition letter {x!r} is not in the alphabet")
         cells[p][index[x]].add(q)
-    initials, finals = set(initials), set(finals)
-    if not set(range(n_states)).issuperset(initials | finals):
+    if not set(range(n_states)).issuperset(chain(initials, finals)):
         raise ValueError("initial/final state out of range")
     return Automaton(alphabet, [[tuple(sorted(c)) for c in row] for row in cells],
                      initials, finals, labels)
@@ -189,24 +189,17 @@ def reach(sources, adj) -> set:
 
 
 def trim(a: Automaton) -> Automaton:
-    """Restrict to states on some path from an initial to a final state, in
-    the rows' form; ``a`` itself when every state is kept."""
-    fwd = _successors(a)
-    bwd = [[] for _ in fwd]
-    for p, succ in enumerate(fwd):
-        for q in succ:
-            bwd[q].append(p)
-    keep = sorted(reach(a.initials, fwd) & reach(a.finals, bwd))
+    """Restrict to states on some path from an initial to a final state, as
+    NFA rows; ``a`` itself when every state is kept."""
+    keep = sorted(reach(a.initials, _successors(a))
+                  & reach(a.finals, _successors(transpose(a))))
     if len(keep) == a.n_states:
         return a
-    idx = [-1] * (a.n_states + 1)  # idx[-1] maps -1 to -1
+    idx = [-1] * a.n_states
     for i, s in enumerate(keep):
         idx[s] = i
-    if a._dfa:
-        rows = [list(map(idx.__getitem__, a._rows[p])) for p in keep]
-    else:
-        rows = [[tuple(j for q in cell if (j := idx[q]) >= 0) for cell in a._rows[p]]
-                for p in keep]
+    d = a.delta()
+    rows = [[tuple(j for q in cell if (j := idx[q]) >= 0) for cell in d[p]] for p in keep]
     return Automaton(a.alphabet, rows,
                      [idx[s] for s in a.initials if idx[s] >= 0],
                      [idx[s] for s in a.finals if idx[s] >= 0],
@@ -512,55 +505,42 @@ def complement(a: Automaton, max_states: int = 1_000_000) -> Automaton:
 def intersect(a: Automaton, b: Automaton) -> Automaton:
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetMismatch("intersect needs a shared alphabet")
-    da, db = a.delta(), b.delta()
-    cols = [b._letter_index[x] for x in a.alphabet]  # letter i of a is cols[i] of b
-    starts = [(p, q) for p in a.initials for q in b.initials]
-    order = {s: i for i, s in enumerate(starts)}
-    queue = list(starts)
-    rows = []
-    for (p, q) in queue:
-        row_b = db[q]
-        row = []
-        for cell_a, j in zip(da[p], cols):
-            cell_b = row_b[j]
-            targets = []
-            for p2 in cell_a:
-                for q2 in cell_b:
-                    t = (p2, q2)
-                    if t not in order:
-                        order[t] = len(order)
-                        queue.append(t)
-                    targets.append(order[t])
-            row.append(tuple(sorted(targets)))
-        rows.append(row)
-    finals = [i for (p, q), i in order.items() if p in a.finals and q in b.finals]
-    labels = [f"{a.labels[p]}|{b.labels[q]}" for (p, q) in queue]
-    return Automaton(a.alphabet, rows, range(len(starts)), finals, labels)
+    return _pair_product(a, b, a.alphabet,
+                         [(i, b._letter_index[x]) for i, x in enumerate(a.alphabet)],
+                         lambda p, q: f"{a.labels[p]}|{b.labels[q]}")
 
 
 def product(a: Automaton, b: Automaton) -> Automaton:
     """Synchronous product: language {(u_i, v_i)_i : u in L(a), v in L(b)}."""
-    alphabet = pair_alphabet(a.alphabet, b.alphabet)
-    k = len(b.alphabet)
+    return _pair_product(a, b, pair_alphabet(a.alphabet, b.alphabet),
+                         [(i, j) for i in range(len(a.alphabet)) for j in range(len(b.alphabet))])
+
+
+def _pair_product(a: Automaton, b: Automaton, alphabet, letters, label=None) -> Automaton:
+    """The pairs (p, q) of states of ``a`` and ``b`` reachable from the
+    initial pairs, in breadth-first order, where letter n of ``alphabet``
+    reads letter i of ``a`` and letter j of ``b``, (i, j) = ``letters[n]``;
+    final when both are.  ``label(p, q)`` names a pair (default: its index)."""
     da, db = a.delta(), b.delta()
-    starts = [(p, q) for p in a.initials for q in b.initials]
-    order = {s: i for i, s in enumerate(starts)}
-    queue = list(starts)
+    queue = [(p, q) for p in a.initials for q in b.initials]
+    order = {s: i for i, s in enumerate(queue)}
+    starts = len(queue)
     rows = []
     for (p, q) in queue:
-        row = [[] for _ in alphabet]
-        for i, cell_a in enumerate(da[p]):
-            for p2 in cell_a:
-                for j, cell_b in enumerate(db[q]):
-                    for q2 in cell_b:
-                        t = (p2, q2)
-                        if t not in order:
-                            order[t] = len(order)
-                            queue.append(t)
-                        row[i * k + j].append(order[t])
-        rows.append([tuple(sorted(cell)) for cell in row])
-    finals = [i for (p, q), i in order.items() if p in a.finals and q in b.finals]
-    return Automaton(alphabet, rows, range(len(starts)), finals)
+        row_a, row_b = da[p], db[q]
+        row = []
+        for i, j in letters:
+            targets = []
+            for t in iproduct(row_a[i], row_b[j]):
+                if t not in order:
+                    order[t] = len(queue)
+                    queue.append(t)
+                targets.append(order[t])
+            row.append(tuple(sorted(targets)))
+        rows.append(row)
+    finals = [i for i, (p, q) in enumerate(queue) if p in a.finals and q in b.finals]
+    return Automaton(alphabet, rows, range(starts), finals,
+                     label and [label(p, q) for (p, q) in queue])
 
 
 def append_letter(a: Automaton, letter) -> Automaton:
@@ -602,20 +582,14 @@ def _pair_search(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
         raise ValueError(
             f"relation letters {rel.alphabet!r} are not the pairs of {a.alphabet!r}")
     n, k = a.n_states, len(a.alphabet)
-    rd = rel.ddelta()
     out = [[(*divmod(i, k), i, r2 * n, r2 in rel.finals) for i, r2 in enumerate(row) if r2 >= 0]
-           for row in rd]
+           for row in rel.ddelta()]
     # rel_in[r2] holds (c, r) for the relation edges r -> r2 whose letter has
     # the letter of index c of ``a`` on the right
-    rel_in = [set() for _ in rd]
-    for r, row in enumerate(rd):
-        for i, r2 in enumerate(row):
-            if r2 >= 0:
-                rel_in[r2].add((i % k, r))
+    rel_in = [{(i % k, r) for i, cell in enumerate(row) for r in cell}
+              for row in transpose(rel).delta()]
     # pred[q][c] lists the states of ``a`` with an edge to q on letter c
-    pred = [[[] for _ in a.alphabet] for _ in range(n)]
-    for p, c, q in _edges(a):
-        pred[q][c].append(p)
+    pred = transpose(a).delta()
     live = bytearray(rel.n_states * n)
     stack = [r * n + p for r in rel.finals for p in a.finals]
     for s in stack:
@@ -700,7 +674,7 @@ def count_series(a: Automaton, n_max: int) -> list[int]:
     count vector along the transition table."""
     if not a.deterministic:
         a = determinize(a)
-    succ = a.ddelta()
+    succ = _successors(a)
     v = [1 if s in a.initials else 0 for s in range(a.n_states)]
     out = [sum(v[s] for s in a.finals)]
     for _ in range(n_max):
@@ -708,8 +682,7 @@ def count_series(a: Automaton, n_max: int) -> list[int]:
         for p, vp in enumerate(v):
             if vp:
                 for q in succ[p]:
-                    if q >= 0:
-                        v2[q] += vp
+                    v2[q] += vp
         v = v2
         out.append(sum(v[s] for s in a.finals))
     return out
@@ -1162,8 +1135,8 @@ _DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 def to_dot(a: Automaton, name: str = "A") -> str:
     """DOT output; initial states bold, final states doubled, one edge per
     state pair with its letters joined by " ; ", in ascending (source,
-    target, letter name) order: each row's targets grouped and ordered on
-    their own.  The graph name is quoted
+    target, letter name) order: the rows are read in order, letters in name
+    order, and only each row's targets are sorted.  The graph name is quoted
     unless it is a plain DOT identifier (``mult_-1`` is not)."""
     if not _DOT_ID.fullmatch(name):
         name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -1173,14 +1146,10 @@ def to_dot(a: Automaton, name: str = "A") -> str:
         style = ', style=bold' if s in a.initials else ""
         lines.append(f'  {s} [label="{a.labels[s]}", shape={shape}{style}];')
     names = [str(x) for x in a.alphabet]
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    for p, row in enumerate(_nfa_rows(a)):
-        grouped = {}  # target -> its letters' names, ascending
-        for i in by_name:
-            for q in row[i]:
-                grouped.setdefault(q, []).append(names[i])
-        for q in sorted(grouped):
-            lbl = " ; ".join(grouped[q])
-            lines.append(f'  {p} -> {q} [label="{lbl}"];')
+    grouped = [{} for _ in range(a.n_states)]  # [p][q]: the names p -> q reads, ascending
+    for p, i, q in _edges(a, sorted(range(len(names)), key=names.__getitem__)):
+        grouped[p].setdefault(q, []).append(names[i])
+    for p, row in enumerate(grouped):
+        lines += (f'  {p} -> {q} [label="{" ; ".join(row[q])}"];' for q in sorted(row))
     lines.append("}")
     return "\n".join(lines)

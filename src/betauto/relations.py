@@ -156,7 +156,6 @@ def build_relation_automaton(
     index = {zero: 0}
     # successor table: succ[p][k] is the index of state p's successor by
     # difference k, -1 if pruned
-    n_diffs = len(diffs)
     succ = []
     pruned = 0
     head = 0
@@ -173,7 +172,7 @@ def build_relation_automaton(
         shifted = (0,) + q[:-1]
         if top:
             shifted = tuple(map(sub, shifted, [top * m for m in low]))
-        row = [None] * n_diffs
+        row = [None] * len(diffs)
         for k in letter_diffs:
             j = row[k]
             if j is None:
@@ -205,14 +204,11 @@ def build_relation_automaton(
             if j >= 0:
                 bwd[j].append(p)
     order = sorted(reach([0], bwd))
-    del bwd
     remap = [-1] * (len(states) + 1)  # remap[-1] maps -1 to -1
     for i, s in enumerate(order):
         remap[s] = i
-    rows = []
-    for s in order:
-        row = list(map(remap.__getitem__, succ[s]))
-        rows.append(list(map(row.__getitem__, letter_diffs)))
+    rows = [list(map(remap.__getitem__, succ[s])) for s in order]
+    rows = [list(map(row.__getitem__, letter_diffs)) for row in rows]
     trim_state = tuple if ctx.mode == ALGEBRAIC else poly_trim
     elems = [FieldElem(ctx.mode, trim_state(states[s])) for s in order]
     aut = Automaton(letters, rows, [0], [0], [str(e) for e in elems])

@@ -11,8 +11,8 @@ from sympy.polys.rootisolation import dup_inner_isolate_real_roots
 
 from betauto.automata import (
     Automaton,
-    from_transitions,
     _mobius_interval,
+    from_transitions,
     intersect,
     lex_pair_automaton,
     minimize,
@@ -249,8 +249,8 @@ def reference_minimal(alphabet, d, final, init: int, label) -> Automaton:
                     reps.append(t)
                 transitions.append((i, x, j))
     return from_transitions(alphabet, len(reps), transitions, [0],
-                     [i for i, c in enumerate(reps) if final[c]],
-                     [label(keep[c]) for c in reps])
+                            [i for i, c in enumerate(reps) if final[c]],
+                            [label(keep[c]) for c in reps])
 
 
 def reducible_words(rel, order):
@@ -362,7 +362,7 @@ def reference_multiplier(rel, reduced, g) -> Automaton:
     labels = [f"{'' if u < 0 else u}{'+' if plus else ''},{v}|{rel_labels[r]}"
               for (u, plus, v, r) in queue]
     return minimize(from_transitions(alphabet, len(queue), transitions, [0] if queue else [],
-                              finals, labels))
+                                     finals, labels))
 
 
 def random_palindromic_polys(seed: int, count: int = 100):

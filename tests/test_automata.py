@@ -65,8 +65,8 @@ def dfa(transitions, finals, n, alphabet=SIGMA):
 def test_accepts_and_determinize():
     # words ending in 'ab'
     nfa = from_transitions(SIGMA, 3,
-                    [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "b", 2)],
-                    [0], [2])
+                           [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "b", 2)],
+                           [0], [2])
     assert au.accepts(nfa, "aab")
     assert not au.accepts(nfa, "aba")
     d = au.determinize(nfa)
@@ -77,9 +77,9 @@ def test_accepts_and_determinize():
 def test_subset_construction_cap():
     # words whose 4th letter from the end is 'a': 2^4 reachable subsets
     nfa = from_transitions(SIGMA, 5,
-                    [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
-                    + [(i, x, i + 1) for i in range(1, 4) for x in SIGMA],
-                    [0], [4])
+                           [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
+                           + [(i, x, i + 1) for i in range(1, 4) for x in SIGMA],
+                           [0], [4])
     assert au.determinize(nfa, max_states=16).n_states == 16
     for build in (au.determinize, au.minimize):
         with pytest.raises(au.CapExceeded) as e:
@@ -94,9 +94,9 @@ def test_minimize_canonical_equality():
     # two different automata for the same language minimize identically
     a1 = dfa([(0, "a", 1), (1, "a", 0), (0, "b", 0), (1, "b", 1)], [1], 2)
     a2 = from_transitions(SIGMA, 4,
-                   [(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 2),
-                    (0, "b", 0), (1, "b", 1), (2, "b", 2), (3, "b", 3)],
-                   [0], [1, 3])
+                          [(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 2),
+                           (0, "b", 0), (1, "b", 1), (2, "b", 2), (3, "b", 3)],
+                          [0], [1, 3])
     m1, m2 = au.minimize(a1), au.minimize(a2)
     assert m1.n_states == m2.n_states == 2
     assert m1.transitions == m2.transitions and m1.finals == m2.finals
@@ -158,7 +158,7 @@ def _lifted_table(rng, n_classes, n, alphabet):
     transitions = [(i, x, rng.choice(over[t]))
                    for i in range(n) for x, t in zip(alphabet, base[i % n_classes]) if t >= 0]
     return from_transitions(alphabet, n, transitions, [rng.randrange(n)],
-                     [i for i in range(n) if i % n_classes in finals])
+                            [i for i in range(n) if i % n_classes in finals])
 
 
 def _random_tables():
@@ -180,27 +180,27 @@ def _edge_tables():
     n = 40
     # the chain: state i's shortest accepted word is a^(n - 1 - i)
     chain = from_transitions("ab", n, [(i, "a", i + 1) for i in range(n - 1)]
-                      + [(i, "b", i) for i in range(0, n - 1, 3)], [0], [n - 1])
+                             + [(i, "b", i) for i in range(0, n - 1, 3)], [0], [n - 1])
     one = from_transitions("a", 1, [], [0], [0])
     loop = from_transitions("ab", 1, [(0, "a", 0), (0, "b", 0)], [0], [0])
     rng = random.Random(7)
     # trimmed, since ``_minimal`` needs unreachable states to come last
     all_final = au.trim(from_transitions("ab", 20, [(p, x, rng.randrange(20)) for p in range(20)
-                                             for x in "ab" if rng.random() < 0.5],
-                                  [0], range(20)))
+                                                    for x in "ab" if rng.random() < 0.5],
+                                         [0], range(20)))
     # every state reads a and b; the classes are the residues mod 3
     same_letters = from_transitions("ab", 12, [(i, "a", (i + 1) % 12) for i in range(12)]
-                             + [(i, "b", (i + 3) % 12) for i in range(12)], [0], [0, 3, 6, 9])
+                                    + [(i, "b", (i + 3) % 12) for i in range(12)], [0], [0, 3, 6, 9])
     # 4 and 5 are dead; 1 and 3 merge once they are gone, and the unreachable
     # 6 joins their class but, coming last, does not name it
     dead = from_transitions("ab", 7, [(0, "a", 1), (1, "a", 2), (0, "b", 3), (3, "a", 2),
-                               (1, "b", 4), (3, "b", 5), (5, "a", 4), (6, "a", 2)],
-                     [0], [2])
+                                      (1, "b", 4), (3, "b", 5), (5, "a", 4), (6, "a", 2)],
+                            [0], [2])
     # the final state 2 is unreachable, so the initial state is dead
     dead_init = from_transitions("ab", 3, [(0, "a", 1), (1, "a", 0), (2, "b", 0)], [0], [2])
     # the cycle 2 -> 3 -> 4 -> 2 is reachable but never reaches the final 1
     dead_cycle = from_transitions("ab", 5, [(0, "a", 1), (1, "a", 1), (1, "b", 2), (0, "b", 2),
-                                     (2, "a", 3), (3, "b", 4), (4, "a", 2)], [0], [1])
+                                            (2, "a", 3), (3, "b", 4), (4, "a", 2)], [0], [1])
     return [chain, one, loop, all_final, same_letters, dead, dead_init, dead_cycle]
 
 
@@ -284,8 +284,8 @@ def test_simulation_is_maximal_and_sound():
 def test_determinize_keeps_maximal_states():
     # 1 and 2 read the same words, and 0 reads fewer: subsets keep only 1
     nfa = from_transitions(SIGMA, 4, [(1, "a", 3), (2, "a", 3), (0, "a", 3), (3, "b", 3),
-                               (1, "b", 1), (2, "b", 2)],
-                    [0, 1, 2], [3], ["p", "q", "r", "f"])
+                                      (1, "b", 1), (2, "b", 2)],
+                           [0, 1, 2], [3], ["p", "q", "r", "f"])
     d = au.determinize(nfa)
     assert d.labels == ("{q}", "{f}")
     assert lang(d, 6) == lang(nfa, 6)
@@ -407,8 +407,8 @@ def test_dominant_eigenvalue_reducible():
     # adjacency [[2,1],[0,1]]: power iteration residuals stall here, the
     # exact char-poly route must still return 2
     a = from_transitions(("a", "b", "c"), 2,
-                  [(0, "a", 0), (0, "b", 0), (0, "c", 1), (1, "a", 1)],
-                  [0], [1])
+                         [(0, "a", 0), (0, "b", 0), (0, "c", 1), (1, "a", 1)],
+                         [0], [1])
     lo, hi = au.dominant_eigenvalue(a)
     assert lo <= 2 <= hi and hi - lo <= Fraction(1, 10**9)
 
@@ -924,11 +924,17 @@ def test_from_json_malformed():
     ("transitions", [[True, 0, 1]]),  # read as state 1
     ("transitions", [[0.0, 0, 1]]),  # delta() failed on it later
     ("initials", [True]), ("finals", [1.0]),
+    ("states", [{"label": "0"}, {"label": 5}]),  # written back as 5
+    ("states", [{"label": "0"}, {"label": None}]),  # to_dot printed "None"
+    ("transitions", [[0, 1]]),  # a bare "not enough values to unpack"
+    ("transitions", [[0, 1, 1, 0]]),  # a bare "too many values to unpack"
+    ("alphabet", ["a", ["b", ","]]),  # an AttributeError from split
+    ("alphabet", ["a", "a"]),  # a bare "repeated letter"
 ])
 def test_from_json_refuses_malformed_indices(field, value):
     doc = {"alphabet": ["a", "b"], "states": [{"label": "0"}, {"label": "1"}],
            "initials": [0], "finals": [1], "transitions": [[0, 1, 1]]}
-    assert au.from_json(doc).transitions == {(0, "b", 1)}
+    assert au.to_json(au.from_json(doc)) == doc
     with pytest.raises(ValueError, match="^malformed automaton document: "):
         au.from_json(dict(doc, **{field: value}))
 
@@ -989,7 +995,7 @@ def test_random_language_invariants():
         assert lang(au.intersect(a, b)) == La & Lb
         # intersect maps letter indices between the two alphabets
         b_rev = from_transitions(tuple(reversed(b.alphabet)), b.n_states, b.transitions,
-                          b.initials, b.finals)
+                                 b.initials, b.finals)
         assert lang(au.intersect(a, b_rev)) == La & Lb
         assert {w for w in full if au.accepts(a, w)} == La
         cs = au.count_series(a, 4)

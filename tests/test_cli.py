@@ -454,8 +454,8 @@ def test_writer_equals_json_dumps_on_random_contexts(tmp_path):
     from_transitions(("a",), 0, [], [], []),
     from_transitions(("a", "b"), 2, [], [0], []),
     from_transitions(('q"', "back\\slash", "tab\t", "β", "−"), 3,
-              [(0, "β", 1), (1, "−", 2), (2, 'q"', 0), (0, "tab\t", 0)],
-              [0], [1, 2], ['"quoted"', "C:\\dir", "ctl\x01\n", "β−1"]),
+                     [(0, "β", 1), (1, "−", 2), (2, 'q"', 0), (0, "tab\t", 0)],
+                     [0], [1, 2], ['"quoted"', "C:\\dir", "ctl\x01\n", "β−1"]),
 ], ids=["no-states", "no-transitions", "escapes"])
 def test_writer_equals_json_dumps_on_edge_cases(tmp_path, a):
     assert_written_like_json_dumps(tmp_path, "A", a)
@@ -689,7 +689,7 @@ def test_oracle_catches_a_wrong_relation_language(tmp_path, capsys, monkeypatch)
         r = a.ddelta()[min(a.initials)][1]
         assert r >= 0 and r not in a.finals
         wrong = au.from_transitions(a.alphabet, a.n_states, a.transitions, a.initials,
-                             set(a.finals) | {r})
+                                    set(a.finals) | {r})
         return replace(rel, automaton=wrong), reduced
 
     monkeypatch.setattr(cli, "_structure_parts", with_extra_final)
@@ -716,7 +716,7 @@ def test_oracle_catches_a_relation_automaton_that_is_not_minimal(
                        for (p, x, q) in a.transitions}
         transitions |= {(n, x, q) for (p, x, q) in a.transitions if p == r}
         twin = au.from_transitions(a.alphabet, n + 1, transitions, a.initials, a.finals,
-                            a.labels + (a.labels[r],))
+                                   a.labels + (a.labels[r],))
         assert twin.deterministic and au.trim(twin) is twin
         assert au.equivalent(twin, a)
         return replace(rel, automaton=twin), reduced
@@ -846,3 +846,33 @@ def test_inseparable_roots_input_error(tmp_path):
         env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+# the 26-digit golden-ratio context: a relation automaton of 4,737 states and
+# 1,977,078 edges; its rows take tens of MB, where one object per edge would
+# take hundreds
+GOLDEN_26 = {"beta": {"minpoly": [-1, -1, 1]}, "digits": list(range(26))}
+LARGE_RELATION_BUILD = """
+import json, sys
+from betauto.numfield import context_from_config
+from betauto.relations import build_relation_automaton
+a = build_relation_automaton(context_from_config(json.loads(sys.argv[1]))).automaton
+edges = sum(q >= 0 for row in a.ddelta() for q in row)
+with open("/proc/self/status") as f:
+    peak_kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+print(a.n_states, edges, peak_kb)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs the VmHWM line of /proc/self/status")
+def test_large_relation_automaton_builds_in_small_memory():
+    # a fresh interpreter's own peak: ru_maxrss would also count what a child
+    # inherits from this process
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGE_RELATION_BUILD, json.dumps(GOLDEN_26)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    states, edges, peak_kb = map(int, proc.stdout.split())
+    assert (states, edges) == (4737, 1977078)
+    assert peak_kb < 150 * 1024, f"peak {peak_kb / 1024:.0f} MB"

@@ -332,24 +332,24 @@ def test_table_rejects_mismatched_automata():
     with pytest.raises(ValueError, match="reduced alphabet"):
         ReducerTable(rel, kenyon_reduced)
     swapped = au.from_transitions(tuple(reversed(reduced.alphabet)), reduced.n_states,
-                           reduced.transitions, reduced.initials, reduced.finals)
+                                  reduced.transitions, reduced.initials, reduced.finals)
     with pytest.raises(ValueError, match="reduced alphabet"):
         ReducerTable(rel, swapped)
 
     a = rel.automaton
     stray = au.from_transitions(a.alphabet + (PairLetter("0", "7"),), a.n_states,
-                         a.transitions | {(0, PairLetter("0", "7"), 0)},
-                         a.initials, a.finals)
+                                a.transitions | {(0, PairLetter("0", "7"), 0)},
+                                a.initials, a.finals)
     with pytest.raises(ValueError, match="relation letter"):
         ReducerTable(replace(rel, automaton=stray), reduced)
     two_starts = au.from_transitions(a.alphabet, a.n_states, a.transitions,
-                              set(range(a.n_states)), a.finals)
+                                     set(range(a.n_states)), a.finals)
     with pytest.raises(ValueError, match="relation automaton is not deterministic"):
         ReducerTable(replace(rel, automaton=two_starts), reduced)
     (p, x, q) = min(reduced.transitions)
     split = au.from_transitions(reduced.alphabet, reduced.n_states,
-                         reduced.transitions | {(p, x, 1 - q)},
-                         reduced.initials, reduced.finals)
+                                reduced.transitions | {(p, x, 1 - q)},
+                                reduced.initials, reduced.finals)
     with pytest.raises(ValueError, match="reduced automaton is not deterministic"):
         ReducerTable(rel, split)
 

@@ -297,7 +297,7 @@ PINNED_MULTIPLIERS = {
 
 def artefact_digests(m):
     blank = from_transitions(m.alphabet, m.n_states, m.transitions, m.initials, m.finals,
-                      [""] * m.n_states)
+                             [""] * m.n_states)
     return tuple(hashlib.sha256(text.encode()).hexdigest() for a in (m, blank)
                  for text in (json.dumps(au.to_json(a), indent=2, sort_keys=True),
                               au.to_dot(a)))
@@ -333,7 +333,7 @@ def test_multiplier_rejects_a_nondeterministic_reduced_automaton():
     red = build_reduced_automaton(rel)
     (p, x, q) = min(red.transitions)
     split = from_transitions(red.alphabet, red.n_states, red.transitions | {(p, x, 1 - q)},
-                      red.initials, red.finals)
+                             red.initials, red.finals)
     with pytest.raises(ValueError, match="not deterministic"):
         build_multiplier(rel, split, "0")
 
