@@ -586,8 +586,9 @@ def _pair_search(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
            for row in rel.ddelta()]
     # rel_in[r2] holds (c, r) for the relation edges r -> r2 whose letter has
     # the letter of index c of ``a`` on the right
-    rel_in = [{(i % k, r) for i, cell in enumerate(row) for r in cell}
-              for row in transpose(rel).delta()]
+    rel_in = [set() for _ in range(rel.n_states)]
+    for r, i, r2 in _edges(rel):
+        rel_in[r2].add((i % k, r))
     # pred[q][c] lists the states of ``a`` with an edge to q on letter c
     pred = transpose(a).delta()
     live = bytearray(rel.n_states * n)
@@ -1123,7 +1124,7 @@ def from_json(doc: dict) -> Automaton:
         if not all(0 <= i < len(alphabet) for _, i, _ in rows):
             raise IndexError("a letter index is out of range")
         return from_transitions(alphabet, len(labels),
-                                [(p, alphabet[i], q) for (p, i, q) in rows],
+                                ((p, alphabet[i], q) for (p, i, q) in rows),
                                 initials, finals, labels)
     except (KeyError, TypeError, IndexError, ValueError) as e:
         raise ValueError(f"malformed automaton document: {e}") from e

@@ -154,8 +154,9 @@ def build_relation_automaton(
     zero = (0,) * width
     states = [zero]
     index = {zero: 0}
-    # successor table: succ[p][k] is the index of state p's successor by
-    # difference k, -1 if pruned
+    # flat successor table: succ[p * n_diffs + k] is the index of state p's
+    # successor by difference k, -1 if pruned
+    n_diffs = len(diffs)
     succ = []
     pruned = 0
     head = 0
@@ -172,7 +173,7 @@ def build_relation_automaton(
         shifted = (0,) + q[:-1]
         if top:
             shifted = tuple(map(sub, shifted, [top * m for m in low]))
-        row = [None] * len(diffs)
+        row = [None] * n_diffs
         for k in letter_diffs:
             j = row[k]
             if j is None:
@@ -192,23 +193,24 @@ def build_relation_automaton(
                 row[k] = j
             if j < 0:
                 pruned += 1
-        succ.append(row)
+        succ += row
         head += 1
 
     # co-accessibility pass: drop states with no path back to 0, then read
-    # each kept state's row per letter, with an edge into a dropped state
-    # turned into -1
+    # each kept state's successors per letter, with an edge into a dropped
+    # state turned into -1
     bwd = [[] for _ in states]
-    for p, row in enumerate(succ):
-        for j in row:
-            if j >= 0:
-                bwd[j].append(p)
+    for i, j in enumerate(succ):
+        if j >= 0:
+            bwd[j].append(i // n_diffs)
     order = sorted(reach([0], bwd))
     remap = [-1] * (len(states) + 1)  # remap[-1] maps -1 to -1
     for i, s in enumerate(order):
         remap[s] = i
-    rows = [list(map(remap.__getitem__, succ[s])) for s in order]
-    rows = [list(map(row.__getitem__, letter_diffs)) for row in rows]
+    rows = []
+    for s in order:
+        row = list(map(remap.__getitem__, succ[s * n_diffs:(s + 1) * n_diffs]))
+        rows.append(list(map(row.__getitem__, letter_diffs)))
     trim_state = tuple if ctx.mode == ALGEBRAIC else poly_trim
     elems = [FieldElem(ctx.mode, trim_state(states[s])) for s in order]
     aut = Automaton(letters, rows, [0], [0], [str(e) for e in elems])
