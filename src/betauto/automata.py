@@ -5,7 +5,9 @@ tokens (pair letters are ``PairLetter`` named tuples).  An automaton is its
 transition rows, a target or a tuple of targets per state and letter (see
 ``Automaton``); every construction builds its rows directly, and only
 ``from_transitions`` validates edges, for automata from outside.  All
-operations return new automata; nothing is mutated after construction.
+operations return new automata; nothing is mutated after construction but
+the cache of ``pair_tables`` kept on an automaton, and the tables derived
+from its rows on first read.
 Counting uses exact big integers, spectral data is certified via the exact
 characteristic polynomial of the adjacency count matrix: the product over
 its strongly connected blocks of the polynomials that Newton's identities
@@ -568,7 +570,11 @@ def pair_tables(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
       final state;
     - ``out[r]``: the edges of ``rel`` leaving r, in letter order, as
       (x, y, i, r2 * a.n_states, r2 final) for the letter of index i, the
-      pair (``a.alphabet[x]``, ``a.alphabet[y]``)."""
+      pair (``a.alphabet[x]``, ``a.alphabet[y]``).
+
+    This is the one check of such a pair: ``ValueError`` when the letters
+    of ``rel`` are not the pairs of ``a.alphabet``, or when either automaton
+    is not deterministic with a single initial state."""
     kept = a._pair_tables.get(rel)
     if kept is None:
         kept = a._pair_tables[rel] = _pair_search(a, rel)
@@ -579,8 +585,11 @@ def _pair_search(a: Automaton, rel: Automaton) -> tuple[bytearray, list]:
     """The tables of ``pair_tables``; the live pairs by one backward search
     from the (final, final) pairs."""
     if rel.alphabet != pair_alphabet(a.alphabet):
-        raise ValueError(
-            f"relation letters {rel.alphabet!r} are not the pairs of {a.alphabet!r}")
+        raise ValueError(f"relation letters {rel.alphabet!r} are not the pairs of "
+                         f"the digit names {a.alphabet!r}")
+    for what, aut in (("relation", rel), ("reduced", a)):
+        if not aut.deterministic:
+            raise ValueError(f"{what} automaton is not deterministic with a single initial state")
     n, k = a.n_states, len(a.alphabet)
     out = [[(*divmod(i, k), i, r2 * n, r2 in rel.finals) for i, r2 in enumerate(row) if r2 >= 0]
            for row in rel.ddelta()]
@@ -1133,23 +1142,31 @@ def from_json(doc: dict) -> Automaton:
 _DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _dot_escape(s) -> str:
+    """``str(s)`` with backslashes and double quotes escaped, for a DOT
+    quoted string."""
+    return str(s).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(a: Automaton, name: str = "A") -> str:
     """DOT output; initial states bold, final states doubled, one edge per
     state pair with its letters joined by " ; ", in ascending (source,
     target, letter name) order: the rows are read in order, letters in name
     order, and only each row's targets are sorted.  The graph name is quoted
-    unless it is a plain DOT identifier (``mult_-1`` is not)."""
+    unless it is a plain DOT identifier (``mult_-1`` is not).  Backslashes
+    and double quotes are escaped in the name, the labels and the letters."""
     if not _DOT_ID.fullmatch(name):
-        name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        name = f'"{_dot_escape(name)}"'
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for s in range(a.n_states):
+    for s, label in enumerate(map(_dot_escape, a.labels)):
         shape = "doublecircle" if s in a.finals else "circle"
         style = ', style=bold' if s in a.initials else ""
-        lines.append(f'  {s} [label="{a.labels[s]}", shape={shape}{style}];')
+        lines.append(f'  {s} [label="{label}", shape={shape}{style}];')
     names = [str(x) for x in a.alphabet]
+    escaped = list(map(_dot_escape, names))
     grouped = [{} for _ in range(a.n_states)]  # [p][q]: the names p -> q reads, ascending
     for p, i, q in _edges(a, sorted(range(len(names)), key=names.__getitem__)):
-        grouped[p].setdefault(q, []).append(names[i])
+        grouped[p].setdefault(q, []).append(escaped[i])
     for p, row in enumerate(grouped):
         lines += (f'  {p} -> {q} [label="{" ; ".join(row[q])}"];' for q in sorted(row))
     lines.append("}")

@@ -13,10 +13,9 @@ from a final pair through predecessors, which are all live, so dropping the
 other pairs changes no output; it makes the subsets, and the number of
 distinct (subset, letter) steps, several times smaller.  The live set is
 the bitmap over pairs that ``automata.pair_tables(reduced, rel.automaton)``
-returns first; the multipliers of the structure read it too, and it is kept
-on ``reduced``.  It is read on the first missing step, so building a table
-and ``equivalent`` never pay for it (10-15 ms on ``pisot_x3-x-1``, 179 x 138
-pairs, when no multiplier has computed it).
+returns first, read when the table is built; the multipliers of the
+structure read it too, and it is kept on ``reduced``.  ``pair_tables`` is
+also the check that the two automata fit together.
 
 Each forward subset is interned once and named by an integer id (the start
 subset is 0): ``_sets`` maps an id to its subset, ``_sid`` a subset to its
@@ -38,8 +37,8 @@ Letters are decoded by one dict from each digit name and each position to
 the position, applied with a C-level ``map``; a word holding any letter
 that is neither a str nor an int, or a letter the dict lacks, goes through
 ``relations.digit_index`` letter by letter, the rule ``verify_relation``
-applies too.  On ``pisot_x3-x-1`` a reduction costs about 0.73 us per letter
-cold and 0.23 us warm, and an equivalence test 0.16 us per letter
+applies too.  On ``pisot_x3-x-1`` a reduction costs about 0.51 us per letter
+cold and 0.24 us warm, and an equivalence test 0.16 us per letter
 (``perfbench`` ``reduce_stream``, medians of ten runs, 2-vCPU x86-64,
 CPython 3.11).
 """
@@ -48,7 +47,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .automata import Automaton, pair_alphabet, pair_tables, transpose
+from .automata import Automaton, pair_tables, transpose
 from .automata import accepts  # noqa: F401  (the benchmark tracer wraps reducer.accepts)
 from .relations import RelAutomaton, digit_index
 
@@ -66,14 +65,9 @@ class ReducerTable:
         if reduced.alphabet != names:
             raise ValueError(
                 f"reduced alphabet {reduced.alphabet!r} is not the digit names {names!r}")
-        if rel.automaton.alphabet != pair_alphabet(names):
-            raise ValueError(
-                f"relation letters {rel.automaton.alphabet!r} are not the pairs of "
-                f"the digit names {names!r}")
-        for what, aut in (("relation", rel.automaton), ("reduced", reduced)):
-            if not aut.deterministic:
-                raise ValueError(
-                    f"{what} automaton is not deterministic with a single initial state")
+        # the bitmap of live pairs r * n_red + s; ``pair_tables`` also refuses
+        # relation letters or automata that do not fit a reducer
+        self._live = pair_tables(reduced, rel.automaton)[0]
         self.rel = rel
         self.reduced = reduced
         self.names = names
@@ -107,7 +101,6 @@ class ReducerTable:
         # per forward step (id, input letter), the extraction's choice: a pair
         # of the successor subset -> (predecessor pair, output digit name)
         self._back = [[{} for _ in range(k)]]
-        self._live = None  # bytearray over pairs, built on the first missing step
 
     def _letters(self, word) -> list:
         """Letter indices of ``word``: one C-level dict lookup per letter when
@@ -139,8 +132,6 @@ class ReducerTable:
     def _step(self, sid: int, a: int) -> int:
         """Id of the successor of subset ``sid`` on input letter ``a``: the
         union of its pairs' live successor rows, interned on first sight."""
-        if self._live is None:
-            self._live = pair_tables(self.reduced, self.rel.automaton)[0]
         subset = self._sets[sid]
         rows = self._succ[a]
         for pair in subset.difference(rows):

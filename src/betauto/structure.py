@@ -100,13 +100,12 @@ def build_multiplier(rel: RelAutomaton, reduced: Automaton, g,
     if g not in sigma:
         raise ValueError(f"unknown digit {g!r}")
     # this also checks that the relation letters are the pairs of ``sigma``
+    # and that both automata are deterministic
     live, rel_out = pair_tables(reduced, rel.automaton)
     alphabet = rel.automaton.alphabet
     gi = sigma.index(g)
     n_red = reduced.n_states
     next_red = reduced.ddelta()
-    if len(reduced.initials) > 1 or len(rel.automaton.initials) > 1:
-        raise ValueError("automaton is not deterministic")
     # a search state is the integer (2 (u + 1) + flag) * n_pairs + r * n_red + v
     n_pairs = rel.automaton.n_states * n_red
     # u_key[u][x]: the key offset of the u-state reached from u on letter x

@@ -957,6 +957,18 @@ def test_to_dot_quotes_a_name_that_is_no_identifier(name, header):
     assert au.to_dot(dfa([], [0], 1), name).startswith(header + "\n")
 
 
+def test_to_dot_escapes_labels_and_letters():
+    # a document from outside may hold a quote or a backslash in any name
+    a = au.from_json({"alphabet": ['c\\d', 'e"f'], "states": [{"label": 'x"y'}, {"label": "z\\"}],
+                      "initials": [0], "finals": [1], "transitions": [[0, 0, 1], [0, 1, 1]]})
+    assert au.to_dot(a).splitlines()[2:] == [
+        '  0 [label="x\\"y", shape=circle, style=bold];',
+        '  1 [label="z\\\\", shape=doublecircle];',
+        '  0 -> 1 [label="c\\\\d ; e\\"f"];',
+        "}",
+    ]
+
+
 def test_invalid_construction():
     with pytest.raises(ValueError):
         from_transitions(SIGMA, 1, [(0, "a", 5)], [0], [])

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import json
 import math
@@ -336,6 +337,16 @@ def test_multiplier_rejects_a_nondeterministic_reduced_automaton():
                              red.initials, red.finals)
     with pytest.raises(ValueError, match="not deterministic"):
         build_multiplier(rel, split, "0")
+    # a relation automaton with two initial states: the multiplier and the
+    # reducer refuse it with one message, from the one check of the pair
+    a = rel.automaton
+    two_starts = from_transitions(a.alphabet, a.n_states, a.transitions, {0, 1}, a.finals)
+    messages = []
+    for build in (lambda r: build_multiplier(r, red, "0"), lambda r: ReducerTable(r, red)):
+        with pytest.raises(ValueError) as e:
+            build(dataclasses.replace(rel, automaton=two_starts))
+        messages.append(str(e.value))
+    assert messages == ["relation automaton is not deterministic with a single initial state"] * 2
 
 
 def test_multiplier_search_is_capped_per_relation_state():
